@@ -12,7 +12,7 @@ bits, and the noise scales in effect at round k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,9 +56,11 @@ class Trace:
 
     algorithm: str
     rows: list[TraceRow] = field(default_factory=list)
-    mean_iterates: list[np.ndarray] = field(default_factory=list)
     stacked_iterates: list[np.ndarray] | None = None
+    # Stacked iterate after the last round run, and that round's counter:
+    # the last row's k, or the longer horizon the engine was asked to run.
     final_stacked: np.ndarray | None = None
+    final_k: int = 0
 
     def validate(self) -> None:
         """Assert row contiguity and bit-meter monotonicity."""
@@ -89,31 +91,23 @@ def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_point(
-    run_fn,
-    cfg,
-    objectives,
-    net,
-    x0: np.ndarray,
-    streams,
-    long_horizon: int,
-    base_horizon: int,
-) -> np.ndarray:
-    """Convergence point estimate: rerun the same seeded trajectory for
-    long_horizon rounds (the noise schedule keeps decaying geometrically)
-    and return the final stacked iterate.
+def reference_point(trace: Trace) -> np.ndarray:
+    """Convergence point estimate x_inf for the residual series.
 
-    run_fn is the engine entry point (the gradient-tracking or
-    primal-dual run function); keyed streams make the first
-    base_horizon rounds identical to the run being measured.
+    The engine run that produced the trace kept stepping the same seeded
+    trajectory (with its noise schedule still decaying geometrically)
+    past the last row to a reference horizon H, and final_stacked holds
+    the stacked iterate at round H. H must be at least 10x the measured
+    horizon K so that x_inf sits well past the rounds it is compared with.
     """
-    if long_horizon < 10 * base_horizon:
+    if not trace.rows:
+        raise EmptyTrace("trace has no rows")
+    base_horizon = trace.rows[-1].k
+    if trace.final_k < 10 * base_horizon:
         raise ConfigInvalid(
             "reference.horizon_multiplier: reference horizon must be at least "
-            f"10x the run horizon (got {long_horizon} for {base_horizon})"
+            f"10x the run horizon (got {trace.final_k} for {base_horizon})"
         )
-    long_cfg = replace(cfg, iterations=long_horizon)
-    trace = run_fn(long_cfg, objectives, net, x0, streams)
     assert trace.final_stacked is not None
     return trace.final_stacked
 

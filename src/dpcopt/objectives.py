@@ -29,8 +29,11 @@ __all__ = [
     "SinCosObjective",
     "QuadraticObjective",
     "generate_dataset",
+    "logistic_grad",
     "logistic_value_grad",
+    "sincos_grad",
     "sincos_value_grad",
+    "quadratic_pl_grad",
     "quadratic_pl_value_grad",
     "finite_diff_grad",
     "estimate_grad_bound",
@@ -79,6 +82,29 @@ def generate_dataset(m: int, d: int, rng: np.random.Generator) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
+def _logistic_margins(ds: Dataset, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape-checked x and the margins z_j = -u_j x^T v_j."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (ds.d,):
+        raise DimensionMismatch(f"x has shape {x.shape}, dataset dimension is {ds.d}")
+    return x, -ds.labels * (ds.features @ x)
+
+
+def _logistic_grad(
+    ds: Dataset, lam: float, alpha: float, x: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    sigma = np.exp(-np.logaddexp(0.0, -z))  # logistic function of z, stable
+    grad = -(ds.features * (ds.labels * sigma)[:, None]).mean(axis=0)
+    denom = 1.0 + alpha * (x * x)
+    return grad + 2.0 * lam * alpha * x / (denom * denom)
+
+
+def logistic_grad(ds: Dataset, lam: float, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Gradient of the nonconvex regularized logistic loss."""
+    x, z = _logistic_margins(ds, x)
+    return _logistic_grad(ds, lam, alpha, x, z)
+
+
 def logistic_value_grad(
     ds: Dataset, lam: float, alpha: float, x: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -88,18 +114,21 @@ def logistic_value_grad(
     margins never overflow; the sigmoid is derived from the same stable
     quantity.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ds.d,):
-        raise DimensionMismatch(f"x has shape {x.shape}, dataset dimension is {ds.d}")
-    z = -ds.labels * (ds.features @ x)
+    x, z = _logistic_margins(ds, x)
     value = float(np.mean(np.logaddexp(0.0, z)))
     xsq = x * x
-    denom = 1.0 + alpha * xsq
-    value += float(np.sum(lam * alpha * xsq / denom))
-    sigma = np.exp(-np.logaddexp(0.0, -z))  # logistic function of z, stable
-    grad = -(ds.features * (ds.labels * sigma)[:, None]).mean(axis=0)
-    grad = grad + 2.0 * lam * alpha * x / (denom * denom)
-    return value, grad
+    value += float(np.sum(lam * alpha * xsq / (1.0 + alpha * xsq)))
+    return value, _logistic_grad(ds, lam, alpha, x, z)
+
+
+def _sincos_grad(m_i: float, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    return 2.0 * x + 6.0 * sx * cx + m_i * (cx - x * sx)
+
+
+def sincos_grad(m_i: float, x: np.ndarray) -> np.ndarray:
+    """Gradient of the nonconvex trigonometric cost."""
+    x = np.asarray(x, dtype=np.float64)
+    return _sincos_grad(m_i, x, np.sin(x), np.cos(x))
 
 
 def sincos_value_grad(m_i: float, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -108,17 +137,21 @@ def sincos_value_grad(m_i: float, x: np.ndarray) -> tuple[float, np.ndarray]:
     sx = np.sin(x)
     cx = np.cos(x)
     value = float(x @ x + 3.0 * (sx @ sx) + m_i * (x @ cx))
-    grad = 2.0 * x + 6.0 * sx * cx + m_i * (cx - x * sx)
-    return value, grad
+    return value, _sincos_grad(m_i, x, sx, cx)
 
 
-def quadratic_pl_value_grad(a_i: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """0.5 ||x - a_i||^2 and its gradient."""
+def quadratic_pl_grad(a_i: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient x - a_i of 0.5 ||x - a_i||^2."""
     a_i = np.asarray(a_i, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != a_i.shape:
         raise DimensionMismatch(f"x has shape {x.shape}, anchor has shape {a_i.shape}")
-    diff = x - a_i
+    return x - a_i
+
+
+def quadratic_pl_value_grad(a_i: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """0.5 ||x - a_i||^2 and its gradient."""
+    diff = quadratic_pl_grad(a_i, x)
     return 0.5 * float(diff @ diff), diff
 
 
@@ -139,7 +172,7 @@ class LogisticObjective:
         return self.value_grad(x)[0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_grad(x)[1]
+        return logistic_grad(self.dataset, self.lam, self.alpha, x)
 
 
 @dataclass(frozen=True)
@@ -151,17 +184,20 @@ class SinCosObjective:
     def d(self) -> int:
         return self.dim
 
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def _checked(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.dim},)")
-        return sincos_value_grad(self.m_i, x)
+        return x
+
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return sincos_value_grad(self.m_i, self._checked(x))
 
     def value(self, x: np.ndarray) -> float:
         return self.value_grad(x)[0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_grad(x)[1]
+        return sincos_grad(self.m_i, self._checked(x))
 
 
 @dataclass(frozen=True)
@@ -179,7 +215,7 @@ class QuadraticObjective:
         return self.value_grad(x)[0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_grad(x)[1]
+        return quadratic_pl_grad(self.anchor, x)
 
 
 def finite_diff_grad(

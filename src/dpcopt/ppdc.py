@@ -173,18 +173,18 @@ def _emit_row(
     with np.errstate(over="ignore", invalid="ignore"):
         consensus = float(((state.x - xbar) ** 2).sum())
         _, gbar = mean_value_grad(objectives, xbar)
+        grad_norm = float(np.linalg.norm(gbar))
     trace.rows.append(
         TraceRow(
             k=state.k,
             consensus_err=consensus,
-            grad_norm_mean=float(np.linalg.norm(gbar)),
+            grad_norm_mean=grad_norm,
             residual=dual_average_residual(state),
             cum_bits=state.k * per_round_bits,
             theta_x=scale_at(cfg.noise_x, state.k),
             theta_second=scale_at(cfg.noise_v, state.k),
         )
     )
-    trace.mean_iterates.append(xbar)
     if trace.stacked_iterates is not None:
         trace.stacked_iterates.append(state.x.reshape(-1).copy())
 
@@ -196,8 +196,15 @@ def ppdc_run(
     x0: np.ndarray,
     streams: StreamFactory,
     record_iterates: bool = False,
+    horizon: int = 0,
 ) -> Trace:
-    """Run cfg.iterations rounds and return the trace (row k=0 included)."""
+    """Run cfg.iterations rounds and return the trace (row k=0 included).
+
+    With a horizon H > cfg.iterations the same trajectory keeps stepping
+    to round H without emitting rows or iterates; final_stacked is then
+    the state at round H (the reference point of
+    metrics.reference_point), and final_k records that round.
+    """
     state = ppdc_init(cfg, objectives, net, x0, streams)
     d = state.x.shape[1]
     per_round_bits = MESSAGES_PER_AGENT * net.n * bit_cost(cfg.compressor, d)
@@ -209,5 +216,8 @@ def ppdc_run(
     for _ in range(cfg.iterations):
         state = ppdc_step(state, cfg, objectives, net, streams)
         _emit_row(trace, state, cfg, objectives, per_round_bits)
+    for _ in range(cfg.iterations, horizon):
+        state = ppdc_step(state, cfg, objectives, net, streams)
+    trace.final_k = state.k
     trace.final_stacked = state.x.reshape(-1).copy()
     return trace

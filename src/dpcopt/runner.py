@@ -127,26 +127,19 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
     gate = check_contraction(rc)
     x0 = _initial_iterate(rc, streams)
     engine_cfg = build_engine_config(rc)
-    run_fn = _run_function(rc.algorithm)
-    trace = run_fn(
-        engine_cfg, objectives, net, x0, streams,
-        record_iterates=rc.reference is not None,
-    )
-    residuals = None
-    reference_horizon = None
+    reference_horizon = 0
     if rc.reference is not None:
         reference_horizon = rc.reference.horizon_multiplier * rc.iterations
-        x_inf = reference_point(
-            run_fn,
-            engine_cfg,
-            objectives,
-            net,
-            x0,
-            streams,
-            long_horizon=reference_horizon,
-            base_horizon=rc.iterations,
-        )
-        residuals = residual_series(trace, x_inf)
+    # One pass: rows for rounds 0..K, then the same trajectory continues
+    # to the reference horizon, whose final state is x_inf.
+    trace = _run_function(rc.algorithm)(
+        engine_cfg, objectives, net, x0, streams,
+        record_iterates=rc.reference is not None,
+        horizon=reference_horizon,
+    )
+    residuals = None
+    if rc.reference is not None:
+        residuals = residual_series(trace, reference_point(trace))
     residual_max = max(row.residual for row in trace.rows)
     checks = {
         "contraction_empirical_ratio": gate.empirical_ratio,
@@ -157,7 +150,7 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
         "tracking_or_dual_residual_ok": bool(residual_max <= IDENTITY_RESIDUAL_TOL),
         "rows": len(trace.rows),
     }
-    if reference_horizon is not None:
+    if rc.reference is not None:
         checks["reference_horizon"] = reference_horizon
     return trace, checks, residuals
 

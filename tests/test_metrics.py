@@ -42,17 +42,17 @@ def _trace_with_iterates(iterates):
     return Trace(algorithm="pgtc", rows=rows, stacked_iterates=list(iterates))
 
 
-def _pgtc_config(spec, iterations):
+def _pgtc_config(spec, iterations, noise=QUIET):
     return PgtcConfig(
         eta=0.1, gamma=0.2, alpha_x=0.5, alpha_y=0.5,
-        compressor=spec, noise_x=QUIET, noise_y=QUIET, iterations=iterations,
+        compressor=spec, noise_x=noise, noise_y=noise, iterations=iterations,
     )
 
 
-def _ppdc_config(spec, iterations):
+def _ppdc_config(spec, iterations, noise=QUIET):
     return PpdcConfig(
         eta=0.015, gamma=45.0, omega=5.0, alpha_x=0.2,
-        compressor=spec, noise_x=QUIET, noise_v=QUIET, iterations=iterations,
+        compressor=spec, noise_x=noise, noise_v=noise, iterations=iterations,
     )
 
 
@@ -171,12 +171,14 @@ def test_ppdc_bits_are_half_of_pgtc():
 
 def test_reference_point_rejects_short_horizon():
     net, streams, objectives, x0 = build_problem("quadratic", seed=1)
-    cfg = _pgtc_config(make_spec("identity", d=10), iterations=100)
+    cfg = _pgtc_config(make_spec("identity", d=10), iterations=10)
+    trace = pgtc_run(cfg, objectives, net, x0, streams, horizon=99)
+    assert trace.final_k == 99
     with pytest.raises(ConfigInvalid):
-        reference_point(
-            pgtc_run, cfg, objectives, net, x0, streams,
-            long_horizon=999, base_horizon=100,
-        )
+        reference_point(trace)
+    # Without a horizon the final state is the last row's, never a reference.
+    with pytest.raises(ConfigInvalid):
+        reference_point(pgtc_run(cfg, objectives, net, x0, streams))
 
 
 def test_reference_point_noise_free_quadratic():
@@ -184,18 +186,39 @@ def test_reference_point_noise_free_quadratic():
     # contracts to the mean anchor, so x_inf is its 6-fold tiling.
     net, streams, objectives, x0 = build_problem("quadratic", seed=9)
     cfg = _pgtc_config(make_spec("identity", d=10), iterations=60)
-    x_inf = reference_point(
-        pgtc_run, cfg, objectives, net, x0, streams,
-        long_horizon=2000, base_horizon=60,
+    trace = pgtc_run(
+        cfg, objectives, net, x0, streams, record_iterates=True, horizon=2000
     )
+    assert len(trace.rows) == len(trace.stacked_iterates) == 61
+    x_inf = reference_point(trace)
     anchors = np.stack([obj.anchor for obj in objectives])
     expected = np.tile(anchors.mean(axis=0), net.n)
     assert np.max(np.abs(x_inf - expected)) < 1e-10
-    again = reference_point(
-        pgtc_run, cfg, objectives, net, x0, streams,
-        long_horizon=2000, base_horizon=60,
-    )
+    again = reference_point(pgtc_run(cfg, objectives, net, x0, streams, horizon=2000))
     assert np.array_equal(x_inf, again)
+
+
+@pytest.mark.parametrize(
+    "run, make_cfg",
+    [(pgtc_run, _pgtc_config), (ppdc_run, _ppdc_config)],
+    ids=["pgtc", "ppdc"],
+)
+def test_one_pass_reference_equals_explicit_long_run(run, make_cfg):
+    # An explicit run of H rounds defines the reference point. The one
+    # pass must reproduce it bit for bit, noise and dithering included,
+    # and its rows must be that run's first K + 1 rows.
+    spec = make_spec("bbit", d=10, b=4)
+    noise = NoiseSchedule(s=0.5, q=0.9)
+    net, streams, objectives, x0 = build_problem(
+        "logistic", seed=13, m=50, lam=1e-3, alpha=1.0
+    )
+    one_pass = run(
+        make_cfg(spec, 20, noise), objectives, net, x0, streams,
+        record_iterates=True, horizon=200,
+    )
+    explicit = run(make_cfg(spec, 200, noise), objectives, net, x0, streams)
+    assert np.array_equal(reference_point(one_pass), explicit.final_stacked)
+    assert one_pass.rows == explicit.rows[:21]
 
 
 # --- CSV writer ---

@@ -234,3 +234,20 @@ def test_make_objectives_quadratic_and_mean():
 def test_make_objectives_unknown_kind():
     with pytest.raises(ConfigInvalid):
         make_objectives("rosenbrock", 2, 2, StreamFactory(master_seed=8))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "sincos", "quadratic"])
+def test_grad_matches_value_grad_bytewise(kind):
+    # grad() skips the loss value but shares the gradient arithmetic with
+    # value_grad(), so both return the same bits, large arguments included.
+    objs = make_objectives(
+        kind, 3, 6, StreamFactory(master_seed=21), m=40, lam=1e-3, alpha=1.0
+    )
+    rng = np.random.default_rng(22)
+    for obj in objs:
+        for scale in (1.0, 1e3):
+            for _ in range(5):
+                x = scale * rng.standard_normal(6)
+                assert obj.grad(x).tobytes() == obj.value_grad(x)[1].tobytes()
+        with pytest.raises(DimensionMismatch):
+            obj.grad(np.zeros(5))

@@ -156,6 +156,24 @@ def test_divergent_run_exits_1(tmp_path, capsys):
     assert "non-finite state" in capsys.readouterr().err
 
 
+def test_divergence_past_the_measured_rounds_exits_1(tmp_path, capsys):
+    # At eta=10 the iterates grow about tenfold per round: the 5 measured
+    # rounds stay finite and pass every check, but the run on to the
+    # reference horizon of 500 rounds overflows, so no trace is written.
+    doc = make_doc(tmp_path / "plain")
+    doc["gains"]["eta"] = 10.0
+    assert main(["run", str(write_doc(tmp_path, doc))]) == EXIT_OK
+    assert (tmp_path / "plain" / "trace.csv").exists()
+    capsys.readouterr()
+
+    doc = make_doc(tmp_path / "ref", reference={"horizon_multiplier": 100})
+    doc["gains"]["eta"] = 10.0
+    assert main(["run", str(write_doc(tmp_path, doc))]) == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert "run failed:" in err and "non-finite state" in err
+    assert not (tmp_path / "ref" / "trace.csv").exists()
+
+
 def test_residual_invariant_failure_exits_1(tmp_path, capsys):
     # Large-but-finite blowup: the run completes, but catastrophic
     # cancellation breaks the tracking identity and the check reports it.
