@@ -19,6 +19,7 @@ confirms a configured pair empirically before a run may start.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "ContractionReport",
     "make_spec",
     "xi_factor",
+    "row_norms",
     "compress",
     "encode_decode",
     "bit_cost",
@@ -149,12 +151,31 @@ def make_spec(
     )
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a vector, or of each row of an (n, d) array.
+
+    A (1, d) by (d, 1) matmul per row is the BLAS dot product that
+    np.linalg.norm(row) takes, so each norm equals it bit for bit;
+    np.linalg.norm(x, axis=-1) sums in another order and does not.
+    """
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+
+
 def compress(
-    spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator | None = None
+    spec: CompressorSpec,
+    x: np.ndarray,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> CompressedMessage:
-    """Apply the compressor once. Only the bbit kind consumes rng."""
+    """Apply the compressor to a vector (d,) or to each row of an (n, d)
+    array; bit_cost is per vector.
+
+    Rows are independent senders: row i of the result is what the call on
+    x[i] alone returns, bit for bit. Only the bbit kind consumes rng: one
+    generator for a vector, a sequence of n generators (row i draws from
+    rng[i]) for an array. A row that is exactly zero draws nothing.
+    """
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
+    d = x.shape[-1]
     if spec.kind == TOPK and spec.k is not None and spec.k > d:
         raise SpecDimensionMismatch(f"top-k with k={spec.k} exceeds d={d}")
     cost = bit_cost(spec, d)
@@ -162,39 +183,52 @@ def compress(
     if spec.kind == IDENTITY:
         return CompressedMessage(vector=x.copy(), bit_cost=cost)
 
+    if spec.kind == NORMSIGN:
+        amax = np.abs(x).max(axis=-1, keepdims=True)
+        return CompressedMessage(vector=(amax / 2.0) * np.sign(x), bit_cost=cost)
+
     if spec.kind == TOPK:
         # Stable sort on -|x| keeps the lower index first among ties.
-        order = np.argsort(-np.abs(x), kind="stable")
+        keep = np.argsort(-np.abs(x), axis=-1, kind="stable")[..., : spec.k]
+        if x.ndim == 2:
+            keep = (np.arange(len(x))[:, None], keep)
         out = np.zeros_like(x)
-        keep = order[: spec.k]
         out[keep] = x[keep]
         return CompressedMessage(vector=out, bit_cost=cost)
 
-    if spec.kind == NORMSIGN:
-        amax = float(np.max(np.abs(x)))
-        return CompressedMessage(vector=(amax / 2.0) * np.sign(x), bit_cost=cost)
-
     # bbit
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return CompressedMessage(vector=np.zeros_like(x), bit_cost=cost)
-    if rng is None:
+    norms = row_norms(x)
+    if rng is None and np.any(norms):
         raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
+    if x.ndim == 1:
+        vector = _dither(spec, x, norms, rng.random(d)) if norms else np.zeros_like(x)
+        return CompressedMessage(vector=vector, bit_cost=cost)
+    out = np.zeros_like(x)
+    live = np.flatnonzero(norms)
+    if live.size:
+        u = np.stack([rng[i].random(d) for i in live])
+        out[live] = _dither(spec, x[live], norms[live, None], u)
+    return CompressedMessage(vector=out, bit_cost=cost)
+
+
+def _dither(spec: CompressorSpec, x: np.ndarray, norm, u: np.ndarray) -> np.ndarray:
+    """bbit levels of x (d,) with its norm, or of rows (n, d) with their
+    norms as an (n, 1) column; every norm is nonzero."""
     assert spec.b is not None
     half_levels = 2.0 ** (spec.b - 1)
-    u = rng.random(d)
     levels = np.floor(half_levels * np.abs(x) / norm + u)
-    vector = (norm / xi_factor(d, spec.b)) * np.sign(x) * (levels / half_levels)
-    return CompressedMessage(vector=vector, bit_cost=cost)
+    return (norm / xi_factor(x.shape[-1], spec.b)) * np.sign(x) * (levels / half_levels)
 
 
 def encode_decode(
     spec: CompressorSpec,
     target: np.ndarray,
     reference: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Shared decoded estimate: reference + C(target - reference).
+    """Shared decoded estimate: reference + C(target - reference), of one
+    sender's vectors (d,) or of n senders' rows (n, d) at once (see
+    compress for rng).
 
     The identity kind passes the target through untouched so the decoded
     estimate equals the broadcast vector exactly, with no rounding from

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace
+from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 
 __all__ = [
     "TraceRow",
@@ -73,7 +73,11 @@ class Trace:
 
 
 def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
-    """R_k = min over t <= k of ||x_t - x_inf||^2 on stacked iterates."""
+    """R_k = min over t <= k of ||x_t - x_inf||^2 on stacked iterates.
+
+    Raises NonFiniteState at the first t whose squared distance is not
+    finite, so no row of the series is inf or nan.
+    """
     if trace.stacked_iterates is None or not trace.stacked_iterates:
         raise EmptyTrace("trace was recorded without stacked iterate history")
     x_inf = np.asarray(x_inf, dtype=np.float64).reshape(-1)
@@ -84,10 +88,18 @@ def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
         )
     out = np.empty(len(trace.stacked_iterates))
     best = math.inf
-    for t, xt in enumerate(trace.stacked_iterates):
-        diff = xt - x_inf
-        best = min(best, float(diff @ diff))
-        out[t] = best
+    # A far but finite x_inf overflows the squared distance; that is
+    # reported as a failed run below rather than as numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, xt in enumerate(trace.stacked_iterates):
+            diff = xt - x_inf
+            sq = float(diff @ diff)
+            if not math.isfinite(sq):
+                raise NonFiniteState(
+                    t, "squared distance to the reference point is not finite"
+                )
+            best = min(best, sq)
+            out[t] = best
     return out
 
 

@@ -7,6 +7,7 @@ seeded stream reproduces the exact same noise bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,27 @@ def scale_at(sched: NoiseSchedule, k: int) -> float:
     return sched.s * sched.q**k
 
 
-def sample_laplace(theta: float, d: int, rng: np.random.Generator) -> np.ndarray:
-    """d i.i.d. Laplace(theta) coordinates; zero vector when theta = 0."""
+def sample_laplace(
+    theta: float,
+    d: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> np.ndarray:
+    """d i.i.d. Laplace(theta) coordinates from one generator, or n rows
+    (n, d) from a sequence of n generators, row i drawn from rng[i]; zeros
+    when theta = 0.
+
+    Each row's uniforms come from its own generator exactly as a
+    single-generator call draws them, and one inverse-CDF transform maps
+    all rows.
+    """
     if theta < 0:
         raise ConfigInvalid("noise: scale must be >= 0")
     if d < 1:
         raise ConfigInvalid("noise: dimension must be >= 1")
+    rows = isinstance(rng, Sequence)
     if theta == 0.0:
-        return np.zeros(d)
-    u = rng.random(d) - 0.5
+        return np.zeros((len(rng), d) if rows else d)
+    u = (np.stack([g.random(d) for g in rng]) if rows else rng.random(d)) - 0.5
     decay = 1.0 - 2.0 * np.abs(u)
     # u = -0.5 exactly would hit log(0); clamp that measure-zero draw.
     np.maximum(decay, np.finfo(np.float64).tiny, out=decay)

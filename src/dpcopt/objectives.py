@@ -15,11 +15,12 @@ Three benchmark families:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
+from dpcopt.compressors import row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch
 from dpcopt.rng import StreamFactory, Tag
 
@@ -28,6 +29,8 @@ __all__ = [
     "LogisticObjective",
     "SinCosObjective",
     "QuadraticObjective",
+    "AgentObjectives",
+    "as_agent_objectives",
     "generate_dataset",
     "logistic_grad",
     "logistic_value_grad",
@@ -82,19 +85,32 @@ def generate_dataset(m: int, d: int, rng: np.random.Generator) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
+def _margins(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Margins z_j = -u_j x^T v_j of one agent, (m, d) data and x (d,), or
+    of stacked agents, (n, m, d) data and x (n, d).
+
+    matmul with x as a trailing (d, 1) column runs the same BLAS
+    matrix-vector product for each agent, so a stacked call equals the
+    per-agent calls bit for bit (np.einsum does not).
+    """
+    return -labels * np.matmul(features, x[..., None])[..., 0]
+
+
 def _logistic_margins(ds: Dataset, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shape-checked x and the margins z_j = -u_j x^T v_j."""
+    """Shape-checked x and its margins on one agent's dataset."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ds.d,):
         raise DimensionMismatch(f"x has shape {x.shape}, dataset dimension is {ds.d}")
-    return x, -ds.labels * (ds.features @ x)
+    return x, _margins(ds.features, ds.labels, x)
 
 
 def _logistic_grad(
-    ds: Dataset, lam: float, alpha: float, x: np.ndarray, z: np.ndarray
+    features: np.ndarray, labels: np.ndarray, lam, alpha, x: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
+    """Gradient at x given its margins z; broadcasts over a leading agent
+    axis (lam and alpha are then (n, 1) columns)."""
     sigma = np.exp(-np.logaddexp(0.0, -z))  # logistic function of z, stable
-    grad = -(ds.features * (ds.labels * sigma)[:, None]).mean(axis=0)
+    grad = -(features * (labels * sigma)[..., None]).mean(axis=-2)
     denom = 1.0 + alpha * (x * x)
     return grad + 2.0 * lam * alpha * x / (denom * denom)
 
@@ -102,7 +118,7 @@ def _logistic_grad(
 def logistic_grad(ds: Dataset, lam: float, alpha: float, x: np.ndarray) -> np.ndarray:
     """Gradient of the nonconvex regularized logistic loss."""
     x, z = _logistic_margins(ds, x)
-    return _logistic_grad(ds, lam, alpha, x, z)
+    return _logistic_grad(ds.features, ds.labels, lam, alpha, x, z)
 
 
 def logistic_value_grad(
@@ -118,15 +134,18 @@ def logistic_value_grad(
     value = float(np.mean(np.logaddexp(0.0, z)))
     xsq = x * x
     value += float(np.sum(lam * alpha * xsq / (1.0 + alpha * xsq)))
-    return value, _logistic_grad(ds, lam, alpha, x, z)
+    return value, _logistic_grad(ds.features, ds.labels, lam, alpha, x, z)
 
 
-def _sincos_grad(m_i: float, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
+def _sincos_grad(m_i, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """Elementwise, so it broadcasts over a leading agent axis (m_i then
+    an (n, 1) column)."""
     return 2.0 * x + 6.0 * sx * cx + m_i * (cx - x * sx)
 
 
-def sincos_grad(m_i: float, x: np.ndarray) -> np.ndarray:
-    """Gradient of the nonconvex trigonometric cost."""
+def sincos_grad(m_i, x: np.ndarray) -> np.ndarray:
+    """Gradient of the nonconvex trigonometric cost; also of n stacked
+    agents, with m_i an (n, 1) column and x (n, d)."""
     x = np.asarray(x, dtype=np.float64)
     return _sincos_grad(m_i, x, np.sin(x), np.cos(x))
 
@@ -141,7 +160,8 @@ def sincos_value_grad(m_i: float, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def quadratic_pl_grad(a_i: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient x - a_i of 0.5 ||x - a_i||^2."""
+    """Gradient x - a_i of 0.5 ||x - a_i||^2; also of n stacked agents,
+    with anchors and x both (n, d)."""
     a_i = np.asarray(a_i, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != a_i.shape:
@@ -218,6 +238,76 @@ class QuadraticObjective:
         return quadratic_pl_grad(self.anchor, x)
 
 
+def _stacked_grad(items: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
+    """X (n, d) -> gradients (n, d) through the kind's shared formula, with
+    the agents' data stacked once here; None unless every agent is exactly
+    one built-in kind with equally shaped data."""
+    kind = type(items[0])
+    if any(type(obj) is not kind for obj in items):
+        return None
+    if kind is QuadraticObjective:
+        anchors = np.stack([obj.anchor for obj in items])
+        return lambda x: quadratic_pl_grad(anchors, x)
+    if kind is SinCosObjective:
+        coeffs = np.array([[obj.m_i] for obj in items])
+        return lambda x: sincos_grad(coeffs, x)
+    if kind is LogisticObjective and len({obj.dataset.m for obj in items}) == 1:
+        features = np.stack([obj.dataset.features for obj in items])
+        labels = np.stack([obj.dataset.labels for obj in items])
+        lam = np.array([[obj.lam] for obj in items])
+        alpha = np.array([[obj.alpha] for obj in items])
+        return lambda x: _logistic_grad(
+            features, labels, lam, alpha, x, _margins(features, labels, x)
+        )
+    return None
+
+
+class AgentObjectives(Sequence):
+    """The n per-agent objectives of one run, indexable like a list, whose
+    grad evaluates all n gradients in one call.
+
+    Row i of grad(X) is objectives[i].grad(X[i]) bit for bit: both go
+    through the same per-kind formula, the stacked data being built once
+    here. Agents that are not all exactly one built-in kind (subclasses,
+    other objects with d/grad/value_grad) are evaluated one by one.
+    """
+
+    def __init__(self, objectives: Sequence) -> None:
+        self._items = tuple(objectives)
+        if not self._items:
+            raise ConfigInvalid("objectives: need at least one agent")
+        self._stacked = _stacked_grad(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    @property
+    def d(self) -> int:
+        return self._items[0].d
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Gradients (n, d): row i is agent i's gradient at x[i]."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (len(self._items), self.d):
+            raise DimensionMismatch(
+                f"x has shape {x.shape}, expected ({len(self._items)}, {self.d})"
+            )
+        if self._stacked is None:
+            return np.stack([obj.grad(row) for obj, row in zip(self._items, x)])
+        return self._stacked(x)
+
+
+def as_agent_objectives(objectives: Sequence) -> AgentObjectives:
+    """objectives itself when it already is an AgentObjectives, else the
+    list wrapped (and its data stacked) once."""
+    if isinstance(objectives, AgentObjectives):
+        return objectives
+    return AgentObjectives(objectives)
+
+
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float
 ) -> np.ndarray:
@@ -247,12 +337,14 @@ def estimate_grad_bound(
         raise ConfigInvalid("privacy.trials: need at least 1 sample")
     if radius < 0:
         raise ConfigInvalid("privacy.box_radius: must be >= 0")
-    d = objectives[0].d
+    objectives = as_agent_objectives(objectives)
+    n, d = len(objectives), objectives.d
+    # One draw of all points gives the values of `trials` draws of d.
+    points = rng.uniform(-radius, radius, size=(trials, d))
     worst = 0.0
-    for _ in range(trials):
-        x = rng.uniform(-radius, radius, size=d)
-        for obj in objectives:
-            worst = max(worst, float(np.linalg.norm(obj.grad(x))))
+    for x in points:
+        grads = objectives.grad(np.tile(x, (n, 1)))
+        worst = max(worst, float(row_norms(grads).max()))
     return 1.1 * worst
 
 
@@ -280,8 +372,8 @@ def make_objectives(
     m: int | None = None,
     lam: float | None = None,
     alpha: float | None = None,
-) -> list:
-    """Construct the per-agent objective list for one run.
+) -> AgentObjectives:
+    """Construct the per-agent objectives of one run.
 
     Per-agent data comes from the agent's own data stream; the shared
     zero-sum coefficients come from a single stream at round index 1 so
@@ -290,22 +382,24 @@ def make_objectives(
     if kind == "logistic":
         if m is None or lam is None or alpha is None:
             raise ConfigInvalid("objective: logistic needs m, lambda, alpha")
-        return [
+        return AgentObjectives(
             LogisticObjective(
                 dataset=generate_dataset(m, d, streams.get(i, Tag.DATA, 0)),
                 lam=lam,
                 alpha=alpha,
             )
             for i in range(n)
-        ]
+        )
     if kind == "sincos":
         coeffs = draw_zero_sum_coefficients(n, streams.get(0, Tag.DATA, 1))
-        return [SinCosObjective(m_i=float(coeffs[i]), dim=d) for i in range(n)]
+        return AgentObjectives(
+            SinCosObjective(m_i=float(coeffs[i]), dim=d) for i in range(n)
+        )
     if kind == "quadratic":
-        return [
+        return AgentObjectives(
             QuadraticObjective(anchor=streams.get(i, Tag.DATA, 0).standard_normal(d))
             for i in range(n)
-        ]
+        )
     raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
 
 

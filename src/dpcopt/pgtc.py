@@ -30,7 +30,7 @@ from dpcopt.compressors import BBIT, CompressorSpec, bit_cost, encode_decode
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
 from dpcopt.metrics import Trace, TraceRow
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import mean_value_grad
+from dpcopt.objectives import as_agent_objectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
 
@@ -102,7 +102,7 @@ def pgtc_init(
         raise DimensionMismatch(
             f"objectives have dimension {objectives[0].d}, x0 has {d}"
         )
-    grad0 = np.stack([objectives[i].grad(x0[i]) for i in range(net.n)])
+    grad0 = as_agent_objectives(objectives).grad(x0)
     return PgtcState(
         x=x0.copy(),
         y=grad0.copy(),
@@ -130,14 +130,14 @@ def pgtc_step(
     theta_x = scale_at(cfg.noise_x, k)
     theta_y = scale_at(cfg.noise_y, k)
     if theta_x > 0.0:
-        xi_x = np.stack(
-            [sample_laplace(theta_x, d, streams.get(i, Tag.NOISE_X, k)) for i in range(n)]
+        xi_x = sample_laplace(
+            theta_x, d, [streams.get(i, Tag.NOISE_X, k) for i in range(n)]
         )
     else:
         xi_x = np.zeros((n, d))
     if theta_y > 0.0:
-        xi_y = np.stack(
-            [sample_laplace(theta_y, d, streams.get(i, Tag.NOISE_Y, k)) for i in range(n)]
+        xi_y = sample_laplace(
+            theta_y, d, [streams.get(i, Tag.NOISE_Y, k) for i in range(n)]
         )
     else:
         xi_y = np.zeros((n, d))
@@ -146,19 +146,19 @@ def pgtc_step(
     ya = state.y + xi_y
 
     # One compression draw per sender per round; every receiver decodes
-    # the same xhat/yhat because the draw happens exactly once here.
-    xhat = np.empty_like(xa)
-    yhat = np.empty_like(ya)
-    for j in range(n):
-        rng_c = streams.get(j, Tag.COMPRESS, k) if spec.kind == BBIT else None
-        xhat[j] = encode_decode(spec, xa[j], state.xc[j], rng_c)
-        yhat[j] = encode_decode(spec, ya[j], state.yc[j], rng_c)
+    # the same xhat/yhat because the draw happens exactly once here. Each
+    # sender's stream serves its x-encode, then its y-encode.
+    rngs_c = None
+    if spec.kind == BBIT:
+        rngs_c = [streams.get(j, Tag.COMPRESS, k) for j in range(n)]
+    xhat = encode_decode(spec, xa, state.xc, rngs_c)
+    yhat = encode_decode(spec, ya, state.yc, rngs_c)
 
     # Divergence shows up as overflow here; the finite check below is
     # the official detector, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
-        grad_next = np.stack([objectives[i].grad(x_next[i]) for i in range(n)])
+        grad_next = as_agent_objectives(objectives).grad(x_next)
         y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
 
     if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
@@ -221,6 +221,7 @@ def pgtc_run(
     the state at round H (the reference point of
     metrics.reference_point), and final_k records that round.
     """
+    objectives = as_agent_objectives(objectives)
     state = pgtc_init(cfg, objectives, net, x0, streams)
     d = state.x.shape[1]
     per_round_bits = MESSAGES_PER_AGENT * net.n * bit_cost(cfg.compressor, d)

@@ -29,7 +29,7 @@ from dpcopt.compressors import BBIT, CompressorSpec, bit_cost, encode_decode
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
 from dpcopt.metrics import Trace, TraceRow
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import mean_value_grad
+from dpcopt.objectives import as_agent_objectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
 
@@ -117,28 +117,28 @@ def ppdc_step(
     theta_x = scale_at(cfg.noise_x, k)
     theta_v = scale_at(cfg.noise_v, k)
     if theta_x > 0.0:
-        xi_x = np.stack(
-            [sample_laplace(theta_x, d, streams.get(i, Tag.NOISE_X, k)) for i in range(n)]
+        xi_x = sample_laplace(
+            theta_x, d, [streams.get(i, Tag.NOISE_X, k) for i in range(n)]
         )
     else:
         xi_x = np.zeros((n, d))
     if theta_v > 0.0:
-        xi_v = np.stack(
-            [sample_laplace(theta_v, d, streams.get(i, Tag.NOISE_V, k)) for i in range(n)]
+        xi_v = sample_laplace(
+            theta_v, d, [streams.get(i, Tag.NOISE_V, k) for i in range(n)]
         )
     else:
         xi_v = np.zeros((n, d))
 
     # One compression draw per sender per round (broadcast semantics).
-    xhat = np.empty_like(state.x)
-    for j in range(n):
-        rng_c = streams.get(j, Tag.COMPRESS, k) if spec.kind == BBIT else None
-        xhat[j] = encode_decode(spec, state.x[j] + xi_x[j], state.xc[j], rng_c)
+    rngs_c = None
+    if spec.kind == BBIT:
+        rngs_c = [streams.get(j, Tag.COMPRESS, k) for j in range(n)]
+    xhat = encode_decode(spec, state.x + xi_x, state.xc, rngs_c)
 
     # Divergence shows up as overflow here; the finite check below is
     # the official detector, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = np.stack([objectives[i].grad(state.x[i]) for i in range(n)])
+        grads = as_agent_objectives(objectives).grad(state.x)
         mixed = lap @ xhat
         x_next = (
             state.x
@@ -205,6 +205,7 @@ def ppdc_run(
     the state at round H (the reference point of
     metrics.reference_point), and final_k records that round.
     """
+    objectives = as_agent_objectives(objectives)
     state = ppdc_init(cfg, objectives, net, x0, streams)
     d = state.x.shape[1]
     per_round_bits = MESSAGES_PER_AGENT * net.n * bit_cost(cfg.compressor, d)

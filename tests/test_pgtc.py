@@ -11,7 +11,7 @@ from common import build_problem
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import QuadraticObjective
+from dpcopt.objectives import AgentObjectives, QuadraticObjective
 from dpcopt.pgtc import (
     MESSAGES_PER_AGENT,
     PgtcConfig,
@@ -241,16 +241,20 @@ def test_record_iterates_toggle():
 
 
 def test_grad_eval_count_one_per_agent_per_round():
-    calls = {"n": 0}
+    # The engine evaluates all agents in one stacked call; count the
+    # gradient rows those calls evaluate.
+    rows = {"n": 0}
 
-    class CountingQuadratic(QuadraticObjective):
+    class CountingObjectives(AgentObjectives):
         def grad(self, x):
-            calls["n"] += 1
+            rows["n"] += len(x)
             return super().grad(x)
 
     net, streams, _, x0 = build_problem("quadratic", seed=14)
-    objectives = [CountingQuadratic(anchor=np.zeros(10)) for _ in range(6)]
+    objectives = CountingObjectives(
+        [QuadraticObjective(anchor=np.zeros(10)) for _ in range(6)]
+    )
     cfg = _config(iterations=10)
     pgtc_run(cfg, objectives, net, x0, streams)
     # one evaluation per agent at init plus one per agent per round
-    assert calls["n"] == 6 * (1 + 10)
+    assert rows["n"] == 6 * (1 + 10)

@@ -2,6 +2,10 @@
 the privacy report."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,18 @@ def test_divergence_past_the_measured_rounds_exits_1(tmp_path, capsys):
     assert not (tmp_path / "ref" / "trace.csv").exists()
 
 
+def test_overflowing_residual_series_exits_1(tmp_path, capsys):
+    # At eta=3 the run stays finite to its reference horizon of 500
+    # rounds, but x_inf is so far out that ||x_t - x_inf||^2 overflows:
+    # the run fails cleanly instead of writing R_k = inf.
+    doc = make_doc(tmp_path / "out", reference={"horizon_multiplier": 100})
+    doc["gains"]["eta"] = 3.0
+    assert main(["run", str(write_doc(tmp_path, doc))]) == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert "run failed:" in err and "reference point" in err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_residual_invariant_failure_exits_1(tmp_path, capsys):
     # Large-but-finite blowup: the run completes, but catastrophic
     # cancellation breaks the tracking identity and the check reports it.
@@ -289,3 +305,20 @@ def test_validate_compressor_pass(tmp_path, capsys):
     cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
     assert main(["validate-compressor", str(cfg)]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["dpcopt", "dpcopt.runner"])
+def test_python_dash_m_runs_the_cli_without_warnings(tmp_path, module):
+    cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
+    src = str(Path(dpcopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    done = subprocess.run(
+        [sys.executable, "-m", module, "validate-compressor", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "PASS" in done.stdout
+    assert "Warning" not in done.stderr
