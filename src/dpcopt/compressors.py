@@ -37,6 +37,7 @@ __all__ = [
     "ContractionReport",
     "make_spec",
     "xi_factor",
+    "row_dots",
     "row_norms",
     "compress",
     "encode_decode",
@@ -151,14 +152,21 @@ def make_spec(
     )
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of a vector, or of each row of an (n, d) array.
+def row_dots(x: np.ndarray) -> np.ndarray:
+    """x @ x of a vector, or of each row of an (n, d) array.
 
     A (1, d) by (d, 1) matmul per row is the BLAS dot product that
-    np.linalg.norm(row) takes, so each norm equals it bit for bit;
+    row @ row takes, so each value equals it bit for bit.
+    """
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a vector, or of each row of an (n, d) array,
+    equal bit for bit to np.linalg.norm(row) (see row_dots);
     np.linalg.norm(x, axis=-1) sums in another order and does not.
     """
-    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+    return np.sqrt(row_dots(x))
 
 
 def compress(
@@ -276,17 +284,31 @@ def validate_contraction(
 
     Fresh compressor randomness per trial. Passes iff the estimate is
     at most (1 - phi) * (1 + 3/sqrt(trials)).
+
+    Trial t's vector is the t-th standard_normal(d) draw of rng, and for
+    bbit its dither follows it on the same stream. The ratios are added
+    in trial order, skipping zero vectors, so the estimate equals the
+    one-trial-at-a-time sum bit for bit.
     """
     if trials < 1000:
         raise ConfigInvalid("contraction_trials: need at least 1000 trials")
+    if spec.kind == BBIT:
+        sq = np.empty(trials)
+        err_sq = np.empty(trials)
+        for t in range(trials):
+            x = rng.standard_normal(d)
+            err = compress(spec, x, rng).vector / spec.r - x
+            sq[t] = x @ x
+            err_sq[t] = err @ err
+    else:
+        # No compressor randomness: one draw holds every trial's vector.
+        x = rng.standard_normal((trials, d))
+        sq = row_dots(x)
+        err_sq = row_dots(compress(spec, x).vector / spec.r - x)
+    live = sq != 0.0
     total = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(d)
-        sq = float(x @ x)
-        if sq == 0.0:
-            continue
-        err = compress(spec, x, rng).vector / spec.r - x
-        total += float(err @ err) / sq
+    for trial_ratio in (err_sq[live] / sq[live]).tolist():
+        total += trial_ratio
     ratio = total / trials
     threshold = (1.0 - spec.phi) * (1.0 + 3.0 / math.sqrt(trials))
     return ContractionReport(

@@ -130,15 +130,11 @@ def pgtc_step(
     theta_x = scale_at(cfg.noise_x, k)
     theta_y = scale_at(cfg.noise_y, k)
     if theta_x > 0.0:
-        xi_x = sample_laplace(
-            theta_x, d, [streams.get(i, Tag.NOISE_X, k) for i in range(n)]
-        )
+        xi_x = sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
     else:
         xi_x = np.zeros((n, d))
     if theta_y > 0.0:
-        xi_y = sample_laplace(
-            theta_y, d, [streams.get(i, Tag.NOISE_Y, k) for i in range(n)]
-        )
+        xi_y = sample_laplace(theta_y, d, streams.rows(Tag.NOISE_Y, k, n))
     else:
         xi_y = np.zeros((n, d))
 
@@ -150,7 +146,7 @@ def pgtc_step(
     # sender's stream serves its x-encode, then its y-encode.
     rngs_c = None
     if spec.kind == BBIT:
-        rngs_c = [streams.get(j, Tag.COMPRESS, k) for j in range(n)]
+        rngs_c = streams.rows(Tag.COMPRESS, k, n)
     xhat = encode_decode(spec, xa, state.xc, rngs_c)
     yhat = encode_decode(spec, ya, state.yc, rngs_c)
 

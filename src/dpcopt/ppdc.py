@@ -117,22 +117,18 @@ def ppdc_step(
     theta_x = scale_at(cfg.noise_x, k)
     theta_v = scale_at(cfg.noise_v, k)
     if theta_x > 0.0:
-        xi_x = sample_laplace(
-            theta_x, d, [streams.get(i, Tag.NOISE_X, k) for i in range(n)]
-        )
+        xi_x = sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
     else:
         xi_x = np.zeros((n, d))
     if theta_v > 0.0:
-        xi_v = sample_laplace(
-            theta_v, d, [streams.get(i, Tag.NOISE_V, k) for i in range(n)]
-        )
+        xi_v = sample_laplace(theta_v, d, streams.rows(Tag.NOISE_V, k, n))
     else:
         xi_v = np.zeros((n, d))
 
     # One compression draw per sender per round (broadcast semantics).
     rngs_c = None
     if spec.kind == BBIT:
-        rngs_c = [streams.get(j, Tag.COMPRESS, k) for j in range(n)]
+        rngs_c = streams.rows(Tag.COMPRESS, k, n)
     xhat = encode_decode(spec, state.x + xi_x, state.xc, rngs_c)
 
     # Divergence shows up as overflow here; the finite check below is

@@ -1,4 +1,5 @@
-"""Golden trace digests: the exact bytes of trace.csv for fixed configs.
+"""Golden digests: the exact bytes of trace.csv (and of the shipped sweep's
+sweep_summary.csv) for fixed configs.
 
 A change that alters any of these digests changes what every replay of
 these configs writes. Such a change must declare the drift in CHANGES.md
@@ -17,6 +18,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # The paper run: 6-agent logistic, top-k, K = 1000, reference at 10 K.
 PAPER_DIGEST = "de24c7e2fff5d0df67ef475a593717714f439634b89ee724ad5e9aec4d395379"
+
+# sweep_summary.csv of the shipped q-sweep: 30 cells, each with its own
+# stream factory and its own contraction gate.
+SWEEP_DIGEST = "c302440b392a89d60f9e9b597e908a3625b30db263800a5d2cac107a69767176"
 
 # Primal-dual with noise on both variables, dithered b-bit compression and
 # a reference point: every random stream and both reference-point phases.
@@ -121,6 +126,15 @@ def test_paper_config_trace_digest(tmp_path, monkeypatch):
     config = CONFIGS / "pgtc_topk_logistic.json"
     outputs = json.loads(config.read_text(encoding="utf-8"))["outputs"]
     assert _trace_digest(config, tmp_path / outputs) == PAPER_DIGEST
+
+
+def test_q_sweep_summary_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    config = CONFIGS / "pgtc_q_sweep.json"
+    outputs = json.loads(config.read_text(encoding="utf-8"))["outputs"]
+    assert main(["sweep", str(config)]) == EXIT_OK
+    summary = (tmp_path / outputs / "sweep_summary.csv").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == SWEEP_DIGEST
 
 
 def test_ppdc_bbit_reference_trace_digest(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dpcopt.rng
 from common import build_problem
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
@@ -152,6 +153,35 @@ def test_single_step_matches_hand_rolled_update():
     assert np.array_equal(stepped.yc, 0.5 * state.yc + 0.5 * yhat)
     assert np.array_equal(stepped.grad_prev, grad_next)
     assert np.array_equal(stepped.noise_y_cumsum, xi_y.mean(axis=0))
+
+
+def test_round_streams_build_one_generator_per_agent_and_tag(monkeypatch):
+    # 50 noisy bbit rounds read three streams per agent per round. Building
+    # one generator per (agent, tag) and reusing it keeps the Philox
+    # constructions at n per tag plus the data and init streams, where one
+    # per round would make 150 n.
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(dpcopt.rng.np.random, "Philox", counting_philox)
+    net, streams, objectives, x0 = build_problem(
+        "logistic", seed=8, d=5, m=20, lam=1e-3, alpha=1.0
+    )
+    data_and_init = len(built)
+    assert data_and_init == 2 * net.n
+    cfg = _config(
+        compressor=make_spec("bbit", 5, b=3),
+        noise_x=TABLE_NOISE,
+        noise_y=TABLE_NOISE,
+        iterations=50,
+    )
+    trace = pgtc_run(cfg, objectives, net, x0, streams)
+    assert len(trace.rows) == 51
+    assert len(built) <= data_and_init + 3 * net.n
 
 
 def test_tracking_identity_under_noise():

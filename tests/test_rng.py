@@ -80,3 +80,71 @@ def test_derive_seed_stable_under_extension():
     before = [derive_seed(11, vi, ri) for vi in range(3) for ri in range(4)]
     after = [derive_seed(11, vi, ri) for vi in range(3) for ri in range(4)]
     assert before == after
+
+
+# (name, draw) pairs covering the draw kinds the engines and the tests use;
+# the full-range uint32 draw reads raw half-words and leaves one cached
+# (has_uint32) in the state.
+DRAWS = [
+    ("random", lambda g: g.random(13)),
+    ("standard_normal", lambda g: g.standard_normal(7)),
+    ("uniform", lambda g: g.uniform(-2.0, 3.0, size=5)),
+    ("integers_uint32", lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32)),
+]
+
+
+def _draw_all(generator) -> bytes:
+    return b"".join(draw(generator).tobytes() for _, draw in DRAWS)
+
+
+@pytest.mark.parametrize("tag", [Tag.NOISE_X, Tag.NOISE_V, Tag.COMPRESS])
+@pytest.mark.parametrize("round_index,n", [(0, 1), (3, 6), (250, 17)])
+def test_rows_draw_what_get_draws(tag, round_index, n):
+    factory = StreamFactory(master_seed=31, run_id=2)
+    rows = factory.rows(tag, round_index, n)
+    assert len(rows) == n
+    for i, generator in enumerate(rows):
+        assert _draw_all(generator) == _draw_all(factory.get(i, tag, round_index))
+
+
+@pytest.mark.parametrize("name,draw", DRAWS)
+def test_rows_reset_partly_consumed_generators(name, draw):
+    factory = StreamFactory(master_seed=32)
+    for generator in factory.rows(Tag.NOISE_Y, 4, 5):
+        draw(generator)
+    rows = factory.rows(Tag.NOISE_Y, 5, 5)
+    for i, generator in enumerate(rows):
+        fresh = factory.get(i, Tag.NOISE_Y, 5)
+        assert draw(generator).tobytes() == draw(fresh).tobytes()
+        assert _draw_all(generator) == _draw_all(fresh)
+
+
+def test_rows_reset_the_same_tag_only():
+    factory = StreamFactory(master_seed=33)
+    noise = factory.rows(Tag.NOISE_X, 7, 4)
+    compress = factory.rows(Tag.COMPRESS, 7, 4)
+    first = [g.random() for g in compress]
+
+    # Other tags leave the COMPRESS generators where they were.
+    factory.rows(Tag.NOISE_X, 8, 4)
+    factory.rows(Tag.NOISE_Y, 7, 4)
+    for i, generator in enumerate(compress):
+        fresh = factory.get(i, Tag.COMPRESS, 7)
+        fresh.random()
+        assert generator.random() == fresh.random()
+
+    # A second COMPRESS call resets the generators of the first list.
+    again = factory.rows(Tag.COMPRESS, 7, 4)
+    assert all(a is b for a, b in zip(again, compress))
+    assert [g.random() for g in compress] == first
+    assert all(a is b for a, b in zip(factory.rows(Tag.NOISE_X, 7, 2), noise))
+
+
+def test_factory_equality_and_hash_ignore_the_pool():
+    used = StreamFactory(master_seed=34, run_id=1)
+    used.rows(Tag.NOISE_X, 0, 3)
+    fresh = StreamFactory(master_seed=34, run_id=1)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == "StreamFactory(master_seed=34, run_id=1)"
+    assert used != StreamFactory(master_seed=34, run_id=2)

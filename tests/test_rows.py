@@ -1,17 +1,28 @@
 """Row-wise paths equal the per-agent loop bit for bit.
 
 The engines evaluate all n agents as (n, d) arrays: one gradient call,
-one encode per broadcast variable, one Laplace transform. Each test
+one encode per broadcast variable, one Laplace transform. The
+contraction gate compresses all its trials as one array. Each test
 compares that call with a loop over rows of the single-agent call, by
 the bytes of the result.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from dpcopt.compressors import compress, encode_decode, make_spec, row_norms
+from dpcopt.compressors import (
+    ContractionReport,
+    compress,
+    encode_decode,
+    make_spec,
+    row_dots,
+    row_norms,
+    validate_contraction,
+)
 from dpcopt.errors import DimensionMismatch
 from dpcopt.noise import sample_laplace
 from dpcopt.objectives import (
@@ -108,6 +119,37 @@ def test_row_norms_equal_linalg_norm_per_row():
     want = np.array([np.linalg.norm(row) for row in x])
     assert row_norms(x).tobytes() == want.tobytes()
     assert row_norms(x[0]) == np.linalg.norm(x[0])
+
+
+def test_row_dots_equal_dot_per_row():
+    x = np.random.default_rng(47).standard_normal((30, 100)) * 10.0
+    want = np.array([row @ row for row in x])
+    assert row_dots(x).tobytes() == want.tobytes()
+    assert row_dots(x[0]) == x[0] @ x[0]
+
+
+def _per_trial_ratio(spec, d, trials, rng):
+    total = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(d)
+        sq = float(x @ x)
+        if sq == 0.0:
+            continue
+        err = compress(spec, x, rng).vector / spec.r - x
+        total += float(err @ err) / sq
+    return total / trials
+
+
+@pytest.mark.parametrize("d", [10, 100])
+@pytest.mark.parametrize(
+    "kind,params", SPECS + [("topk", {"k": 1}), ("normsign", {"r": 2.0})]
+)
+def test_contraction_gate_equals_per_trial_loop(kind, params, d):
+    spec = make_spec(kind, d, **params)
+    report = validate_contraction(spec, d, 1000, np.random.default_rng(d))
+    ratio = _per_trial_ratio(spec, d, 1000, np.random.default_rng(d))
+    threshold = (1.0 - spec.phi) * (1.0 + 3.0 / math.sqrt(1000))
+    assert report == ContractionReport(ratio, threshold, ratio <= threshold)
 
 
 OBJECTIVE_KINDS = [
