@@ -33,7 +33,6 @@ __all__ = [
     "NORMSIGN",
     "KINDS",
     "CompressorSpec",
-    "CompressedMessage",
     "ContractionReport",
     "make_spec",
     "xi_factor",
@@ -79,21 +78,12 @@ class CompressorSpec:
         elif self.k is not None:
             raise ConfigInvalid(f"compressor.k: not a parameter of {self.kind}")
         if self.kind == BBIT:
-            if self.b is None or self.b < 1:
-                raise ConfigInvalid("compressor.b: quantizer needs b >= 1")
+            if self.b is None or not 1 <= self.b <= FLOAT_BITS:
+                raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
         elif self.b is not None:
             raise ConfigInvalid(f"compressor.b: not a parameter of {self.kind}")
         if self.kind == IDENTITY and (self.r != 1.0 or self.phi != 1.0):
             raise ConfigInvalid("compressor: identity is fixed at r=1, phi=1")
-
-
-@dataclass(frozen=True)
-class CompressedMessage:
-    """Decoded compressor output plus the payload size a real transport
-    would need for it."""
-
-    vector: np.ndarray
-    bit_cost: int
 
 
 @dataclass(frozen=True)
@@ -134,8 +124,9 @@ def make_spec(
             raise SpecDimensionMismatch(f"top-k with k={k} exceeds d={d}")
         default_r, default_phi = 1.0, k / d
     elif kind == BBIT:
-        if b is None:
-            raise ConfigInvalid("compressor.b: required for bbit")
+        # Above FLOAT_BITS a coordinate costs more than the identity's double.
+        if b is None or not 1 <= b <= FLOAT_BITS:
+            raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
         default_r, default_phi = 1.0, 1.0 / xi_factor(d, b)
     elif kind == NORMSIGN:
         default_r, default_phi = 1.0, 1.0 / (4.0 * d)
@@ -173,9 +164,9 @@ def compress(
     spec: CompressorSpec,
     x: np.ndarray,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
-) -> CompressedMessage:
-    """Apply the compressor to a vector (d,) or to each row of an (n, d)
-    array; bit_cost is per vector.
+) -> np.ndarray:
+    """Decoded compressor output of a vector (d,) or of each row of an
+    (n, d) array; bit_cost(spec, d) gives the payload bits of one vector.
 
     Rows are independent senders: row i of the result is what the call on
     x[i] alone returns, bit for bit. Only the bbit kind consumes rng: one
@@ -186,14 +177,13 @@ def compress(
     d = x.shape[-1]
     if spec.kind == TOPK and spec.k is not None and spec.k > d:
         raise SpecDimensionMismatch(f"top-k with k={spec.k} exceeds d={d}")
-    cost = bit_cost(spec, d)
 
     if spec.kind == IDENTITY:
-        return CompressedMessage(vector=x.copy(), bit_cost=cost)
+        return x.copy()
 
     if spec.kind == NORMSIGN:
         amax = np.abs(x).max(axis=-1, keepdims=True)
-        return CompressedMessage(vector=(amax / 2.0) * np.sign(x), bit_cost=cost)
+        return (amax / 2.0) * np.sign(x)
 
     if spec.kind == TOPK:
         # Stable sort on -|x| keeps the lower index first among ties.
@@ -202,21 +192,20 @@ def compress(
             keep = (np.arange(len(x))[:, None], keep)
         out = np.zeros_like(x)
         out[keep] = x[keep]
-        return CompressedMessage(vector=out, bit_cost=cost)
+        return out
 
     # bbit
     norms = row_norms(x)
     if rng is None and np.any(norms):
         raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
     if x.ndim == 1:
-        vector = _dither(spec, x, norms, rng.random(d)) if norms else np.zeros_like(x)
-        return CompressedMessage(vector=vector, bit_cost=cost)
+        return _dither(spec, x, norms, rng.random(d)) if norms else np.zeros_like(x)
     out = np.zeros_like(x)
     live = np.flatnonzero(norms)
     if live.size:
         u = np.stack([rng[i].random(d) for i in live])
         out[live] = _dither(spec, x[live], norms[live, None], u)
-    return CompressedMessage(vector=out, bit_cost=cost)
+    return out
 
 
 def _dither(spec: CompressorSpec, x: np.ndarray, norm, u: np.ndarray) -> np.ndarray:
@@ -244,7 +233,7 @@ def encode_decode(
     """
     if spec.kind == IDENTITY:
         return target.copy()
-    return reference + compress(spec, target - reference, rng).vector
+    return reference + compress(spec, target - reference, rng)
 
 
 def bit_cost(spec: CompressorSpec, d: int) -> int:
@@ -297,14 +286,14 @@ def validate_contraction(
         err_sq = np.empty(trials)
         for t in range(trials):
             x = rng.standard_normal(d)
-            err = compress(spec, x, rng).vector / spec.r - x
+            err = compress(spec, x, rng) / spec.r - x
             sq[t] = x @ x
             err_sq[t] = err @ err
     else:
         # No compressor randomness: one draw holds every trial's vector.
         x = rng.standard_normal((trials, d))
         sq = row_dots(x)
-        err_sq = row_dots(compress(spec, x).vector / spec.r - x)
+        err_sq = row_dots(compress(spec, x) / spec.r - x)
     live = sq != 0.0
     total = 0.0
     for trial_ratio in (err_sq[live] / sq[live]).tolist():

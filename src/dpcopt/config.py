@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,11 +64,20 @@ def _as_int(doc: dict, path: str, key: str) -> int:
     return value
 
 
+def _finite(value: int | float, where: str) -> float:
+    """value as a float; NaN, Infinity and integers beyond the float range
+    (all of which Python's json accepts) are invalid."""
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(f"{where}: expected a finite number")
+    return float(value)
+
+
 def _as_float(doc: dict, path: str, key: str) -> float:
     value = doc[key]
+    where = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{path}.{key}: expected a number" if path else f"{key}: expected a number")
-    return float(value)
+        raise ConfigInvalid(f"{where}: expected a number")
+    return _finite(value, where)
 
 
 def _as_bool(doc: dict, path: str, key: str) -> bool:
@@ -249,11 +259,12 @@ def _parse_sweep(doc: dict) -> SweepConfig:
     for index, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigInvalid(f"sweep.values[{index}]: expected a number")
+        value = _finite(value, f"sweep.values[{index}]")
         if parameter in ("q",) and not (0.0 < value < 1.0):
             raise ConfigInvalid(f"sweep.values[{index}]: q must lie in (0, 1)")
         if parameter in ("s", "eta") and value <= 0:
             raise ConfigInvalid(f"sweep.values[{index}]: must be positive")
-        parsed.append(float(value))
+        parsed.append(value)
     repeats = _as_int(doc, "sweep", "repeats")
     if repeats < 1:
         raise ConfigInvalid("sweep.repeats: must be >= 1")

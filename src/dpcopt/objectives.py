@@ -11,6 +11,12 @@ Three benchmark families:
 - quadratic: f_i(x) = 0.5 ||x - a_i||^2, whose average satisfies the
   Polyak-Lojasiewicz inequality with constant 1 and has the closed-form
   optimum mean(a_i)
+
+The API is one class per family (LogisticObjective, SinCosObjective,
+QuadraticObjective), each with grad(x) and value_grad(x) on one agent's
+x (d,); make_objectives, which builds a run's n agents; and
+AgentObjectives, which make_objectives returns and whose grad(X) gives
+all n gradients of an (n, d) X in one call.
 """
 
 from __future__ import annotations
@@ -32,21 +38,12 @@ __all__ = [
     "AgentObjectives",
     "as_agent_objectives",
     "generate_dataset",
-    "logistic_grad",
-    "logistic_value_grad",
-    "sincos_grad",
-    "sincos_value_grad",
-    "quadratic_pl_grad",
-    "quadratic_pl_value_grad",
     "finite_diff_grad",
     "estimate_grad_bound",
     "make_objectives",
     "draw_zero_sum_coefficients",
     "mean_value_grad",
 ]
-
-OBJECTIVE_KINDS = ("logistic", "sincos", "quadratic")
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -85,6 +82,14 @@ def generate_dataset(m: int, d: int, rng: np.random.Generator) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
+def _checked(x: np.ndarray, d: int) -> np.ndarray:
+    """x as a float64 vector, which must have shape (d,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,):
+        raise DimensionMismatch(f"x has shape {x.shape}, expected ({d},)")
+    return x
+
+
 def _margins(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Margins z_j = -u_j x^T v_j of one agent, (m, d) data and x (d,), or
     of stacked agents, (n, m, d) data and x (n, d).
@@ -94,14 +99,6 @@ def _margins(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndar
     per-agent calls bit for bit (np.einsum does not).
     """
     return -labels * np.matmul(features, x[..., None])[..., 0]
-
-
-def _logistic_margins(ds: Dataset, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shape-checked x and its margins on one agent's dataset."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (ds.d,):
-        raise DimensionMismatch(f"x has shape {x.shape}, dataset dimension is {ds.d}")
-    return x, _margins(ds.features, ds.labels, x)
 
 
 def _logistic_grad(
@@ -115,64 +112,10 @@ def _logistic_grad(
     return grad + 2.0 * lam * alpha * x / (denom * denom)
 
 
-def logistic_grad(ds: Dataset, lam: float, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Gradient of the nonconvex regularized logistic loss."""
-    x, z = _logistic_margins(ds, x)
-    return _logistic_grad(ds.features, ds.labels, lam, alpha, x, z)
-
-
-def logistic_value_grad(
-    ds: Dataset, lam: float, alpha: float, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Nonconvex regularized logistic loss and gradient.
-
-    The loss term is evaluated as log1p(exp(z)) via logaddexp so large
-    margins never overflow; the sigmoid is derived from the same stable
-    quantity.
-    """
-    x, z = _logistic_margins(ds, x)
-    value = float(np.mean(np.logaddexp(0.0, z)))
-    xsq = x * x
-    value += float(np.sum(lam * alpha * xsq / (1.0 + alpha * xsq)))
-    return value, _logistic_grad(ds.features, ds.labels, lam, alpha, x, z)
-
-
 def _sincos_grad(m_i, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
     """Elementwise, so it broadcasts over a leading agent axis (m_i then
     an (n, 1) column)."""
     return 2.0 * x + 6.0 * sx * cx + m_i * (cx - x * sx)
-
-
-def sincos_grad(m_i, x: np.ndarray) -> np.ndarray:
-    """Gradient of the nonconvex trigonometric cost; also of n stacked
-    agents, with m_i an (n, 1) column and x (n, d)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _sincos_grad(m_i, x, np.sin(x), np.cos(x))
-
-
-def sincos_value_grad(m_i: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Nonconvex trigonometric cost and gradient."""
-    x = np.asarray(x, dtype=np.float64)
-    sx = np.sin(x)
-    cx = np.cos(x)
-    value = float(x @ x + 3.0 * (sx @ sx) + m_i * (x @ cx))
-    return value, _sincos_grad(m_i, x, sx, cx)
-
-
-def quadratic_pl_grad(a_i: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient x - a_i of 0.5 ||x - a_i||^2; also of n stacked agents,
-    with anchors and x both (n, d)."""
-    a_i = np.asarray(a_i, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != a_i.shape:
-        raise DimensionMismatch(f"x has shape {x.shape}, anchor has shape {a_i.shape}")
-    return x - a_i
-
-
-def quadratic_pl_value_grad(a_i: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """0.5 ||x - a_i||^2 and its gradient."""
-    diff = quadratic_pl_grad(a_i, x)
-    return 0.5 * float(diff @ diff), diff
 
 
 @dataclass(frozen=True)
@@ -185,14 +128,25 @@ class LogisticObjective:
     def d(self) -> int:
         return self.dataset.d
 
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return logistic_value_grad(self.dataset, self.lam, self.alpha, x)
+    def _checked_margins(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = _checked(x, self.d)
+        return x, _margins(self.dataset.features, self.dataset.labels, x)
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_grad(x)[0]
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss and gradient. The loss term is evaluated as log1p(exp(z))
+        via logaddexp so large margins never overflow; the sigmoid is
+        derived from the same stable quantity."""
+        x, z = self._checked_margins(x)
+        value = float(np.mean(np.logaddexp(0.0, z)))
+        xsq = x * x
+        value += float(np.sum(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq)))
+        ds = self.dataset
+        return value, _logistic_grad(ds.features, ds.labels, self.lam, self.alpha, x, z)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return logistic_grad(self.dataset, self.lam, self.alpha, x)
+        x, z = self._checked_margins(x)
+        ds = self.dataset
+        return _logistic_grad(ds.features, ds.labels, self.lam, self.alpha, x, z)
 
 
 @dataclass(frozen=True)
@@ -204,20 +158,16 @@ class SinCosObjective:
     def d(self) -> int:
         return self.dim
 
-    def _checked(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"x has shape {x.shape}, expected ({self.dim},)")
-        return x
-
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return sincos_value_grad(self.m_i, self._checked(x))
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_grad(x)[0]
+        x = _checked(x, self.dim)
+        sx = np.sin(x)
+        cx = np.cos(x)
+        value = float(x @ x + 3.0 * (sx @ sx) + self.m_i * (x @ cx))
+        return value, _sincos_grad(self.m_i, x, sx, cx)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return sincos_grad(self.m_i, self._checked(x))
+        x = _checked(x, self.dim)
+        return _sincos_grad(self.m_i, x, np.sin(x), np.cos(x))
 
 
 @dataclass(frozen=True)
@@ -229,13 +179,11 @@ class QuadraticObjective:
         return self.anchor.shape[0]
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return quadratic_pl_value_grad(self.anchor, x)
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_grad(x)[0]
+        diff = _checked(x, self.d) - self.anchor
+        return 0.5 * float(diff @ diff), diff
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return quadratic_pl_grad(self.anchor, x)
+        return _checked(x, self.d) - self.anchor
 
 
 def _stacked_grad(items: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -247,10 +195,10 @@ def _stacked_grad(items: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
         return None
     if kind is QuadraticObjective:
         anchors = np.stack([obj.anchor for obj in items])
-        return lambda x: quadratic_pl_grad(anchors, x)
+        return lambda x: x - anchors
     if kind is SinCosObjective:
         coeffs = np.array([[obj.m_i] for obj in items])
-        return lambda x: sincos_grad(coeffs, x)
+        return lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))
     if kind is LogisticObjective and len({obj.dataset.m for obj in items}) == 1:
         features = np.stack([obj.dataset.features for obj in items])
         labels = np.stack([obj.dataset.labels for obj in items])

@@ -1,5 +1,5 @@
-"""Communication graph, doubly stochastic mixing matrix, Laplacian, and
-spectral quantities shared by both solver engines."""
+"""Communication graph, doubly stochastic mixing matrix and Laplacian
+shared by both solver engines, and their spectral summary on request."""
 
 from __future__ import annotations
 
@@ -163,7 +163,7 @@ class LaplacianMatrix:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral constants consumed by gain selection and reporting."""
+    """Spectral constants of a network, from spectral_summary."""
 
     rho_w: float
     rho: float
@@ -235,7 +235,6 @@ class Network:
     graph: Graph
     mixing: MixingMatrix
     laplacian: LaplacianMatrix
-    spectral: SpectralSummary
 
     @property
     def n(self) -> int:
@@ -244,5 +243,4 @@ class Network:
 
 def build_network(g: Graph) -> Network:
     w = metropolis_weights(g)
-    l = laplacian(g, w)
-    return Network(graph=g, mixing=w, laplacian=l, spectral=spectral_summary(w, l))
+    return Network(graph=g, mixing=w, laplacian=laplacian(g, w))

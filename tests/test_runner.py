@@ -2,6 +2,7 @@
 the privacy report."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dpcopt
-from dpcopt.config import config_digest
+from dpcopt.config import config_digest, load_config
 from dpcopt.metrics import CSV_HEADER
 from dpcopt.rng import derive_seed
 from dpcopt.runner import (
@@ -132,6 +133,75 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, doc)
     assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+
+
+FLOAT_FIELDS = [
+    ("pgtc", "gains.eta"),
+    ("pgtc", "gains.gamma"),
+    ("pgtc", "gains.alpha_x"),
+    ("pgtc", "gains.alpha_y"),
+    ("ppdc", "gains.omega"),
+    ("pgtc", "noise.x.s"),
+    ("pgtc", "noise.x.q"),
+    ("pgtc", "noise.y.s"),
+    ("pgtc", "noise.y.q"),
+    ("ppdc", "noise.v.s"),
+    ("ppdc", "noise.v.q"),
+    ("pgtc", "objective.lambda"),
+    ("pgtc", "objective.alpha"),
+    ("pgtc", "compressor.r"),
+    ("pgtc", "compressor.phi"),
+    ("pgtc", "privacy.box_radius"),
+    ("pgtc", "privacy.split"),
+    ("pgtc", "sweep.values[0]"),
+]
+
+
+def _doc_with(tmp_path, algorithm, field, value):
+    """A valid doc of the algorithm with one field set to value, and the
+    command that reads it."""
+    doc = make_doc(tmp_path / "out", algorithm)
+    doc["objective"] = {"kind": "logistic", "d": 4, "m": 5, "lambda": 1e-3, "alpha": 1.0}
+    doc["privacy"] = {}
+    if field == "sweep.values[0]":
+        doc["sweep"] = {"parameter": "eta", "values": [value], "repeats": 1}
+        return doc, "sweep"
+    *outer, key = field.split(".")
+    owner = doc
+    for part in outer:
+        owner = owner[part]
+    owner[key] = value
+    return doc, "privacy" if field.startswith("privacy.") else "run"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("algorithm,field", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
+    # Python's json reads NaN, Infinity and -Infinity; the parser must not.
+    doc, command = _doc_with(tmp_path, algorithm, field, value)
+    assert main([command, str(write_doc(tmp_path, doc))]) == EXIT_CONFIG_ERROR
+    assert f"{field}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("compressor.b", 65, "compressor.b: bbit needs 1 <= b <= 64"),
+        ("compressor.b", 2000, "compressor.b: bbit needs 1 <= b <= 64"),
+        ("gains.eta", 10**400, "gains.eta: expected a finite number"),
+    ],
+    ids=["b=65", "b=2000", "eta=10**400"],
+)
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
+    doc, command = _doc_with(tmp_path, "pgtc", field, value)
+    doc["compressor"] = {"kind": "bbit", "b": value if field == "compressor.b" else 2}
+    assert main([command, str(write_doc(tmp_path, doc))]) == EXIT_CONFIG_ERROR
+    assert message in capsys.readouterr().err
+
+
+def test_widest_quantizer_parses(tmp_path):
+    doc = make_doc(tmp_path / "out", compressor={"kind": "bbit", "b": 64})
+    assert load_config(write_doc(tmp_path, doc)).compressor.b == 64
 
 
 def test_sweep_without_sweep_block_exits_2(tmp_path, capsys):

@@ -185,7 +185,7 @@ def test_build_network_bundle():
     assert net.n == 6
     assert net.mixing.w.shape == (6, 6)
     assert net.laplacian.l.shape == (6, 6)
-    assert net.spectral.rho_w == pytest.approx(BENCH_RHO_W, abs=1e-12)
+    assert spectral_summary(net.mixing, net.laplacian).rho_w == pytest.approx(BENCH_RHO_W, abs=1e-12)
 
 
 def test_mixing_matrix_validation_rejects_asymmetry():
