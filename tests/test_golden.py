@@ -1,13 +1,25 @@
-"""Golden digests: the exact bytes of trace.csv (and of the shipped sweep's
-sweep_summary.csv) for fixed configs.
+"""Golden traces: what fixed configs write, pinned two ways.
 
-A change that alters any of these digests changes what every replay of
-these configs writes. Such a change must declare the drift in CHANGES.md
-(which configs, which columns, how large) and update the digest here.
+- Exact digests. TRACE_DIGESTS holds the sha256 of each golden config's
+  trace.csv, and SWEEP_DIGEST that of the shipped sweep's
+  sweep_summary.csv. A replay within one version on one platform is byte
+  identical, so these pin every byte. The bytes also depend on numpy's
+  BLAS and SIMD dispatch, which metadata.json records under "environment".
+- Bounded drift. tests/golden/<name>.csv is each config's trace.csv as
+  written when this contract was introduced. Every later version must stay
+  within TRACE_BOUNDS of it: k, cum_bits, theta_x and theta_second exactly;
+  the identity residual within an absolute 1e-9; consensus_err,
+  grad_norm_mean and R_k within 1e-6 relative.
+
+A change that alters a trace digest must pass the bounded test, declare the
+old and the new digest with the measured drift per column in CHANGES.md,
+and update TRACE_DIGESTS here. A fixture is never refrozen: FIXTURE_DIGESTS
+pins its bytes.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,9 +27,7 @@ import pytest
 from dpcopt.runner import EXIT_OK, OUTPUT_ROOT_ENV, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-# The paper run: 6-agent logistic, top-k, K = 1000, reference at 10 K.
-PAPER_DIGEST = "de24c7e2fff5d0df67ef475a593717714f439634b89ee724ad5e9aec4d395379"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # sweep_summary.csv of the shipped q-sweep: 30 cells, each with its own
 # stream factory and its own contraction gate.
@@ -39,8 +49,6 @@ PPDC_BBIT_DOC = {
     "reference": {"horizon_multiplier": 10},
     "outputs": "ppdc_bbit",
 }
-PPDC_BBIT_DIGEST = "9ac464f533b1a88eedca671087ddfe64fe14067becf5e71de1be292d55412376"
-
 
 
 def _grid_edges(rows: int, cols: int) -> list[list[int]]:
@@ -78,54 +86,155 @@ def _doc(algorithm, objective, compressor, seed, outputs, **overrides):
 
 LOGISTIC_D5 = {"kind": "logistic", "d": 5, "m": 50, "lambda": 0.001, "alpha": 1.0}
 
-# Inline configs and their trace.csv digests, recorded before the engines
-# evaluated all agents as (n, d) arrays. Each one pins a different path:
-# pgtc + bbit reads one compression stream per agent for both the x- and
-# the y-encode; ppdc + normsign runs the sincos objective; pgtc + identity
-# passes the noisy broadcasts through untouched; the 24-agent grid runs
-# 32-dimensional logistic gradients and top-k on a non-ring graph.
+# Inline configs, each pinning a different path: pgtc + bbit reads one
+# compression stream per agent for both the x- and the y-encode; ppdc +
+# normsign runs the sincos objective; pgtc + identity passes the noisy
+# broadcasts through untouched; the 24-agent grid runs 32-dimensional
+# logistic gradients and top-k on a non-ring graph.
 INLINE_GOLDEN = {
-    "pgtc_bbit_noise": (
-        _doc("pgtc", LOGISTIC_D5, {"kind": "bbit", "b": 3}, 11, "pgtc_bbit_noise"),
-        "149f6e88c504b9e55873767529eb511f186f6bffb7732a0e21dea4dd5845bdc9",
+    "pgtc_bbit_noise": _doc(
+        "pgtc", LOGISTIC_D5, {"kind": "bbit", "b": 3}, 11, "pgtc_bbit_noise"
     ),
-    "ppdc_normsign_sincos": (
-        _doc("ppdc", {"kind": "sincos", "d": 4}, {"kind": "normsign"}, 12,
-             "ppdc_normsign_sincos"),
-        "8f1bddb07877f7735dfc19b1e834b43f02896e30e97dcb3c1f923b8113d95912",
+    "ppdc_normsign_sincos": _doc(
+        "ppdc", {"kind": "sincos", "d": 4}, {"kind": "normsign"}, 12,
+        "ppdc_normsign_sincos",
     ),
-    "pgtc_identity_noise": (
-        _doc("pgtc", {"kind": "quadratic", "d": 7}, {"kind": "identity"}, 13,
-             "pgtc_identity_noise"),
-        "6bcea9f5466cd8a2990daffd846a2302bdf4a124acdd337c65f352394680bdbd",
+    "pgtc_identity_noise": _doc(
+        "pgtc", {"kind": "quadratic", "d": 7}, {"kind": "identity"}, 13,
+        "pgtc_identity_noise",
     ),
-    "ppdc_grid_24x32": (
-        _doc(
-            "ppdc",
-            {"kind": "logistic", "d": 32, "m": 20, "lambda": 0.001, "alpha": 1.0},
-            {"kind": "topk", "k": 8},
-            14,
-            "ppdc_grid_24x32",
-            graph={"n": 24, "edges": _grid_edges(4, 6) + [[0, 23], [5, 18]]},
-            noise={"x": {"s": 0.1, "q": 0.9}, "v": {"s": 0.1, "q": 0.9}},
-            gains={"eta": 0.1, "gamma": 5.0, "alpha_x": 0.3, "omega": 1.0},
-            iterations=30,
-        ),
-        "f2bb23314cf71820a490dc560501d650d8f0665ccabf01c33ada09d84f5bbef4",
+    "ppdc_grid_24x32": _doc(
+        "ppdc",
+        {"kind": "logistic", "d": 32, "m": 20, "lambda": 0.001, "alpha": 1.0},
+        {"kind": "topk", "k": 8},
+        14,
+        "ppdc_grid_24x32",
+        graph={"n": 24, "edges": _grid_edges(4, 6) + [[0, 23], [5, 18]]},
+        noise={"x": {"s": 0.1, "q": 0.9}, "v": {"s": 0.1, "q": 0.9}},
+        gains={"eta": 0.1, "gamma": 5.0, "alpha_x": 0.3, "omega": 1.0},
+        iterations=30,
     ),
 }
 
+# The paper run (6-agent logistic, top-k, K = 1000, reference at 10 K),
+# the ppdc bbit run and the inline configs.
+GOLDEN_DOCS = {
+    "pgtc_topk_logistic": json.loads(
+        (CONFIGS / "pgtc_topk_logistic.json").read_text(encoding="utf-8")
+    ),
+    "ppdc_bbit": PPDC_BBIT_DOC,
+    **INLINE_GOLDEN,
+}
 
-def _trace_digest(config_path, out_dir) -> str:
-    assert main(["run", str(config_path)]) == EXIT_OK
-    return hashlib.sha256((out_dir / "trace.csv").read_bytes()).hexdigest()
+# sha256 of trace.csv as this version writes it.
+TRACE_DIGESTS = {
+    "pgtc_topk_logistic": "de24c7e2fff5d0df67ef475a593717714f439634b89ee724ad5e9aec4d395379",
+    "ppdc_bbit": "9ac464f533b1a88eedca671087ddfe64fe14067becf5e71de1be292d55412376",
+    "pgtc_bbit_noise": "149f6e88c504b9e55873767529eb511f186f6bffb7732a0e21dea4dd5845bdc9",
+    "ppdc_normsign_sincos": "8f1bddb07877f7735dfc19b1e834b43f02896e30e97dcb3c1f923b8113d95912",
+    "pgtc_identity_noise": "6bcea9f5466cd8a2990daffd846a2302bdf4a124acdd337c65f352394680bdbd",
+    "ppdc_grid_24x32": "f2bb23314cf71820a490dc560501d650d8f0665ccabf01c33ada09d84f5bbef4",
+}
+
+# sha256 of each frozen fixture tests/golden/<name>.csv. These never change.
+FIXTURE_DIGESTS = {
+    "pgtc_topk_logistic": "de24c7e2fff5d0df67ef475a593717714f439634b89ee724ad5e9aec4d395379",
+    "ppdc_bbit": "9ac464f533b1a88eedca671087ddfe64fe14067becf5e71de1be292d55412376",
+    "pgtc_bbit_noise": "149f6e88c504b9e55873767529eb511f186f6bffb7732a0e21dea4dd5845bdc9",
+    "ppdc_normsign_sincos": "8f1bddb07877f7735dfc19b1e834b43f02896e30e97dcb3c1f923b8113d95912",
+    "pgtc_identity_noise": "6bcea9f5466cd8a2990daffd846a2302bdf4a124acdd337c65f352394680bdbd",
+    "ppdc_grid_24x32": "f2bb23314cf71820a490dc560501d650d8f0665ccabf01c33ada09d84f5bbef4",
+}
+
+# Column -> (rule, bound): "exact" compares the written text, "abs" bounds
+# |new - old|, "rel" bounds |new - old| / |old| (so an old 0 must stay 0).
+TRACE_BOUNDS = {
+    "k": ("exact", 0.0),
+    "consensus_err": ("rel", 1e-6),
+    "grad_norm_mean": ("rel", 1e-6),
+    "tracking_or_dual_residual": ("abs", 1e-9),
+    "cum_bits": ("exact", 0.0),
+    "theta_x": ("exact", 0.0),
+    "theta_second": ("exact", 0.0),
+    "R_k": ("rel", 1e-6),
+}
 
 
-def test_paper_config_trace_digest(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    config = CONFIGS / "pgtc_topk_logistic.json"
-    outputs = json.loads(config.read_text(encoding="utf-8"))["outputs"]
-    assert _trace_digest(config, tmp_path / outputs) == PAPER_DIGEST
+def _columns(text: str) -> tuple[list[str], dict[str, list[str]]]:
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return header, {name: [row[j] for row in rows] for j, name in enumerate(header)}
+
+
+def _field_drift(old: str, new: str) -> tuple[float, float]:
+    """(absolute, relative) difference of two written fields; a blank field
+    (R_k without a reference) only matches a blank one."""
+    if old == "" or new == "":
+        return (0.0, 0.0) if old == new else (math.inf, math.inf)
+    a, b = float(old), float(new)
+    diff = abs(b - a)
+    if diff == 0.0:
+        return 0.0, 0.0
+    return diff, (diff / abs(a) if a != 0.0 else math.inf)
+
+
+def drift_table(old_text: str, new_text: str) -> tuple[list[str], bool]:
+    """Lines of a table with each column's rule and its maximum absolute
+    and relative drift from old to new, and whether every column keeps its
+    bound."""
+    old_header, old = _columns(old_text)
+    new_header, new = _columns(new_text)
+    if old_header != new_header:
+        return [f"header {new_header} differs from {old_header}"], False
+    if len(old["k"]) != len(new["k"]):
+        return [f"{len(new['k'])} rows, fixture has {len(old['k'])}"], False
+    lines = [f"{'column':<27}{'rule':<13}{'max abs':>12}{'max rel':>12}  ok"]
+    ok = True
+    for name in old_header:
+        rule, bound = TRACE_BOUNDS[name]
+        drifts = [_field_drift(o, n) for o, n in zip(old[name], new[name])]
+        max_abs = max((a for a, _ in drifts), default=0.0)
+        max_rel = max((r for _, r in drifts), default=0.0)
+        if rule == "exact":
+            kept = old[name] == new[name]
+        else:
+            kept = (max_abs if rule == "abs" else max_rel) <= bound
+        ok = ok and kept
+        label = rule if rule == "exact" else f"{rule} {bound:g}"
+        lines.append(
+            f"{name:<27}{label:<13}{max_abs:>12.3g}{max_rel:>12.3g}  "
+            f"{'yes' if kept else 'NO'}"
+        )
+    return lines, ok
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_trace(tmp_path_factory):
+    """name -> the trace.csv bytes that golden config writes, each config
+    run once per module."""
+    traces: dict[str, bytes] = {}
+
+    def run(name: str) -> bytes:
+        if name not in traces:
+            out = tmp_path_factory.mktemp(name)
+            doc = dict(GOLDEN_DOCS[name], outputs=str(out / "run"))
+            config = out / "config.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["run", str(config)]) == EXIT_OK
+            traces[name] = (out / "run" / "trace.csv").read_bytes()
+        return traces[name]
+
+    return run
+
+
+def test_paper_config_trace_digest(golden_trace):
+    trace = golden_trace("pgtc_topk_logistic")
+    assert _sha256(trace) == TRACE_DIGESTS["pgtc_topk_logistic"]
 
 
 def test_q_sweep_summary_digest(tmp_path, monkeypatch):
@@ -134,20 +243,51 @@ def test_q_sweep_summary_digest(tmp_path, monkeypatch):
     outputs = json.loads(config.read_text(encoding="utf-8"))["outputs"]
     assert main(["sweep", str(config)]) == EXIT_OK
     summary = (tmp_path / outputs / "sweep_summary.csv").read_bytes()
-    assert hashlib.sha256(summary).hexdigest() == SWEEP_DIGEST
+    assert _sha256(summary) == SWEEP_DIGEST
 
 
-def test_ppdc_bbit_reference_trace_digest(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(PPDC_BBIT_DOC), encoding="utf-8")
-    assert _trace_digest(config, tmp_path / "ppdc_bbit") == PPDC_BBIT_DIGEST
+def test_ppdc_bbit_reference_trace_digest(golden_trace):
+    assert _sha256(golden_trace("ppdc_bbit")) == TRACE_DIGESTS["ppdc_bbit"]
 
 
 @pytest.mark.parametrize("name", sorted(INLINE_GOLDEN))
-def test_inline_config_trace_digest(name, tmp_path, monkeypatch):
-    doc, digest = INLINE_GOLDEN[name]
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc), encoding="utf-8")
-    assert _trace_digest(config, tmp_path / doc["outputs"]) == digest
+def test_inline_config_trace_digest(name, golden_trace):
+    assert _sha256(golden_trace(name)) == TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCS))
+def test_trace_within_bounds_of_frozen_fixture(name, golden_trace):
+    fixture = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
+    lines, ok = drift_table(fixture, golden_trace(name).decode("utf-8"))
+    assert ok, f"{name} drifted past its bounds:\n" + "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCS))
+def test_frozen_fixture_is_unchanged(name):
+    assert _sha256((GOLDEN_DIR / f"{name}.csv").read_bytes()) == FIXTURE_DIGESTS[name]
+
+
+def test_every_fixture_belongs_to_a_golden_config():
+    frozen = {path.stem for path in GOLDEN_DIR.glob("*.csv")}
+    assert frozen == set(GOLDEN_DOCS) == set(TRACE_DIGESTS) == set(FIXTURE_DIGESTS)
+
+
+def test_drift_table_flags_each_rule():
+    fixture = (GOLDEN_DIR / "ppdc_bbit.csv").read_text(encoding="utf-8")
+    header, columns = _columns(fixture)
+
+    def edited(column: str, value: str) -> str:
+        rows = [line.split(",") for line in fixture.splitlines()[1:]]
+        rows[3][header.index(column)] = value
+        return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+
+    assert drift_table(fixture, fixture)[1]
+    old_err = float(columns["consensus_err"][3])
+    lines, ok = drift_table(fixture, edited("consensus_err", repr(old_err * (1 + 5e-7))))
+    assert ok
+    lines, ok = drift_table(fixture, edited("consensus_err", repr(old_err * (1 + 2e-6))))
+    assert not ok and "consensus_err" in lines[2] and lines[2].endswith("NO")
+    old_res = float(columns["tracking_or_dual_residual"][3])
+    assert not drift_table(fixture, edited("tracking_or_dual_residual", repr(old_res + 2e-9)))[1]
+    assert not drift_table(fixture, edited("cum_bits", columns["cum_bits"][3] + "0"))[1]
+    assert not drift_table(fixture, edited("R_k", ""))[1]
