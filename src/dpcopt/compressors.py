@@ -112,8 +112,8 @@ def make_spec(
     """Build a CompressorSpec for dimension d, filling default (r, phi).
 
     Defaults: identity (1, 1); topk (1, k/d); normsign (1, 1/(4d));
-    bbit (1, 1/xi). Explicit r/phi override the defaults and are then
-    subject to the validate_contraction gate.
+    bbit (1, 1/xi), kept below 1. Explicit r/phi override the defaults and
+    are then subject to the validate_contraction gate.
     """
     if d < 1:
         raise ConfigInvalid("objective.d: dimension must be >= 1")
@@ -127,7 +127,12 @@ def make_spec(
         # Above FLOAT_BITS a coordinate costs more than the identity's double.
         if b is None or not 1 <= b <= FLOAT_BITS:
             raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
-        default_r, default_phi = 1.0, 1.0 / xi_factor(d, b)
+        # Once d/4^(b-1) is below half an ulp of 1 (b >= 29 at d = 4), xi
+        # rounds to 1, and phi = 1 would claim an exact compressor: a gate
+        # threshold of 0 that the quantizer's tiny error cannot meet. The
+        # largest double below 1 only weakens that claim.
+        default_r = 1.0
+        default_phi = min(1.0 / xi_factor(d, b), math.nextafter(1.0, 0.0))
     elif kind == NORMSIGN:
         default_r, default_phi = 1.0, 1.0 / (4.0 * d)
     elif kind == IDENTITY:

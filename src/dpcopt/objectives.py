@@ -105,9 +105,18 @@ def _logistic_grad(
     features: np.ndarray, labels: np.ndarray, lam, alpha, x: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
     """Gradient at x given its margins z; broadcasts over a leading agent
-    axis (lam and alpha are then (n, 1) columns)."""
-    sigma = np.exp(-np.logaddexp(0.0, -z))  # logistic function of z, stable
-    grad = -(features * (labels * sigma)[..., None]).mean(axis=-2)
+    axis (lam and alpha are then (n, 1) columns).
+
+    The logistic function sigma(z) comes from e = exp(-|z|), which cannot
+    overflow. The data term -(1/m) sum_j u_j sigma(z_j) v_j is one BLAS
+    product c^T V per agent, c = u * sigma: the stacked matmul runs the
+    same product for each agent, so a stacked call equals the per-agent
+    calls bit for bit.
+    """
+    e = np.exp(-np.abs(z))
+    sigma = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    c = labels * sigma
+    grad = -(np.matmul(c[..., None, :], features)[..., 0, :] / features.shape[-2])
     denom = 1.0 + alpha * (x * x)
     return grad + 2.0 * lam * alpha * x / (denom * denom)
 
@@ -134,8 +143,7 @@ class LogisticObjective:
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and gradient. The loss term is evaluated as log1p(exp(z))
-        via logaddexp so large margins never overflow; the sigmoid is
-        derived from the same stable quantity."""
+        via logaddexp so large margins never overflow."""
         x, z = self._checked_margins(x)
         value = float(np.mean(np.logaddexp(0.0, z)))
         xsq = x * x

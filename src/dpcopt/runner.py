@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import statistics
 import sys
 from dataclasses import replace
@@ -155,6 +156,26 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
     return trace, checks, residuals
 
 
+def _environment() -> dict:
+    """The Python and numpy that wrote a run. Trace bytes depend on them
+    within the bounded-drift contract: BLAS orders the sums of every
+    matmul, and numpy's SIMD dispatch picks the exp kernel."""
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 can only print its build config
+        build = {}
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    simd = build.get("SIMD Extensions", {})
+    return {
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "simd_baseline": list(simd.get("baseline", [])),
+        "simd_found": list(simd.get("found", [])),
+    }
+
+
 def _write_metadata(path: Path, rc: RunConfig, extra: dict) -> None:
     doc = to_document(rc)
     metadata = {
@@ -162,6 +183,7 @@ def _write_metadata(path: Path, rc: RunConfig, extra: dict) -> None:
         "config_sha256": config_digest(doc),
         "seed": rc.seed,
         "library_version": dpcopt.__version__,
+        "environment": _environment(),
     }
     metadata.update(extra)
     path.write_text(

@@ -128,12 +128,12 @@ GOLDEN_DOCS = {
 
 # sha256 of trace.csv as this version writes it.
 TRACE_DIGESTS = {
-    "pgtc_topk_logistic": "de24c7e2fff5d0df67ef475a593717714f439634b89ee724ad5e9aec4d395379",
-    "ppdc_bbit": "9ac464f533b1a88eedca671087ddfe64fe14067becf5e71de1be292d55412376",
-    "pgtc_bbit_noise": "149f6e88c504b9e55873767529eb511f186f6bffb7732a0e21dea4dd5845bdc9",
+    "pgtc_topk_logistic": "13657023f005c4309e299ef90968cf37362893dbd1e3cc87087eea68bdbdbc1b",
+    "ppdc_bbit": "40ae10dc443ce15120c308dcf6617a1f652a3b7e27ca7854107769b34643f7d1",
+    "pgtc_bbit_noise": "59a8b4e5bf3e4e0c59aaf2dfabdfd5056c5896244c5bbeb62ee496a575978d54",
     "ppdc_normsign_sincos": "8f1bddb07877f7735dfc19b1e834b43f02896e30e97dcb3c1f923b8113d95912",
     "pgtc_identity_noise": "6bcea9f5466cd8a2990daffd846a2302bdf4a124acdd337c65f352394680bdbd",
-    "ppdc_grid_24x32": "f2bb23314cf71820a490dc560501d650d8f0665ccabf01c33ada09d84f5bbef4",
+    "ppdc_grid_24x32": "b352fef3fb14b0adc227b9c8c53db8c992232e4eb3d29b017ba518c20cdf0103",
 }
 
 # sha256 of each frozen fixture tests/golden/<name>.csv. These never change.

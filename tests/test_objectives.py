@@ -83,6 +83,45 @@ def test_logistic_stable_at_large_arguments():
     assert value >= 0.0
 
 
+def _logaddexp_mean_grad(obj: LogisticObjective, x: np.ndarray) -> np.ndarray:
+    """The logistic gradient as first written: sigma as exp(-logaddexp)
+    and the data term as a mean over the samples."""
+    ds = obj.dataset
+    z = -ds.labels * np.matmul(ds.features, x[:, None])[:, 0]
+    sigma = np.exp(-np.logaddexp(0.0, -z))
+    grad = -(ds.features * (ds.labels * sigma)[:, None]).mean(axis=0)
+    denom = 1.0 + obj.alpha * (x * x)
+    return grad + 2.0 * obj.lam * obj.alpha * x / (denom * denom)
+
+
+# Margins where sigma saturates, underflows to subnormals or to zero, or
+# switches between its two branches.
+EDGE_MARGINS = [-800.0, -745.2, -709.8, -36.0, -1e-9, 0.0, 1e-9, 36.0, 709.8, 800.0]
+
+
+@pytest.mark.parametrize("m", [1, 200])
+@pytest.mark.parametrize("d", [1, 10])
+def test_logistic_grad_matches_the_logaddexp_mean_formula(m, d):
+    rng = np.random.default_rng(10 * m + d)
+    for trial in range(2 * len(EDGE_MARGINS)):
+        x = rng.standard_normal(d)
+        ds = generate_dataset(m, d, rng)
+        margins = rng.uniform(-800.0, 800.0, size=m)
+        if m == 1:
+            margins[0] = EDGE_MARGINS[trial % len(EDGE_MARGINS)]
+        else:
+            margins[: len(EDGE_MARGINS)] = EDGE_MARGINS
+        # Rescale each feature row so that its margin -u_j x^T v_j is the target.
+        raw = -ds.labels * (ds.features @ x)
+        obj = LogisticObjective(
+            Dataset(ds.features * (margins / raw)[:, None], ds.labels), 1e-3, 1.0
+        )
+        got = obj.grad(x)
+        want = _logaddexp_mean_grad(obj, x)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert obj.value_grad(x)[1].tobytes() == got.tobytes()
+
+
 def test_logistic_dimension_mismatch():
     ds = generate_dataset(5, 3, np.random.default_rng(4))
     with pytest.raises(DimensionMismatch):

@@ -158,6 +158,9 @@ OBJECTIVE_KINDS = [
     ("sincos", 6, 10, {}),
     ("sincos", 7, 33, {}),
     ("quadratic", 100, 100, {}),
+    ("logistic", 5, 1, {"m": 200, "lam": 1e-3, "alpha": 1.0}),
+    ("logistic", 5, 10, {"m": 1, "lam": 1e-3, "alpha": 1.0}),
+    ("logistic", 4, 1, {"m": 1, "lam": 1e-3, "alpha": 1.0}),
 ]
 
 

@@ -4,13 +4,16 @@ the privacy report."""
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpcopt
+from dpcopt.compressors import xi_factor
 from dpcopt.config import config_digest, load_config
 from dpcopt.metrics import CSV_HEADER
 from dpcopt.rng import derive_seed
@@ -19,6 +22,7 @@ from dpcopt.runner import (
     EXIT_OK,
     EXIT_RUN_FAILURE,
     OUTPUT_ROOT_ENV,
+    check_contraction,
     main,
     resolve_output_dir,
 )
@@ -120,6 +124,31 @@ def test_rerun_and_metadata_replay_are_byte_identical(tmp_path, monkeypatch):
     assert replay == first
 
 
+def test_metadata_records_the_environment_and_still_replays(tmp_path, monkeypatch):
+    # A logistic run: its bytes pass through BLAS and numpy's SIMD exp.
+    objective = {"kind": "logistic", "d": 5, "m": 30, "lambda": 0.001, "alpha": 1.0}
+    cfg = write_doc(tmp_path, make_doc("out", objective=objective))
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "first"))
+    assert main(["run", str(cfg)]) == EXIT_OK
+    meta_path = tmp_path / "first" / "out" / "metadata.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+
+    build = np.show_config(mode="dicts")
+    assert meta["environment"] == {
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "blas_name": build["Build Dependencies"]["blas"]["name"],
+        "blas_version": build["Build Dependencies"]["blas"]["version"],
+        "simd_baseline": build["SIMD Extensions"]["baseline"],
+        "simd_found": build["SIMD Extensions"]["found"],
+    }
+
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "replay"))
+    assert main(["run", str(meta_path)]) == EXIT_OK
+    first = (tmp_path / "first" / "out" / "trace.csv").read_bytes()
+    assert (tmp_path / "replay" / "out" / "trace.csv").read_bytes() == first
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == EXIT_CONFIG_ERROR
@@ -202,6 +231,23 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
 def test_widest_quantizer_parses(tmp_path):
     doc = make_doc(tmp_path / "out", compressor={"kind": "bbit", "b": 64})
     assert load_config(write_doc(tmp_path, doc)).compressor.b == 64
+
+
+@pytest.mark.parametrize("d", [4, 10, 100])
+def test_every_bbit_width_that_parses_passes_the_gate(tmp_path, d):
+    # At b >= 29 (d = 4) xi rounds to 1; the default phi must stay below 1
+    # there, and keep today's threshold (1 - 1/xi)(1 + 3/sqrt(2000)) below.
+    for b in range(1, 65):
+        doc = make_doc(
+            tmp_path / "out",
+            objective={"kind": "quadratic", "d": d},
+            compressor={"kind": "bbit", "b": b},
+        )
+        report = check_contraction(load_config(write_doc(tmp_path, doc)))
+        assert report.passes, (b, report)
+        if b <= 28:
+            phi = 1.0 / xi_factor(d, b)
+            assert report.threshold == (1.0 - phi) * (1.0 + 3.0 / math.sqrt(2000))
 
 
 def test_sweep_without_sweep_block_exits_2(tmp_path, capsys):
