@@ -127,8 +127,8 @@ def make_spec(
         # Above FLOAT_BITS a coordinate costs more than the identity's double.
         if b is None or not 1 <= b <= FLOAT_BITS:
             raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
-        # Once d/4^(b-1) is below half an ulp of 1 (b >= 29 at d = 4), xi
-        # rounds to 1, and phi = 1 would claim an exact compressor: a gate
+        # Once d/4^(b-1) is at most half an ulp of 1 (b >= 29 at d = 4),
+        # xi rounds to 1, and phi = 1 would claim an exact compressor: a gate
         # threshold of 0 that the quantizer's tiny error cannot meet. The
         # largest double below 1 only weakens that claim.
         default_r = 1.0

@@ -116,25 +116,11 @@ def test_rerun_and_metadata_replay_are_byte_identical(tmp_path, monkeypatch):
     second = (tmp_path / "second" / "out" / "trace.csv").read_bytes()
     assert first == second
 
-    # Replaying from the metadata document reproduces the run too.
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "replay"))
+    # The metadata names the environment the trace bytes depend on, and
+    # replaying from it reproduces the run too.
     meta_path = tmp_path / "first" / "out" / "metadata.json"
-    assert main(["run", str(meta_path)]) == EXIT_OK
-    replay = (tmp_path / "replay" / "out" / "trace.csv").read_bytes()
-    assert replay == first
-
-
-def test_metadata_records_the_environment_and_still_replays(tmp_path, monkeypatch):
-    # A logistic run: its bytes pass through BLAS and numpy's SIMD exp.
-    objective = {"kind": "logistic", "d": 5, "m": 30, "lambda": 0.001, "alpha": 1.0}
-    cfg = write_doc(tmp_path, make_doc("out", objective=objective))
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "first"))
-    assert main(["run", str(cfg)]) == EXIT_OK
-    meta_path = tmp_path / "first" / "out" / "metadata.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-
     build = np.show_config(mode="dicts")
-    assert meta["environment"] == {
+    assert json.loads(meta_path.read_text(encoding="utf-8"))["environment"] == {
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "blas_name": build["Build Dependencies"]["blas"]["name"],
@@ -142,11 +128,10 @@ def test_metadata_records_the_environment_and_still_replays(tmp_path, monkeypatc
         "simd_baseline": build["SIMD Extensions"]["baseline"],
         "simd_found": build["SIMD Extensions"]["found"],
     }
-
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "replay"))
     assert main(["run", str(meta_path)]) == EXIT_OK
-    first = (tmp_path / "first" / "out" / "trace.csv").read_bytes()
-    assert (tmp_path / "replay" / "out" / "trace.csv").read_bytes() == first
+    replay = (tmp_path / "replay" / "out" / "trace.csv").read_bytes()
+    assert replay == first
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
