@@ -5,6 +5,10 @@
   sweep_summary.csv. A replay within one version on one platform is byte
   identical, so these pin every byte. The bytes also depend on numpy's
   BLAS and SIMD dispatch, which metadata.json records under "environment".
+- Privacy and config digests. PRIVACY_DIGESTS pins privacy_report.json
+  of each shipped config, and CONFIG_DIGESTS the config_sha256 that
+  metadata.json records, so the replayable document to_document writes
+  cannot change unnoticed.
 - Bounded drift. tests/golden/<name>.csv is each config's trace.csv as
   written when this contract was introduced. Every later version must stay
   within TRACE_BOUNDS of it: k, cum_bits, theta_x and theta_second exactly;
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from dpcopt.config import config_digest, load_config, to_document
 from dpcopt.runner import EXIT_OK, OUTPUT_ROOT_ENV, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -146,6 +151,23 @@ FIXTURE_DIGESTS = {
     "ppdc_grid_24x32": "f2bb23314cf71820a490dc560501d650d8f0665ccabf01c33ada09d84f5bbef4",
 }
 
+# sha256 of privacy_report.json from `dpcopt privacy --target-epsilon 24`
+# on each shipped config.
+PRIVACY_DIGESTS = {
+    "pgtc_topk_logistic": "1796eefff38b8774669e030847017d3cf8a6020892798d21faf70be43cf7e154",
+    "ppdc_topk_logistic": "8402f607e520fe252dd4a912cc2572d5fd150e80abb6f2b7b35faa88498f2fdc",
+    "pgtc_q_sweep": "e62e54852b3993448cd73f4b0707dc37a7cceaac4069b3b6a88979475c1c2fa1",
+}
+
+# config_sha256 of metadata.json for each shipped config and the inline
+# ppdc_bbit config, all with their relative outputs paths.
+CONFIG_DIGESTS = {
+    "pgtc_topk_logistic": "02e15a8940fd3e4d95df2d6a18ccbdd2506c9ab3ae912cb0840205178c7dd279",
+    "ppdc_topk_logistic": "e5870df8380e70db872b27b70011ff83b4550959d5f5aa2b04414f9f908c7c93",
+    "pgtc_q_sweep": "30c9fe148cb14e8cbd279d09ba486e42ec846d3dc0677ee6160e413197b3ae98",
+    "ppdc_bbit": "9855299c8482c7d64a39981ebc1dfc8ba67ada7fa108d8e452a80ff791d8db66",
+}
+
 # Column -> (rule, bound): "exact" compares the written text, "abs" bounds
 # |new - old|, "rel" bounds |new - old| / |old| (so an old 0 must stay 0).
 TRACE_BOUNDS = {
@@ -244,6 +266,32 @@ def test_q_sweep_summary_digest(tmp_path, monkeypatch):
     assert main(["sweep", str(config)]) == EXIT_OK
     summary = (tmp_path / outputs / "sweep_summary.csv").read_bytes()
     assert _sha256(summary) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(PRIVACY_DIGESTS))
+def test_shipped_privacy_report_digest(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    config = CONFIGS / f"{name}.json"
+    outputs = json.loads(config.read_text(encoding="utf-8"))["outputs"]
+    assert main(["privacy", str(config), "--target-epsilon", "24"]) == EXIT_OK
+    report = (tmp_path / outputs / "privacy_report.json").read_bytes()
+    assert _sha256(report) == PRIVACY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(CONFIG_DIGESTS) - {"ppdc_bbit"}))
+def test_shipped_config_digest(name):
+    # What _write_metadata records as config_sha256 for this config.
+    rc = load_config(CONFIGS / f"{name}.json")
+    assert config_digest(to_document(rc)) == CONFIG_DIGESTS[name]
+
+
+def test_inline_config_metadata_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PPDC_BBIT_DOC), encoding="utf-8")
+    assert main(["run", str(config)]) == EXIT_OK
+    meta = json.loads((tmp_path / "ppdc_bbit" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["config_sha256"] == CONFIG_DIGESTS["ppdc_bbit"]
 
 
 def test_ppdc_bbit_reference_trace_digest(golden_trace):
