@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from dpcopt.compressors import CompressorSpec, make_spec
 from dpcopt.errors import ConfigInvalid
@@ -35,7 +36,17 @@ __all__ = [
     "build_engine_config",
 ]
 
-ALGORITHMS = ("pgtc", "ppdc")
+
+class AlgorithmNames(NamedTuple):
+    gains: tuple[str, ...]  # the gains a config must give, in parse order
+    second_family: str  # the second noised variable: y or v
+
+
+ALGORITHMS = {
+    "pgtc": AlgorithmNames(("eta", "gamma", "alpha_x", "alpha_y"), "y"),
+    "ppdc": AlgorithmNames(("eta", "gamma", "alpha_x", "omega"), "v"),
+}
+
 SWEEP_PARAMETERS = ("q", "s", "eta")
 
 DEFAULT_BOX_RADIUS = 1.0
@@ -145,8 +156,7 @@ class RunConfig:
 
     @property
     def second_family(self) -> str:
-        """Name of the second noised variable family: y or v."""
-        return "y" if self.algorithm == "pgtc" else "v"
+        return ALGORITHMS[self.algorithm].second_family
 
 
 def _parse_graph(doc: dict) -> Graph:
@@ -218,7 +228,7 @@ def _parse_schedule(doc: dict, path: str) -> NoiseSchedule:
 
 
 def _parse_noise(doc: dict, algorithm: str) -> tuple[NoiseSchedule, NoiseSchedule]:
-    second = "y" if algorithm == "pgtc" else "v"
+    second = ALGORITHMS[algorithm].second_family
     _require_keys(doc, "noise", ("x", second), ())
     if not isinstance(doc["x"], dict) or not isinstance(doc[second], dict):
         raise ConfigInvalid("noise: each family must be an object")
@@ -228,22 +238,12 @@ def _parse_noise(doc: dict, algorithm: str) -> tuple[NoiseSchedule, NoiseSchedul
 
 
 def _parse_gains(doc: dict, algorithm: str) -> dict:
-    if algorithm == "pgtc":
-        _require_keys(doc, "gains", ("eta", "gamma", "alpha_x", "alpha_y"), ())
-        return {
-            "eta": _as_float(doc, "gains", "eta"),
-            "gamma": _as_float(doc, "gains", "gamma"),
-            "alpha_x": _as_float(doc, "gains", "alpha_x"),
-            "alpha_y": _as_float(doc, "gains", "alpha_y"),
-            "omega": None,
-        }
-    _require_keys(doc, "gains", ("eta", "gamma", "alpha_x", "omega"), ())
+    names = ALGORITHMS[algorithm].gains
+    _require_keys(doc, "gains", names, ())
     return {
-        "eta": _as_float(doc, "gains", "eta"),
-        "gamma": _as_float(doc, "gains", "gamma"),
-        "alpha_x": _as_float(doc, "gains", "alpha_x"),
         "alpha_y": None,
-        "omega": _as_float(doc, "gains", "omega"),
+        "omega": None,
+        **{key: _as_float(doc, "gains", key) for key in names},
     }
 
 
@@ -321,7 +321,7 @@ def parse_config(doc: dict) -> RunConfig:
     )
     algorithm = _as_str(doc, "", "algorithm")
     if algorithm not in ALGORITHMS:
-        raise ConfigInvalid(f"algorithm: must be one of {ALGORITHMS}")
+        raise ConfigInvalid(f"algorithm: must be one of {tuple(ALGORITHMS)}")
     for key in ("graph", "objective", "compressor", "noise", "gains"):
         if not isinstance(doc[key], dict):
             raise ConfigInvalid(f"{key}: expected an object")
@@ -429,19 +429,8 @@ def to_document(rc: RunConfig) -> dict:
         objective["m"] = rc.objective.m
         objective["lambda"] = rc.objective.lam
         objective["alpha"] = rc.objective.alpha
-    gains: dict = {"eta": rc.eta, "gamma": rc.gamma, "alpha_x": rc.alpha_x}
-    if rc.algorithm == "pgtc":
-        gains["alpha_y"] = rc.alpha_y
-    else:
-        gains["omega"] = rc.omega
-    noise = {
-        "x": {"s": rc.noise_x.s, "q": rc.noise_x.q, "enabled": rc.noise_x.enabled},
-        rc.second_family: {
-            "s": rc.noise_second.s,
-            "q": rc.noise_second.q,
-            "enabled": rc.noise_second.enabled,
-        },
-    }
+    gains = {key: getattr(rc, key) for key in ALGORITHMS[rc.algorithm].gains}
+    noise = {"x": asdict(rc.noise_x), rc.second_family: asdict(rc.noise_second)}
     doc = {
         "algorithm": rc.algorithm,
         "graph": {
@@ -455,15 +444,11 @@ def to_document(rc: RunConfig) -> dict:
         "iterations": rc.iterations,
         "seed": rc.seed,
         "outputs": rc.outputs,
-        "privacy": {
-            "box_radius": rc.privacy.box_radius,
-            "trials": rc.privacy.trials,
-            "split": rc.privacy.split,
-        },
+        "privacy": asdict(rc.privacy),
         "contraction_trials": rc.contraction_trials,
     }
     if rc.reference is not None:
-        doc["reference"] = {"horizon_multiplier": rc.reference.horizon_multiplier}
+        doc["reference"] = asdict(rc.reference)
     if rc.sweep is not None:
         doc["sweep"] = {
             "parameter": rc.sweep.parameter,
@@ -485,17 +470,11 @@ def apply_sweep_value(rc: RunConfig, parameter: str, value: float) -> RunConfig:
     q and s apply to both noise families (the experiment protocol uses a
     single shared noise setting); eta replaces the step size.
     """
-    if parameter == "q":
+    if parameter in ("q", "s"):
         return replace(
             rc,
-            noise_x=NoiseSchedule(rc.noise_x.s, value, rc.noise_x.enabled),
-            noise_second=NoiseSchedule(rc.noise_second.s, value, rc.noise_second.enabled),
-        )
-    if parameter == "s":
-        return replace(
-            rc,
-            noise_x=NoiseSchedule(value, rc.noise_x.q, rc.noise_x.enabled),
-            noise_second=NoiseSchedule(value, rc.noise_second.q, rc.noise_second.enabled),
+            noise_x=replace(rc.noise_x, **{parameter: value}),
+            noise_second=replace(rc.noise_second, **{parameter: value}),
         )
     if parameter == "eta":
         return replace(rc, eta=value)

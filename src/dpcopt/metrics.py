@@ -1,5 +1,5 @@
-"""Per-round telemetry, residual/accuracy metrics, bit accounting, and
-the trace CSV schema.
+"""Per-round telemetry, residual/accuracy metrics and the trace CSV
+schema.
 
 A Trace holds one row per round counter k = 0..K. Row k describes the
 state after k synchronous rounds: consensus error ||x_k - xbar_k||^2
@@ -11,11 +11,11 @@ bits, and the noise scales in effect at round k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from dpcopt.compressors import row_dots
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "residual_series",
     "reference_point",
     "final_accuracy",
-    "cum_bits",
+    "fmt17",
     "write_trace_csv",
     "CSV_HEADER",
 ]
@@ -54,22 +54,12 @@ class TraceRow:
 class Trace:
     """Completed run record; immutable by convention once returned."""
 
-    algorithm: str
     rows: list[TraceRow] = field(default_factory=list)
     stacked_iterates: list[np.ndarray] | None = None
     # Stacked iterate after the last round run, and that round's counter:
     # the last row's k, or the longer horizon the engine was asked to run.
     final_stacked: np.ndarray | None = None
     final_k: int = 0
-
-    def validate(self) -> None:
-        """Assert row contiguity and bit-meter monotonicity."""
-        for index, row in enumerate(self.rows):
-            if row.k != index:
-                raise ConfigInvalid(f"trace rows not contiguous at index {index}")
-        bits = [row.cum_bits for row in self.rows]
-        if any(b1 > b2 for b1, b2 in zip(bits, bits[1:])):
-            raise ConfigInvalid("trace cum_bits decreased")
 
 
 def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
@@ -86,21 +76,16 @@ def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"reference point has dimension {x_inf.shape[0]}, iterates have {width}"
         )
-    out = np.empty(len(trace.stacked_iterates))
-    best = math.inf
     # A far but finite x_inf overflows the squared distance; that is
     # reported as a failed run below rather than as numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, xt in enumerate(trace.stacked_iterates):
-            diff = xt - x_inf
-            sq = float(diff @ diff)
-            if not math.isfinite(sq):
-                raise NonFiniteState(
-                    t, "squared distance to the reference point is not finite"
-                )
-            best = min(best, sq)
-            out[t] = best
-    return out
+        sq = row_dots(np.stack(trace.stacked_iterates) - x_inf)
+    bad = np.flatnonzero(~np.isfinite(sq))
+    if bad.size:
+        raise NonFiniteState(
+            int(bad[0]), "squared distance to the reference point is not finite"
+        )
+    return np.minimum.accumulate(sq)
 
 
 def reference_point(trace: Trace) -> np.ndarray:
@@ -131,12 +116,9 @@ def final_accuracy(trace: Trace) -> float:
     return trace.rows[-1].grad_norm_mean
 
 
-def cum_bits(trace: Trace) -> np.ndarray:
-    """Cumulative transmitted bits per row."""
-    return np.array([row.cum_bits for row in trace.rows], dtype=np.int64)
-
-
-def _fmt(value: float) -> str:
+def fmt17(value: float) -> str:
+    """A float with 17 significant digits, which round-trips exactly; the
+    written trace and sweep summary replay byte for byte in this format."""
     return format(value, ".17g")
 
 
@@ -153,17 +135,17 @@ def write_trace_csv(trace: Trace, path, residuals: np.ndarray | None = None) -> 
         )
     lines = [CSV_HEADER]
     for row in trace.rows:
-        r_field = "" if residuals is None else _fmt(float(residuals[row.k]))
+        r_field = "" if residuals is None else fmt17(float(residuals[row.k]))
         lines.append(
             ",".join(
                 (
                     str(row.k),
-                    _fmt(row.consensus_err),
-                    _fmt(row.grad_norm_mean),
-                    _fmt(row.residual),
+                    fmt17(row.consensus_err),
+                    fmt17(row.grad_norm_mean),
+                    fmt17(row.residual),
                     str(row.cum_bits),
-                    _fmt(row.theta_x),
-                    _fmt(row.theta_second),
+                    fmt17(row.theta_x),
+                    fmt17(row.theta_second),
                     r_field,
                 )
             )

@@ -221,10 +221,7 @@ def pgtc_run(
     state = pgtc_init(cfg, objectives, net, x0, streams)
     d = state.x.shape[1]
     per_round_bits = MESSAGES_PER_AGENT * net.n * bit_cost(cfg.compressor, d)
-    trace = Trace(
-        algorithm="pgtc",
-        stacked_iterates=[] if record_iterates else None,
-    )
+    trace = Trace(stacked_iterates=[] if record_iterates else None)
     _emit_row(trace, state, cfg, objectives, per_round_bits)
     for _ in range(cfg.iterations):
         state = pgtc_step(state, cfg, objectives, net, streams)

@@ -205,10 +205,7 @@ def ppdc_run(
     state = ppdc_init(cfg, objectives, net, x0, streams)
     d = state.x.shape[1]
     per_round_bits = MESSAGES_PER_AGENT * net.n * bit_cost(cfg.compressor, d)
-    trace = Trace(
-        algorithm="ppdc",
-        stacked_iterates=[] if record_iterates else None,
-    )
+    trace = Trace(stacked_iterates=[] if record_iterates else None)
     _emit_row(trace, state, cfg, objectives, per_round_bits)
     for _ in range(cfg.iterations):
         state = ppdc_step(state, cfg, objectives, net, streams)

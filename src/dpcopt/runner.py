@@ -41,6 +41,7 @@ from dpcopt.metrics import (
     IDENTITY_RESIDUAL_TOL,
     Trace,
     final_accuracy,
+    fmt17,
     reference_point,
     residual_series,
     write_trace_csv,
@@ -80,18 +81,18 @@ def _run_function(algorithm: str):
 
 
 def _build_problem(rc: RunConfig):
-    net = build_network(rc.graph)
+    """The run's stream factory and agent objectives."""
     streams = StreamFactory(master_seed=rc.seed)
     objectives = make_objectives(
         rc.objective.kind,
-        net.n,
+        rc.graph.n,
         rc.objective.d,
         streams,
         m=rc.objective.m,
         lam=rc.objective.lam,
         alpha=rc.objective.alpha,
     )
-    return net, streams, objectives
+    return streams, objectives
 
 
 def _initial_iterate(rc: RunConfig, streams: StreamFactory) -> np.ndarray:
@@ -124,7 +125,8 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
     Returns the trace, an invariant-check summary, and the residual
     series when a reference point is configured.
     """
-    net, streams, objectives = _build_problem(rc)
+    net = build_network(rc.graph)
+    streams, objectives = _build_problem(rc)
     gate = check_contraction(rc)
     x0 = _initial_iterate(rc, streams)
     engine_cfg = build_engine_config(rc)
@@ -230,10 +232,6 @@ def cmd_run(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fmt17(value: float) -> str:
-    return format(value, ".17g")
-
-
 def cmd_sweep(rc: RunConfig) -> int:
     if rc.sweep is None:
         raise ConfigInvalid("sweep: required for the sweep command")
@@ -280,19 +278,12 @@ def cmd_sweep(rc: RunConfig) -> int:
         if accuracies:
             med = statistics.median(accuracies)
             summary_lines.append(
-                ",".join(
-                    (
-                        _fmt17(value),
-                        _fmt17(med),
-                        _fmt17(min(accuracies)),
-                        _fmt17(max(accuracies)),
-                    )
-                )
+                ",".join(map(fmt17, (value, med, min(accuracies), max(accuracies))))
             )
             chart_x.append(value)
             chart_y.append(med)
         else:
-            summary_lines.append(f"{_fmt17(value)},,,")
+            summary_lines.append(f"{fmt17(value)},,,")
     (out_dir / "sweep_summary.csv").write_text(
         "\n".join(summary_lines) + "\n", encoding="utf-8"
     )
@@ -326,7 +317,7 @@ def _json_number(value: float | None) -> float | str | None:
 
 
 def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
-    net, _, objectives = _build_problem(rc)
+    _, objectives = _build_problem(rc)
     rng = stream(
         rc.seed,
         StreamKey(run_id=VALIDATION_RUN_ID, agent_id=0, tag=Tag.DATA, round_index=0),

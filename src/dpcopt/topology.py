@@ -76,11 +76,6 @@ class Graph:
                     stack.append(v)
         return count == self.n
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [j for a, j in self.edges if a == i]
-        out += [a for a, j in self.edges if j == i]
-        return sorted(out)
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
         for i, j in self.edges:

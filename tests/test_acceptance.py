@@ -23,7 +23,7 @@ from dpcopt.accountant import (
     scales_for_epsilon,
 )
 from dpcopt.compressors import compress, make_spec, validate_contraction
-from dpcopt.metrics import cum_bits, final_accuracy, residual_series
+from dpcopt.metrics import final_accuracy, residual_series
 from dpcopt.noise import NoiseSchedule
 from dpcopt.pgtc import PgtcConfig, pgtc_run
 from dpcopt.ppdc import PpdcConfig, ppdc_run
@@ -301,7 +301,7 @@ def test_09_compression_reaches_the_target_on_fewer_bits(capfd):
         pg = pgtc_run(_pgtc_cfg(5), objectives, net, x0, streams)
         net, streams, objectives, x0 = build_problem("quadratic", seed=7)
         pd = ppdc_run(_ppdc_cfg(5), objectives, net, x0, streams)
-        assert np.array_equal(cum_bits(pg), 2 * cum_bits(pd))
+        assert [row.cum_bits for row in pg.rows] == [2 * row.cum_bits for row in pd.rows]
         info["detail"] = (
             f"bits to {target:g}: topk {bits_to_target['topk']} < "
             f"identity {bits_to_target['identity']}; round meter 2:1 exact"

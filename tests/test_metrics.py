@@ -10,7 +10,6 @@ from dpcopt.metrics import (
     CSV_HEADER,
     Trace,
     TraceRow,
-    cum_bits,
     final_accuracy,
     reference_point,
     residual_series,
@@ -39,7 +38,7 @@ def _row(k, bits=0, grad=1.0):
 
 def _trace_with_iterates(iterates):
     rows = [_row(k) for k in range(len(iterates))]
-    return Trace(algorithm="pgtc", rows=rows, stacked_iterates=list(iterates))
+    return Trace(rows=rows, stacked_iterates=list(iterates))
 
 
 def _pgtc_config(spec, iterations, noise=QUIET):
@@ -90,53 +89,40 @@ def test_residual_dimension_mismatch():
 
 
 def test_residual_requires_iterate_history():
-    bare = Trace(algorithm="pgtc", rows=[_row(0)], stacked_iterates=None)
+    bare = Trace(rows=[_row(0)], stacked_iterates=None)
     with pytest.raises(EmptyTrace):
         residual_series(bare, np.zeros(1))
-    empty = Trace(algorithm="pgtc", rows=[], stacked_iterates=[])
+    empty = Trace(rows=[], stacked_iterates=[])
     with pytest.raises(EmptyTrace):
         residual_series(empty, np.zeros(1))
-
-
-# --- trace invariants ---
-
-
-def test_validate_rejects_gap_in_rows():
-    trace = Trace(algorithm="pgtc", rows=[_row(0), _row(2)])
-    with pytest.raises(ConfigInvalid):
-        trace.validate()
-
-
-def test_validate_rejects_decreasing_bits():
-    trace = Trace(algorithm="pgtc", rows=[_row(0, bits=100), _row(1, bits=99)])
-    with pytest.raises(ConfigInvalid):
-        trace.validate()
-
-
-def test_validate_accepts_well_formed_trace():
-    trace = Trace(algorithm="pgtc", rows=[_row(0, bits=0), _row(1, bits=816)])
-    trace.validate()
 
 
 # --- accuracy and bits ---
 
 
 def test_final_accuracy_is_last_grad_norm():
-    trace = Trace(algorithm="pgtc", rows=[_row(0, grad=3.0), _row(1, grad=0.25)])
+    trace = Trace(rows=[_row(0, grad=3.0), _row(1, grad=0.25)])
     assert final_accuracy(trace) == 0.25
 
 
 def test_final_accuracy_empty_trace():
     with pytest.raises(EmptyTrace):
-        final_accuracy(Trace(algorithm="pgtc"))
+        final_accuracy(Trace())
 
 
-def test_cum_bits_series_and_empty():
-    trace = Trace(algorithm="pgtc", rows=[_row(0, bits=0), _row(1, bits=7680)])
-    series = cum_bits(trace)
-    assert series.dtype == np.int64
-    assert series.tolist() == [0, 7680]
-    assert cum_bits(Trace(algorithm="pgtc")).size == 0
+def test_cum_bits_series_and_empty(tmp_path):
+    # The bit meter is written as exact integers; an empty trace writes
+    # only the header.
+    path = tmp_path / "trace.csv"
+    write_trace_csv(Trace(rows=[_row(0, bits=0), _row(1, bits=7680)]), path)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[4] for line in lines] == ["0", "7680"]
+    write_trace_csv(Trace(), path)
+    assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
+
+
+def _bits(trace):
+    return [row.cum_bits for row in trace.rows]
 
 
 def test_pgtc_identity_bits_per_round():
@@ -144,7 +130,7 @@ def test_pgtc_identity_bits_per_round():
     net, streams, objectives, x0 = build_problem("quadratic", seed=3)
     cfg = _pgtc_config(make_spec("identity", d=10), iterations=1)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    assert cum_bits(trace).tolist() == [0, 7680]
+    assert _bits(trace) == [0, 7680]
 
 
 def test_ppdc_topk_bits_per_round():
@@ -152,7 +138,7 @@ def test_ppdc_topk_bits_per_round():
     net, streams, objectives, x0 = build_problem("quadratic", seed=3)
     cfg = _ppdc_config(make_spec("topk", d=10, k=2), iterations=1)
     trace = ppdc_run(cfg, objectives, net, x0, streams)
-    assert cum_bits(trace).tolist() == [0, 816]
+    assert _bits(trace) == [0, 816]
 
 
 def test_ppdc_bits_are_half_of_pgtc():
@@ -162,8 +148,8 @@ def test_ppdc_bits_are_half_of_pgtc():
         pg = pgtc_run(_pgtc_config(spec, k), objectives, net, x0, streams)
         net, streams, objectives, x0 = build_problem("quadratic", seed=11)
         pd = ppdc_run(_ppdc_config(spec, k), objectives, net, x0, streams)
-        assert np.array_equal(cum_bits(pg), 2 * cum_bits(pd))
-        assert np.all(np.diff(cum_bits(pg)) > 0)
+        assert _bits(pg) == [2 * bits for bits in _bits(pd)]
+        assert np.all(np.diff(_bits(pg)) > 0)
 
 
 # --- reference point ---
@@ -225,7 +211,7 @@ def test_one_pass_reference_equals_explicit_long_run(run, make_cfg):
 
 
 def test_csv_header_and_blank_residual(tmp_path):
-    trace = Trace(algorithm="pgtc", rows=[_row(0, bits=0), _row(1, bits=816)])
+    trace = Trace(rows=[_row(0, bits=0), _row(1, bits=816)])
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -248,7 +234,7 @@ def test_csv_seventeen_digit_round_trip(tmp_path):
         )
         for i, v in enumerate(values)
     ]
-    trace = Trace(algorithm="ppdc", rows=rows)
+    trace = Trace(rows=rows)
     residuals = np.array([v * 13.0 for v in values])
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path, residuals=residuals)
@@ -266,6 +252,6 @@ def test_csv_seventeen_digit_round_trip(tmp_path):
 
 
 def test_csv_rejects_residual_length_mismatch(tmp_path):
-    trace = Trace(algorithm="pgtc", rows=[_row(0), _row(1)])
+    trace = Trace(rows=[_row(0), _row(1)])
     with pytest.raises(DimensionMismatch):
         write_trace_csv(trace, tmp_path / "trace.csv", residuals=np.zeros(3))
