@@ -18,6 +18,7 @@ from typing import NamedTuple
 from dpcopt.compressors import CompressorSpec, make_spec
 from dpcopt.errors import ConfigInvalid
 from dpcopt.noise import NoiseSchedule
+from dpcopt.objectives import MAX_BOX_RADIUS
 from dpcopt.pgtc import PgtcConfig
 from dpcopt.ppdc import PpdcConfig
 from dpcopt.topology import Graph, build_graph
@@ -292,6 +293,8 @@ def _parse_privacy(doc: dict) -> PrivacyConfig:
     split = _as_float(doc, "privacy", "split") if "split" in doc else DEFAULT_SPLIT
     if radius <= 0:
         raise ConfigInvalid("privacy.box_radius: must be positive")
+    if radius > MAX_BOX_RADIUS:
+        raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
     if trials < 1:
         raise ConfigInvalid("privacy.trials: must be >= 1")
     if not (0.0 < split < 1.0):

@@ -21,14 +21,20 @@ all n gradients of an (n, d) X in one call.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from dpcopt.compressors import row_norms
-from dpcopt.errors import ConfigInvalid, DimensionMismatch
+from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.rng import StreamFactory, Tag
+
+# rng.uniform(-r, r) overflows its range high - low above half the
+# largest double.
+MAX_BOX_RADIUS = sys.float_info.max / 2
 
 __all__ = [
     "Dataset",
@@ -287,21 +293,29 @@ def estimate_grad_bound(
     Samples uniform points and takes 1.1x the largest local gradient
     norm seen across agents. This is a box-restricted surrogate for the
     global bound, which does not exist for the benchmark objectives;
-    report it together with the box radius.
+    report it together with the box radius. A gradient norm or bound
+    that is not finite raises DpcoptError.
     """
     if trials < 1:
         raise ConfigInvalid("privacy.trials: need at least 1 sample")
     if radius < 0:
         raise ConfigInvalid("privacy.box_radius: must be >= 0")
+    if radius > MAX_BOX_RADIUS:
+        raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
     objectives = as_agent_objectives(objectives)
     n, d = len(objectives), objectives.d
     # One draw of all points gives the values of `trials` draws of d.
     points = rng.uniform(-radius, radius, size=(trials, d))
-    worst = 0.0
-    for x in points:
-        grads = objectives.grad(np.tile(x, (n, 1)))
-        worst = max(worst, float(row_norms(grads).max()))
-    return 1.1 * worst
+    # An overflowing gradient is reported below rather than as numpy's
+    # warning; np.max keeps a NaN norm, which max() would skip.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [row_norms(objectives.grad(np.tile(x, (n, 1)))).max() for x in points]
+    bound = 1.1 * float(np.max(norms))
+    if not math.isfinite(bound):
+        raise DpcoptError(
+            f"gradient bound on the box of radius {radius!r} is not finite"
+        )
+    return bound
 
 
 def draw_zero_sum_coefficients(n: int, rng: np.random.Generator) -> np.ndarray:

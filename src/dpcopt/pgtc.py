@@ -102,7 +102,11 @@ def pgtc_init(
         raise DimensionMismatch(
             f"objectives have dimension {objectives[0].d}, x0 has {d}"
         )
-    grad0 = as_agent_objectives(objectives).grad(x0)
+    # As in pgtc_step, the finite check is the detector, not numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad0 = as_agent_objectives(objectives).grad(x0)
+    if not np.isfinite(grad0).all():
+        raise NonFiniteState(0, "initial gradient is not finite")
     return PgtcState(
         x=x0.copy(),
         y=grad0.copy(),

@@ -1,8 +1,10 @@
 """The benchmark's coupling to the package: every function the tracer
-wraps must exist at the name it looks up, and the set-up probe must run.
+wraps must exist at the name it looks up, the shipped commands must call
+the sites the per-layer metrics read, and the set-up probe must run.
 
-Both read bench/ without changing it. A renamed function then fails here
-instead of crashing a traced benchmark run.
+All read bench/ without changing it. A renamed function then fails here
+instead of crashing a traced benchmark run, and a site that is no longer
+called fails here instead of reading 0.
 """
 
 import importlib
@@ -11,8 +13,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpcopt
@@ -62,3 +66,60 @@ def test_setup_probe_runs_on_the_paper_config():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["runs"] == 1
     assert report["tx_bits"] == 1_632_000
+
+
+# Spans each traced command must record at least once; {a} is the engine.
+LIVE_IN_RUN = [
+    "{a}.{a}_run",
+    "{a}.{a}_init",
+    "{a}.{a}_step",
+    "{a}._emit_row",
+    "objectives.mean_value_grad",
+    "objectives.value_grad",
+    "noise.sample_laplace",
+    "compressors.encode_decode",
+    "runner._build_problem",
+]
+LIVE_IN_PRIVACY = [
+    "runner._build_problem",
+    "objectives.estimate_grad_bound",
+    "accountant.budget_for_run",
+]
+
+
+def _noisy_doc(algorithm, outputs):
+    second, gains = (
+        ("y", {"eta": 0.1, "gamma": 0.2, "alpha_x": 0.5, "alpha_y": 0.5})
+        if algorithm == "pgtc"
+        else ("v", {"eta": 0.015, "gamma": 45.0, "alpha_x": 0.2, "omega": 5.0})
+    )
+    return {
+        "algorithm": algorithm,
+        "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+        "objective": {"kind": "logistic", "d": 4, "m": 5, "lambda": 1e-3, "alpha": 1.0},
+        "compressor": {"kind": "topk", "k": 2},
+        "noise": {"x": {"s": 0.1, "q": 0.5}, second: {"s": 0.1, "q": 0.5}},
+        "gains": gains,
+        "iterations": 5,
+        "seed": 3,
+        "privacy": {"trials": 50},
+        "outputs": str(outputs),
+    }
+
+
+@pytest.mark.parametrize(
+    "algorithm,command", [("pgtc", "run"), ("ppdc", "run"), ("pgtc", "privacy")]
+)
+def test_tracer_sites_are_called(tmp_path, algorithm, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_noisy_doc(algorithm, tmp_path / "out")), encoding="utf-8")
+    spans = tmp_path / "spans.npz"
+    done = _run(["bench/tracer.py", str(spans), command, str(config)])
+    assert done.returncode == 0, done.stderr
+    with np.load(spans) as recorded:
+        counts = Counter(str(recorded["names"][i]) for i in recorded["name"])
+    live = LIVE_IN_PRIVACY if command == "privacy" else LIVE_IN_RUN
+    dead = [name for name in (n.format(a=algorithm) for n in live) if not counts[name]]
+    assert not dead, f"{command} records no span of {dead}"
+    # Only a run mixes, so only a run builds the network.
+    assert counts["topology.build_network"] == (command == "run")

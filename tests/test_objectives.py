@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from dpcopt.errors import ConfigInvalid, DimensionMismatch
+from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.objectives import (
+    MAX_BOX_RADIUS,
     Dataset,
     LogisticObjective,
     QuadraticObjective,
@@ -232,6 +235,36 @@ def test_estimate_grad_bound_zero_objective():
     objs = [QuadraticObjective(anchor=np.zeros(3))]
     # radius 0 pins every sample at the anchor, where the gradient is 0
     assert estimate_grad_bound(objs, radius=0.0, trials=10, rng=np.random.default_rng(12)) == 0.0
+
+
+def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():
+    objs = [QuadraticObjective(anchor=np.zeros(1))]
+    too_wide = math.nextafter(MAX_BOX_RADIUS, math.inf)
+    with pytest.raises(ConfigInvalid, match="privacy.box_radius"):
+        estimate_grad_bound(objs, radius=too_wide, trials=10, rng=np.random.default_rng(13))
+
+
+class _NanGradient(QuadraticObjective):
+    def grad(self, x):
+        return np.full_like(x, np.nan)
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        LogisticObjective(
+            dataset=generate_dataset(5, 3, np.random.default_rng(14)), lam=1e308, alpha=1.0
+        ),
+        _NanGradient(anchor=np.zeros(3)),
+    ],
+    ids=["overflow", "nan"],
+)
+def test_estimate_grad_bound_rejects_a_non_finite_norm(objective):
+    # Raised under filterwarnings = error, so no overflow warning leaks;
+    # a NaN norm must not be skipped as max(worst, nan) would.
+    with pytest.raises(DpcoptError, match="not finite") as caught:
+        estimate_grad_bound([objective], radius=1.0, trials=20, rng=np.random.default_rng(15))
+    assert not isinstance(caught.value, ConfigInvalid)
 
 
 def test_make_objectives_logistic():

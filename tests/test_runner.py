@@ -203,8 +203,9 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
         ("compressor.b", 65, "compressor.b: bbit needs 1 <= b <= 64"),
         ("compressor.b", 2000, "compressor.b: bbit needs 1 <= b <= 64"),
         ("gains.eta", 10**400, "gains.eta: expected a finite number"),
+        ("privacy.box_radius", 1e308, "privacy.box_radius: must be at most"),
     ],
-    ids=["b=65", "b=2000", "eta=10**400"],
+    ids=["b=65", "b=2000", "eta=10**400", "box_radius=1e308"],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
     doc, command = _doc_with(tmp_path, "pgtc", field, value)
@@ -406,6 +407,55 @@ def test_validate_compressor_pass(tmp_path, capsys):
     cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
     assert main(["validate-compressor", str(cfg)]) == EXIT_OK
     assert "PASS" in capsys.readouterr().out
+
+
+def _cli(*args):
+    """The CLI in a fresh interpreter that prints every warning."""
+    src = str(Path(dpcopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    return subprocess.run(
+        [sys.executable, "-m", "dpcopt", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+
+
+# 2 * lambda overflows in every logistic gradient.
+HUGE_LAMBDA = {"kind": "logistic", "d": 4, "m": 5, "lambda": 1e308, "alpha": 1.0}
+
+
+@pytest.mark.parametrize("algorithm", ["pgtc", "ppdc"])
+def test_overflowing_gradient_ends_run_without_warnings(tmp_path, algorithm):
+    doc = make_doc(tmp_path / "out", algorithm, objective=HUGE_LAMBDA)
+    done = _cli("run", str(write_doc(tmp_path, doc)))
+    assert done.returncode == EXIT_RUN_FAILURE
+    assert "run failed: non-finite state at round 0" in done.stderr
+    assert "Warning" not in done.stderr
+
+
+def test_non_finite_grad_bound_fails_without_report_or_warnings(tmp_path):
+    doc = make_doc(tmp_path / "out", objective=HUGE_LAMBDA)
+    done = _cli("privacy", str(write_doc(tmp_path, doc)))
+    assert done.returncode == EXIT_RUN_FAILURE
+    assert "run failed: gradient bound" in done.stderr
+    assert "Warning" not in done.stderr
+    assert not (tmp_path / "out" / "privacy_report.json").exists()
+
+
+def test_far_box_gives_finite_bound_without_warnings(tmp_path):
+    # x * x overflows at 1e200, yet every gradient stays finite.
+    doc = make_doc(
+        tmp_path / "out",
+        objective=dict(HUGE_LAMBDA, **{"lambda": 1e-3}),
+        privacy={"box_radius": 1e200},
+    )
+    done = _cli("privacy", str(write_doc(tmp_path, doc)))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "Warning" not in done.stderr
+    report = json.loads((tmp_path / "out" / "privacy_report.json").read_text(encoding="utf-8"))
+    assert math.isfinite(report["grad_bound"])
 
 
 @pytest.mark.parametrize("module", ["dpcopt", "dpcopt.runner"])
