@@ -79,7 +79,9 @@ def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
     # A far but finite x_inf overflows the squared distance; that is
     # reported as a failed run below rather than as numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = row_dots(np.stack(trace.stacked_iterates) - x_inf)
+        diffs = np.stack(trace.stacked_iterates)
+        diffs -= x_inf  # in place: one (K + 1, n * d) copy, not two
+        sq = row_dots(diffs)
     bad = np.flatnonzero(~np.isfinite(sq))
     if bad.size:
         raise NonFiniteState(

@@ -1,11 +1,13 @@
 """Trace metrics tests: residual series, reference points, bit meters,
 and the replay-grade CSV writer."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dpcopt.compressors import make_spec
-from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace
+from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 from dpcopt.metrics import (
     CSV_HEADER,
     Trace,
@@ -80,6 +82,27 @@ def test_residual_nonincreasing_property():
         trace = _trace_with_iterates(list(np.cumsum(steps, axis=0)))
         r = residual_series(trace, rng.normal(size=6))
         assert np.all(np.diff(r) <= 0.0)
+
+
+def test_residual_series_equals_per_row_loop():
+    # The reference: one 1-D dot product per iterate, then a running min.
+    rng = np.random.default_rng(6)
+    iterates = list(rng.normal(size=(50, 12)) * 10.0)
+    x_inf = rng.normal(size=12)
+    best, want = math.inf, []
+    for xt in iterates:
+        diff = xt - x_inf
+        best = min(best, float(diff @ diff))
+        want.append(best)
+    got = residual_series(_trace_with_iterates(iterates), x_inf)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_residual_series_names_first_non_finite_round():
+    iterates = [np.zeros(2), np.full(2, 1e200), np.full(2, np.inf)]
+    with pytest.raises(NonFiniteState) as caught:
+        residual_series(_trace_with_iterates(iterates), np.zeros(2))
+    assert caught.value.round_index == 1
 
 
 def test_residual_dimension_mismatch():
