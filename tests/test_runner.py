@@ -409,12 +409,12 @@ def test_validate_compressor_pass(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def _cli(*args):
+def _cli(*args, module="dpcopt"):
     """The CLI in a fresh interpreter that prints every warning."""
     src = str(Path(dpcopt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
     return subprocess.run(
-        [sys.executable, "-m", "dpcopt", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -461,15 +461,7 @@ def test_far_box_gives_finite_bound_without_warnings(tmp_path):
 @pytest.mark.parametrize("module", ["dpcopt", "dpcopt.runner"])
 def test_python_dash_m_runs_the_cli_without_warnings(tmp_path, module):
     cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
-    src = str(Path(dpcopt.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
-    done = subprocess.run(
-        [sys.executable, "-m", module, "validate-compressor", str(cfg)],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
+    done = _cli("validate-compressor", str(cfg), module=module)
     assert done.returncode == EXIT_OK, done.stderr
     assert "PASS" in done.stdout
     assert "Warning" not in done.stderr
