@@ -1,10 +1,11 @@
 """Golden traces: what fixed configs write, pinned two ways.
 
 - Exact digests. TRACE_DIGESTS holds the sha256 of each golden config's
-  trace.csv, and SWEEP_DIGEST that of the shipped sweep's
-  sweep_summary.csv. A replay within one version on one platform is byte
-  identical, so these pin every byte. The bytes also depend on numpy's
-  BLAS and SIMD dispatch, which metadata.json records under "environment".
+  trace.csv, PPDC_SHIPPED_TRACE_DIGEST that of the shipped ppdc config,
+  and SWEEP_DIGEST that of the shipped sweep's sweep_summary.csv. A
+  replay within one version on one platform is byte identical, so these
+  pin every byte. The bytes also depend on numpy's BLAS and SIMD dispatch,
+  which metadata.json records under "environment".
 - Privacy and config digests. PRIVACY_DIGESTS pins privacy_report.json
   of each shipped config, and CONFIG_DIGESTS the config_sha256 that
   metadata.json records, so the replayable document to_document writes
@@ -37,6 +38,10 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 # sweep_summary.csv of the shipped q-sweep: 30 cells, each with its own
 # stream factory and its own contraction gate.
 SWEEP_DIGEST = "c302440b392a89d60f9e9b597e908a3625b30db263800a5d2cac107a69767176"
+
+# trace.csv of the shipped ppdc config: 10,000 rounds, of which all but the
+# first few hundred run with noise scales that have underflowed to zero.
+PPDC_SHIPPED_TRACE_DIGEST = "5f121d440a0d5669df94cc75500448f6cdfb06878018df81126772fb4b2beb42"
 
 # Primal-dual with noise on both variables, dithered b-bit compression and
 # a reference point: every random stream and both reference-point phases.
@@ -266,6 +271,15 @@ def test_q_sweep_summary_digest(tmp_path, monkeypatch):
     assert main(["sweep", str(config)]) == EXIT_OK
     summary = (tmp_path / outputs / "sweep_summary.csv").read_bytes()
     assert _sha256(summary) == SWEEP_DIGEST
+
+
+def test_shipped_ppdc_trace_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    config = CONFIGS / "ppdc_topk_logistic.json"
+    outputs = json.loads(config.read_text(encoding="utf-8"))["outputs"]
+    assert main(["run", str(config)]) == EXIT_OK
+    trace = (tmp_path / outputs / "trace.csv").read_bytes()
+    assert _sha256(trace) == PPDC_SHIPPED_TRACE_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(PRIVACY_DIGESTS))
