@@ -192,11 +192,12 @@ def compress(
 
     if spec.kind == TOPK:
         # Stable sort on -|x| keeps the lower index first among ties.
-        keep = np.argsort(-np.abs(x), axis=-1, kind="stable")[..., : spec.k]
+        keep = (-np.abs(x)).argsort(axis=-1, kind="stable")[..., : spec.k]
         if x.ndim == 2:
-            keep = (np.arange(len(x))[:, None], keep)
-        out = np.zeros_like(x)
-        out[keep] = x[keep]
+            # Row i's coordinates start at flat index i*d.
+            keep = keep + np.arange(0, x.size, d)[:, None]
+        out = np.zeros(x.shape)
+        out.reshape(-1)[keep] = x.reshape(-1)[keep]
         return out
 
     # bbit

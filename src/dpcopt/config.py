@@ -191,12 +191,17 @@ def _parse_objective(doc: dict) -> ObjectiveConfig:
         m = _as_int(doc, "objective", "m")
         if m < 1:
             raise ConfigInvalid("objective.m: must be >= 1")
+        alpha = _as_float(doc, "objective", "alpha")
+        if alpha < 0:
+            # The regulariser lambda alpha x^2 / (1 + alpha x^2) has a pole
+            # at |x_s| = 1/sqrt(-alpha).
+            raise ConfigInvalid("objective.alpha: must be >= 0")
         return ObjectiveConfig(
             kind=kind,
             d=d,
             m=m,
             lam=_as_float(doc, "objective", "lambda"),
-            alpha=_as_float(doc, "objective", "alpha"),
+            alpha=alpha,
         )
     if kind in ("sincos", "quadratic"):
         for key in ("m", "lambda", "alpha"):

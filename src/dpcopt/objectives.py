@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,35 +96,46 @@ def _checked(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _margins(features: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Margins z_j = -u_j x^T v_j of one agent, (m, d) data and x (d,), or
-    of stacked agents, (n, m, d) data and x (n, d).
+def _signed_features(dataset: Dataset) -> np.ndarray:
+    """Rows s_j = -u_j v_j: the margins are z = S x, with no product by
+    the labels in each call. See _logistic_grad for why the bits are those
+    of the formula on the unsigned features."""
+    return -dataset.labels[:, None] * dataset.features
+
+
+def _margins(signed: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Margins z_j = s_j^T x of one agent, (m, d) signed features and x
+    (d,), or of stacked agents, (n, m, d) and x (n, d).
 
     matmul with x as a trailing (d, 1) column runs the same BLAS
     matrix-vector product for each agent, so a stacked call equals the
     per-agent calls bit for bit (np.einsum does not).
     """
-    return -labels * np.matmul(features, x[..., None])[..., 0]
+    return np.matmul(signed, x[..., None])[..., 0]
 
 
-def _logistic_grad(
-    features: np.ndarray, labels: np.ndarray, lam, alpha, x: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Gradient at x given its margins z; broadcasts over a leading agent
-    axis (lam and alpha are then (n, 1) columns).
+def _logistic_grad(signed: np.ndarray, reg, alpha, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gradient at x given its margins z, with reg = 2 lambda alpha;
+    broadcasts over a leading agent axis (reg and alpha are then (n, 1)
+    columns).
 
     The logistic function sigma(z) comes from e = exp(-|z|), which cannot
-    overflow. The data term -(1/m) sum_j u_j sigma(z_j) v_j is one BLAS
-    product c^T V per agent, c = u * sigma: the stacked matmul runs the
-    same product for each agent, so a stacked call equals the per-agent
-    calls bit for bit.
+    overflow. The data term -(1/m) sum_j sigma(z_j) u_j v_j is one BLAS
+    product per agent, (-sigma)^T S, divided by -m: the stacked matmul
+    runs the same product for each agent, so a stacked call equals the
+    per-agent calls bit for bit.
+
+    These are the bits of -(c^T V) / m with c = u * sigma and z = -u * (V x).
+    u = +-1, so (-sigma_j) s_jk is u_j sigma_j v_jk exactly, sign of zero
+    included, and the same BLAS sum adds the same terms in the same order.
+    A margin can differ from -u_j (v_j^T x) only in the sign of a zero,
+    which neither |z| nor z >= 0 sees.
     """
     e = np.exp(-np.abs(z))
-    sigma = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    c = labels * sigma
-    grad = -(np.matmul(c[..., None, :], features)[..., 0, :] / features.shape[-2])
+    neg_sigma = np.where(z >= 0, 1.0, e) / (-1.0 - e)
+    grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :] / -signed.shape[-2]
     denom = 1.0 + alpha * (x * x)
-    return grad + 2.0 * lam * alpha * x / (denom * denom)
+    return grad + reg * x / (denom * denom)
 
 
 def _sincos_grad(m_i, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
@@ -138,6 +149,16 @@ class LogisticObjective:
     dataset: Dataset
     lam: float
     alpha: float
+    # Derived once from the fields above; see _signed_features.
+    signed: np.ndarray = field(init=False, repr=False, compare=False)
+    reg: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.alpha >= 0:
+            # A pole at |x_s| = 1/sqrt(-alpha): no gradient bound exists.
+            raise ConfigInvalid("objective.alpha: must be >= 0")
+        object.__setattr__(self, "signed", _signed_features(self.dataset))
+        object.__setattr__(self, "reg", 2.0 * self.lam * self.alpha)
 
     @property
     def d(self) -> int:
@@ -145,7 +166,7 @@ class LogisticObjective:
 
     def _checked_margins(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = _checked(x, self.d)
-        return x, _margins(self.dataset.features, self.dataset.labels, x)
+        return x, _margins(self.signed, x)
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and gradient. The loss term is evaluated as log1p(exp(z))
@@ -154,13 +175,11 @@ class LogisticObjective:
         value = float(np.mean(np.logaddexp(0.0, z)))
         xsq = x * x
         value += float(np.sum(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq)))
-        ds = self.dataset
-        return value, _logistic_grad(ds.features, ds.labels, self.lam, self.alpha, x, z)
+        return value, _logistic_grad(self.signed, self.reg, self.alpha, x, z)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x, z = self._checked_margins(x)
-        ds = self.dataset
-        return _logistic_grad(ds.features, ds.labels, self.lam, self.alpha, x, z)
+        return _logistic_grad(self.signed, self.reg, self.alpha, x, z)
 
 
 @dataclass(frozen=True)
@@ -214,13 +233,10 @@ def _stacked_grad(items: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
         coeffs = np.array([[obj.m_i] for obj in items])
         return lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))
     if kind is LogisticObjective and len({obj.dataset.m for obj in items}) == 1:
-        features = np.stack([obj.dataset.features for obj in items])
-        labels = np.stack([obj.dataset.labels for obj in items])
-        lam = np.array([[obj.lam] for obj in items])
+        signed = np.stack([obj.signed for obj in items])
+        reg = np.array([[obj.reg] for obj in items])
         alpha = np.array([[obj.alpha] for obj in items])
-        return lambda x: _logistic_grad(
-            features, labels, lam, alpha, x, _margins(features, labels, x)
-        )
+        return lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
     return None
 
 

@@ -131,19 +131,20 @@ def pgtc_step(
     spec = cfg.compressor
     k = state.k
 
+    # A round whose scale is 0 (schedule disabled, or s*q^k underflowed)
+    # adds no noise to that variable and draws none.
     theta_x = scale_at(cfg.noise_x, k)
     theta_y = scale_at(cfg.noise_y, k)
+    xa = state.x
     if theta_x > 0.0:
-        xi_x = sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
-    else:
-        xi_x = np.zeros((n, d))
+        xa = xa + sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
+    ya = state.y
+    noise_y_cumsum = state.noise_y_cumsum
     if theta_y > 0.0:
         xi_y = sample_laplace(theta_y, d, streams.rows(Tag.NOISE_Y, k, n))
-    else:
-        xi_y = np.zeros((n, d))
-
-    xa = state.x + xi_x
-    ya = state.y + xi_y
+        ya = ya + xi_y
+        # What xi_y.mean(axis=0) computes, without its Python wrapper.
+        noise_y_cumsum = noise_y_cumsum + np.add.reduce(xi_y, axis=0) / n
 
     # One compression draw per sender per round; every receiver decodes
     # the same xhat/yhat because the draw happens exactly once here. Each
@@ -170,7 +171,7 @@ def pgtc_step(
         xc=(1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
         yc=(1.0 - cfg.alpha_y) * state.yc + cfg.alpha_y * yhat,
         grad_prev=grad_next,
-        noise_y_cumsum=state.noise_y_cumsum + xi_y.mean(axis=0),
+        noise_y_cumsum=noise_y_cumsum,
         k=k + 1,
     )
 
@@ -178,14 +179,19 @@ def pgtc_step(
 def tracking_residual(state: PgtcState) -> float:
     """Infinity norm of mean(y) - mean(grad at current x) - accumulated
     mean y-noise; zero in exact arithmetic at every round."""
-    gap = state.y.mean(axis=0) - state.grad_prev.mean(axis=0) - state.noise_y_cumsum
+    n = len(state.y)
+    gap = (
+        np.add.reduce(state.y, axis=0) / n
+        - np.add.reduce(state.grad_prev, axis=0) / n
+        - state.noise_y_cumsum
+    )
     return float(np.max(np.abs(gap)))
 
 
 def _emit_row(
     trace: Trace, state: PgtcState, cfg: PgtcConfig, objectives, per_round_bits: int
 ) -> None:
-    xbar = state.x.mean(axis=0)
+    xbar = np.add.reduce(state.x, axis=0) / len(state.x)
     with np.errstate(over="ignore", invalid="ignore"):
         consensus = float(((state.x - xbar) ** 2).sum())
         _, gbar = mean_value_grad(objectives, xbar)

@@ -114,34 +114,34 @@ def ppdc_step(
     spec = cfg.compressor
     k = state.k
 
+    # A round whose scale is 0 (schedule disabled, or s*q^k underflowed)
+    # adds no noise to that variable and draws none.
     theta_x = scale_at(cfg.noise_x, k)
     theta_v = scale_at(cfg.noise_v, k)
+    xa = state.x
     if theta_x > 0.0:
-        xi_x = sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
-    else:
-        xi_x = np.zeros((n, d))
+        xa = xa + sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
+    va = state.v
+    noise_v_cumsum = state.noise_v_cumsum
     if theta_v > 0.0:
         xi_v = sample_laplace(theta_v, d, streams.rows(Tag.NOISE_V, k, n))
-    else:
-        xi_v = np.zeros((n, d))
+        va = va + xi_v
+        # What xi_v.mean(axis=0) computes, without its Python wrapper.
+        noise_v_cumsum = noise_v_cumsum + np.add.reduce(xi_v, axis=0) / n
 
     # One compression draw per sender per round (broadcast semantics).
     rngs_c = None
     if spec.kind == BBIT:
         rngs_c = streams.rows(Tag.COMPRESS, k, n)
-    xhat = encode_decode(spec, state.x + xi_x, state.xc, rngs_c)
+    xhat = encode_decode(spec, xa, state.xc, rngs_c)
 
     # Divergence shows up as overflow here; the finite check below is
     # the official detector, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         grads = as_agent_objectives(objectives).grad(state.x)
         mixed = lap @ xhat
-        x_next = (
-            state.x
-            + xi_x
-            - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
-        )
-        v_next = state.v + xi_v + cfg.eta * cfg.omega * mixed
+        x_next = xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
+        v_next = va + cfg.eta * cfg.omega * mixed
 
     if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
         raise NonFiniteState(k, "primal-dual update diverged")
@@ -150,7 +150,7 @@ def ppdc_step(
         x=x_next,
         v=v_next,
         xc=(1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
-        noise_v_cumsum=state.noise_v_cumsum + xi_v.mean(axis=0),
+        noise_v_cumsum=noise_v_cumsum,
         k=k + 1,
     )
 
@@ -158,14 +158,14 @@ def ppdc_step(
 def dual_average_residual(state: PpdcState) -> float:
     """Infinity norm of mean(v) minus the accumulated mean v-noise;
     zero in exact arithmetic because Laplacian columns sum to zero."""
-    gap = state.v.mean(axis=0) - state.noise_v_cumsum
+    gap = np.add.reduce(state.v, axis=0) / len(state.v) - state.noise_v_cumsum
     return float(np.max(np.abs(gap)))
 
 
 def _emit_row(
     trace: Trace, state: PpdcState, cfg: PpdcConfig, objectives, per_round_bits: int
 ) -> None:
-    xbar = state.x.mean(axis=0)
+    xbar = np.add.reduce(state.x, axis=0) / len(state.x)
     with np.errstate(over="ignore", invalid="ignore"):
         consensus = float(((state.x - xbar) ** 2).sum())
         _, gbar = mean_value_grad(objectives, xbar)

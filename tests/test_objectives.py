@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.objectives import (
     MAX_BOX_RADIUS,
+    AgentObjectives,
     Dataset,
     LogisticObjective,
     QuadraticObjective,
@@ -123,6 +127,88 @@ def test_logistic_grad_matches_the_logaddexp_mean_formula(m, d):
         want = _logaddexp_mean_grad(obj, x)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
         assert obj.value_grad(x)[1].tobytes() == got.tobytes()
+
+
+def _unsigned_logistic_grad(features, labels, lam, alpha, x):
+    """The logistic gradient before the signed features: margins
+    -u * (V x), sigma from exp(-|z|) on two branches, c = u * sigma and the
+    data term -(c^T V) / m. Broadcasts over a leading agent axis (lam and
+    alpha then (n, 1) columns)."""
+    z = -labels * np.matmul(features, x[..., None])[..., 0]
+    e = np.exp(-np.abs(z))
+    sigma = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    c = labels * sigma
+    grad = -(np.matmul(c[..., None, :], features)[..., 0, :] / features.shape[-2])
+    denom = 1.0 + alpha * (x * x)
+    return grad + 2.0 * lam * alpha * x / (denom * denom)
+
+
+def _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x):
+    """Per-agent grad and value_grad, and the stacked grad, all equal the
+    unsigned formula byte for byte; features (n, m, d), labels (n, m),
+    lam and alpha (n,), x (n, d)."""
+    objs = AgentObjectives(
+        LogisticObjective(Dataset(f, u), float(la), float(al))
+        for f, u, la, al in zip(features, labels, lam, alpha)
+    )
+    want = _unsigned_logistic_grad(features, labels, lam[:, None], alpha[:, None], x)
+    assert objs.grad(x).tobytes() == want.tobytes()
+    for i, obj in enumerate(objs):
+        row = _unsigned_logistic_grad(features[i], labels[i], lam[i], alpha[i], x[i])
+        assert row.tobytes() == want[i].tobytes()
+        assert obj.grad(x[i]).tobytes() == row.tobytes()
+        assert obj.value_grad(x[i])[1].tobytes() == row.tobytes()
+
+
+@st.composite
+def _logistic_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    # Products up to 1e6 * d push |z| past 745, where e underflows to 0;
+    # the float strategy also draws exact zeros of either sign.
+    values = st.floats(-1e3, 1e3)
+    features = draw(hnp.arrays(np.float64, (n, m, d), elements=values))
+    labels = draw(hnp.arrays(np.float64, (n, m), elements=st.sampled_from([-1.0, 1.0])))
+    lam = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
+    alpha = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 10.0)))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    return features, labels, lam, alpha, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_logistic_cases())
+def test_signed_kernel_equals_the_unsigned_formula_bytewise(case):
+    _assert_kernel_keeps_its_bits(*case)
+
+
+def _edge_case(name):
+    rng = np.random.default_rng(31)
+    n, m, d = 3, 1 if name == "m=1" else 7, 4
+    features = rng.standard_normal((n, m, d))
+    labels = rng.choice([-1.0, 1.0], size=(n, m))
+    x = rng.standard_normal((n, d))
+    if name == "z=0":
+        x[:] = 0.0
+        x[1] = -0.0
+    elif name == "|z|>745":
+        # Row j of agent i gets margin +-(750 + j); exp(-750) underflows.
+        z = labels * np.matmul(features, x[..., None])[..., 0]
+        target = np.sign(z) * (750.0 + np.arange(m))
+        features *= (target / z)[..., None]
+    elif name == "signed zeros":
+        x[:, ::2] = 0.0
+        x[:, 1::2] *= np.array([[-0.0], [0.0], [-0.0]])
+    return features, labels, np.full(n, 1e-3), np.array([1.0, 0.0, 2.5]), x
+
+
+@pytest.mark.parametrize("name", ["z=0", "|z|>745", "m=1", "signed zeros"])
+def test_signed_kernel_keeps_its_bits_at_the_edges(name):
+    features, labels, lam, alpha, x = _edge_case(name)
+    if name == "|z|>745":
+        z = -labels * np.matmul(features, x[..., None])[..., 0]
+        assert np.all(np.abs(z) > 745.0) and np.exp(-np.abs(z)).max() == 0.0
+    _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x)
 
 
 def test_logistic_dimension_mismatch():
@@ -278,6 +364,15 @@ def test_make_objectives_logistic():
     assert np.array_equal(objs[2].dataset.features, again[2].dataset.features)
     with pytest.raises(ConfigInvalid):
         make_objectives("logistic", 3, 4, streams)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -4.0, -1e-300, math.nan])
+def test_make_objectives_rejects_an_alpha_below_zero(alpha):
+    # With alpha < 0 the regulariser has a pole at |x_s| = 1/sqrt(-alpha).
+    streams = StreamFactory(master_seed=5)
+    with pytest.raises(ConfigInvalid, match="objective.alpha: must be >= 0"):
+        make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=alpha)
+    assert make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=0.0)[0].alpha == 0.0
 
 
 def test_make_objectives_sincos_zero_sum():

@@ -204,14 +204,18 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
         ("compressor.b", 2000, "compressor.b: bbit needs 1 <= b <= 64"),
         ("gains.eta", 10**400, "gains.eta: expected a finite number"),
         ("privacy.box_radius", 1e308, "privacy.box_radius: must be at most"),
+        ("objective.alpha", -1.0, "objective.alpha: must be >= 0"),
+        ("objective.alpha", -4.0, "objective.alpha: must be >= 0"),
     ],
-    ids=["b=65", "b=2000", "eta=10**400", "box_radius=1e308"],
+    ids=["b=65", "b=2000", "eta=10**400", "box_radius=1e308", "alpha=-1", "alpha=-4"],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
     doc, command = _doc_with(tmp_path, "pgtc", field, value)
     doc["compressor"] = {"kind": "bbit", "b": value if field == "compressor.b" else 2}
-    assert main([command, str(write_doc(tmp_path, doc))]) == EXIT_CONFIG_ERROR
-    assert message in capsys.readouterr().err
+    config = str(write_doc(tmp_path, doc))
+    for cmd in sorted({command, "privacy"}):
+        assert main([cmd, config]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
 
 
 def test_widest_quantizer_parses(tmp_path):
