@@ -114,7 +114,9 @@ def _margins(signed: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(signed, x[..., None])[..., 0]
 
 
-def _logistic_grad(signed: np.ndarray, reg, alpha, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _logistic_grad(
+    signed: np.ndarray, reg, alpha, x: np.ndarray, z: np.ndarray
+) -> np.ndarray:
     """Gradient at x given its margins z, with reg = 2 lambda alpha;
     broadcasts over a leading agent axis (reg and alpha are then (n, 1)
     columns).
