@@ -193,8 +193,12 @@ def _edge_case(name):
         x[1] = -0.0
     elif name == "|z|>745":
         # Row j of agent i gets margin +-(750 + j); exp(-750) underflows.
-        z = labels * np.matmul(features, x[..., None])[..., 0]
+        # Agent 0's margins are all negative, so its sigma is 0 throughout:
+        # its data term is an exact zero, whose sign shows where x is -0.0.
+        x[0, 0] = -0.0
+        z = -labels * np.matmul(features, x[..., None])[..., 0]
         target = np.sign(z) * (750.0 + np.arange(m))
+        target[0] = -np.abs(target[0])
         features *= (target / z)[..., None]
     elif name == "signed zeros":
         x[:, ::2] = 0.0
@@ -208,6 +212,7 @@ def test_signed_kernel_keeps_its_bits_at_the_edges(name):
     if name == "|z|>745":
         z = -labels * np.matmul(features, x[..., None])[..., 0]
         assert np.all(np.abs(z) > 745.0) and np.exp(-np.abs(z)).max() == 0.0
+        assert np.all(z[0] < 0.0)
     _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x)
 
 
