@@ -209,7 +209,9 @@ def compress(
     out = np.zeros_like(x)
     live = np.flatnonzero(norms)
     if live.size:
-        u = np.stack([rng[i].random(d) for i in live])
+        u = np.empty((live.size, d))
+        for i, row in zip(live.tolist(), u):
+            rng[i].random(out=row)
         out[live] = _dither(spec, x[live], norms[live, None], u)
     return out
 

@@ -51,8 +51,8 @@ def sample_laplace(
     when theta = 0.
 
     Each row's uniforms come from its own generator exactly as a
-    single-generator call draws them, and one inverse-CDF transform maps
-    all rows.
+    single-generator call draws them, written straight into a fresh (n, d)
+    block, and one inverse-CDF transform maps all rows.
     """
     if theta < 0:
         raise ConfigInvalid("noise: scale must be >= 0")
@@ -61,7 +61,13 @@ def sample_laplace(
     rows = isinstance(rng, Sequence)
     if theta == 0.0:
         return np.zeros((len(rng), d) if rows else d)
-    u = (np.stack([g.random(d) for g in rng]) if rows else rng.random(d)) - 0.5
+    if rows:
+        u = np.empty((len(rng), d))
+        for g, row in zip(rng, u):
+            g.random(out=row)
+    else:
+        u = rng.random(d)
+    u -= 0.5
     decay = 1.0 - 2.0 * np.abs(u)
     # u = -0.5 exactly would hit log(0); clamp that measure-zero draw.
     np.maximum(decay, np.finfo(np.float64).tiny, out=decay)

@@ -9,8 +9,11 @@ variables, or rounds, and any run replays bit-identically from its seed.
 engines' per-round streams come from ``StreamFactory.rows`` instead: one
 pooled generator per (agent, tag), reset to its key at each call, which
 draws exactly what a fresh generator draws without the cost of building
-one. A pooled generator stays valid until the next ``rows`` call for the
-same tag.
+one. ``rows`` hashes the (domain, seed, run id) prefix of the key message
+once and extends a copy of that hash per agent, so each key is the digest
+``_philox_key`` gives, and it resets every generator from one state dict
+that it reuses for the whole call. A pooled generator stays valid until
+the next ``rows`` call for the same tag.
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ __all__ = ["Tag", "StreamKey", "stream", "StreamFactory", "derive_seed"]
 _STREAM_DOMAIN = b"dpcopt.stream.v1"
 _SWEEP_DOMAIN = b"dpcopt.sweep.v1"
 
-_WORD = (1 << 64) - 1
 _ZEROS = (0, 0, 0, 0)
+# The key message is _STREAM_DOMAIN + <qq (seed, run id) + <qqq (agent, tag,
+# round); the digest's first 16 bytes are the key's (low, high) words.
+_PREFIX = struct.Struct("<qq")
+_SUFFIX = struct.Struct("<qqq")
+_KEY_WORDS = struct.Struct("<QQ")
 
 
 class Tag(IntEnum):
@@ -100,17 +107,25 @@ class StreamFactory:
         while len(pool) < n:
             pool.append(np.random.Generator(np.random.Philox()))
         generators = pool[:n]
+        prefix = hashlib.sha256(
+            _STREAM_DOMAIN + _PREFIX.pack(self.master_seed, self.run_id)
+        )
+        # A fresh Philox: counter 0, empty buffer, no cached half-word. The
+        # state setter copies the values, so one dict serves every agent.
+        words = {"counter": _ZEROS}
+        state = {
+            "bit_generator": "Philox",
+            "state": words,
+            "buffer": _ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         for agent_id, generator in enumerate(generators):
-            key = _philox_key(self.master_seed, self.run_id, agent_id, tag, round_index)
-            # A fresh Philox: counter 0, empty buffer, no cached half-word.
-            generator.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": _ZEROS, "key": (key & _WORD, key >> 64)},
-                "buffer": _ZEROS,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            digest = prefix.copy()
+            digest.update(_SUFFIX.pack(agent_id, tag, round_index))
+            words["key"] = _KEY_WORDS.unpack_from(digest.digest())
+            generator.bit_generator.state = state
         return generators
 
 

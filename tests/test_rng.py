@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpcopt.rng import StreamFactory, StreamKey, Tag, derive_seed, stream
+from dpcopt.rng import StreamFactory, StreamKey, Tag, _philox_key, derive_seed, stream
 
 BASE_KEY = StreamKey(run_id=0, agent_id=0, tag=Tag.DATA, round_index=0)
 
@@ -105,6 +107,31 @@ def test_rows_draw_what_get_draws(tag, round_index, n):
     assert len(rows) == n
     for i, generator in enumerate(rows):
         assert _draw_all(generator) == _draw_all(factory.get(i, tag, round_index))
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(INT64, min_size=2, max_size=2, unique=True),
+    run_id=INT64,
+    tag=st.sampled_from(Tag),
+    round_index=st.integers(0, 2**62),
+    n=st.integers(1, 8),
+)
+def test_rows_keys_are_the_reference_keys(seeds, run_id, tag, round_index, n):
+    # Two factories interleaved: a prefix hash shared between instances, or
+    # fields packed unsigned, would give one of them wrong keys.
+    factories = [StreamFactory(master_seed=seed, run_id=run_id) for seed in seeds]
+    rows = [factory.rows(tag, round_index, n) for factory in factories]
+    for factory, generators in zip(factories, rows):
+        for agent_id, generator in enumerate(generators):
+            key = _philox_key(factory.master_seed, run_id, agent_id, tag, round_index)
+            words = generator.bit_generator.state["state"]["key"].tolist()
+            assert words == [key & (2**64 - 1), key >> 64]
+            fresh = factory.get(agent_id, tag, round_index)
+            assert _draw_all(generator) == _draw_all(fresh)
 
 
 @pytest.mark.parametrize("name,draw", DRAWS)

@@ -198,6 +198,23 @@ def test_laplace_rows_equal_per_row_draws():
     assert sample_laplace(0.0, 25, gens).tobytes() == np.zeros((12, 25)).tobytes()
 
 
+def test_row_draws_return_fresh_buffers():
+    # The uniforms are written into a block allocated per call; a block
+    # kept between calls would let the next call overwrite this result.
+    streams = StreamFactory(master_seed=48)
+    spec = make_spec("bbit", 25, b=3)
+    x = np.random.default_rng(49).standard_normal((6, 25))
+    for draw in (
+        lambda k: sample_laplace(0.7, 25, streams.rows(Tag.NOISE_X, k, 6)),
+        lambda k: compress(spec, x, streams.rows(Tag.COMPRESS, k, 6)),
+    ):
+        first = draw(1)
+        kept = first.tobytes()
+        second = draw(2)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept
+
+
 def _per_agent_bound(objectives, radius, trials, rng):
     worst = 0.0
     for _ in range(trials):
