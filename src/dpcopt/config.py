@@ -58,21 +58,24 @@ DEFAULT_CONTRACTION_TRIALS = 2000
 _MAX_SEED = 2**63 - 1
 
 
+def _where(path: str, key: str) -> str:
+    """The dotted path of key under path ("" at the top level)."""
+    return f"{path}.{key}" if path else key
+
+
 def _require_keys(doc: dict, path: str, required: tuple, optional: tuple) -> None:
     unknown = sorted(set(doc) - set(required) - set(optional))
     if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ConfigInvalid(f"{where}: unknown key")
+        raise ConfigInvalid(f"{_where(path, unknown[0])}: unknown key")
     for key in required:
         if key not in doc:
-            where = f"{path}.{key}" if path else key
-            raise ConfigInvalid(f"{where}: required")
+            raise ConfigInvalid(f"{_where(path, key)}: required")
 
 
 def _as_int(doc: dict, path: str, key: str) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(f"{path}.{key}: expected an integer" if path else f"{key}: expected an integer")
+        raise ConfigInvalid(f"{_where(path, key)}: expected an integer")
     return value
 
 
@@ -86,7 +89,7 @@ def _finite(value: int | float, where: str) -> float:
 
 def _as_float(doc: dict, path: str, key: str) -> float:
     value = doc[key]
-    where = f"{path}.{key}" if path else key
+    where = _where(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{where}: expected a number")
     return _finite(value, where)
@@ -95,14 +98,14 @@ def _as_float(doc: dict, path: str, key: str) -> float:
 def _as_bool(doc: dict, path: str, key: str) -> bool:
     value = doc[key]
     if not isinstance(value, bool):
-        raise ConfigInvalid(f"{path}.{key}: expected a boolean")
+        raise ConfigInvalid(f"{_where(path, key)}: expected a boolean")
     return value
 
 
 def _as_str(doc: dict, path: str, key: str) -> str:
     value = doc[key]
     if not isinstance(value, str):
-        raise ConfigInvalid(f"{path}.{key}: expected a string" if path else f"{key}: expected a string")
+        raise ConfigInvalid(f"{_where(path, key)}: expected a string")
     return value
 
 

@@ -1,5 +1,5 @@
-"""Local cost functions with analytic gradients, dataset generation, a
-finite-difference oracle, and empirical gradient-bound estimation.
+"""Local cost functions with analytic gradients, dataset generation and
+empirical gradient-bound estimation.
 
 Three benchmark families:
 
@@ -44,7 +44,6 @@ __all__ = [
     "AgentObjectives",
     "as_agent_objectives",
     "generate_dataset",
-    "finite_diff_grad",
     "estimate_grad_bound",
     "make_objectives",
     "draw_zero_sum_coefficients",
@@ -286,21 +285,6 @@ def as_agent_objectives(objectives: Sequence) -> AgentObjectives:
     if isinstance(objectives, AgentObjectives):
         return objectives
     return AgentObjectives(objectives)
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float
-) -> np.ndarray:
-    """Central differences (f(x + h e_s) - f(x - h e_s)) / 2h."""
-    if h <= 0:
-        raise ConfigInvalid("finite differences need h > 0")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for s in range(x.shape[0]):
-        step = np.zeros_like(x)
-        step[s] = h
-        grad[s] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return grad
 
 
 def estimate_grad_bound(

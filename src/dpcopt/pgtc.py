@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcopt.compressors import BBIT, CompressorSpec, bit_cost, encode_decode
-from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
-from dpcopt.metrics import Trace, TraceRow
+from dpcopt.compressors import BBIT, CompressorSpec, encode_decode
+from dpcopt.errors import ConfigInvalid, NonFiniteState
+from dpcopt.metrics import Trace, check_start, run_rounds
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.objectives import as_agent_objectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
@@ -78,15 +78,6 @@ class PgtcState:
     k: int
 
 
-def _check_shapes(x0: np.ndarray, n: int) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[0] != n:
-        raise DimensionMismatch(
-            f"x0 has shape {x0.shape}, expected ({n}, d) for this graph"
-        )
-    return x0
-
-
 def pgtc_init(
     cfg: PgtcConfig,
     objectives,
@@ -96,12 +87,7 @@ def pgtc_init(
 ) -> PgtcState:
     """Initial state: y_0 holds the local gradients at x_0, both
     compression references start at zero."""
-    x0 = _check_shapes(x0, net.n)
-    d = x0.shape[1]
-    if objectives[0].d != d:
-        raise DimensionMismatch(
-            f"objectives have dimension {objectives[0].d}, x0 has {d}"
-        )
+    x0 = check_start(x0, objectives, net.n)
     # As in pgtc_step, the finite check is the detector, not numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
         grad0 = as_agent_objectives(objectives).grad(x0)
@@ -113,7 +99,7 @@ def pgtc_init(
         xc=np.zeros_like(x0),
         yc=np.zeros_like(x0),
         grad_prev=grad0,
-        noise_y_cumsum=np.zeros(d),
+        noise_y_cumsum=np.zeros(x0.shape[1]),
         k=0,
     )
 
@@ -193,22 +179,11 @@ def _emit_row(
 ) -> None:
     xbar = np.add.reduce(state.x, axis=0) / len(state.x)
     with np.errstate(over="ignore", invalid="ignore"):
-        consensus = float(((state.x - xbar) ** 2).sum())
         _, gbar = mean_value_grad(objectives, xbar)
-        grad_norm = float(np.linalg.norm(gbar))
-    trace.rows.append(
-        TraceRow(
-            k=state.k,
-            consensus_err=consensus,
-            grad_norm_mean=grad_norm,
-            residual=tracking_residual(state),
-            cum_bits=state.k * per_round_bits,
-            theta_x=scale_at(cfg.noise_x, state.k),
-            theta_second=scale_at(cfg.noise_y, state.k),
-        )
+    trace.record(
+        state.x, xbar, gbar, state.k, tracking_residual(state),
+        cfg.noise_x, cfg.noise_y, per_round_bits,
     )
-    if trace.stacked_iterates is not None:
-        trace.stacked_iterates.append(state.x.reshape(-1).copy())
 
 
 def pgtc_run(
@@ -220,24 +195,9 @@ def pgtc_run(
     record_iterates: bool = False,
     horizon: int = 0,
 ) -> Trace:
-    """Run cfg.iterations rounds and return the trace (row k=0 included).
-
-    With a horizon H > cfg.iterations the same trajectory keeps stepping
-    to round H without emitting rows or iterates; final_stacked is then
-    the state at round H (the reference point of
-    metrics.reference_point), and final_k records that round.
-    """
-    objectives = as_agent_objectives(objectives)
-    state = pgtc_init(cfg, objectives, net, x0, streams)
-    d = state.x.shape[1]
-    per_round_bits = MESSAGES_PER_AGENT * net.n * bit_cost(cfg.compressor, d)
-    trace = Trace(stacked_iterates=[] if record_iterates else None)
-    _emit_row(trace, state, cfg, objectives, per_round_bits)
-    for _ in range(cfg.iterations):
-        state = pgtc_step(state, cfg, objectives, net, streams)
-        _emit_row(trace, state, cfg, objectives, per_round_bits)
-    for _ in range(cfg.iterations, horizon):
-        state = pgtc_step(state, cfg, objectives, net, streams)
-    trace.final_k = state.k
-    trace.final_stacked = state.x.reshape(-1).copy()
-    return trace
+    """Run cfg.iterations rounds and return the trace (row k=0 included);
+    see metrics.run_rounds for the horizon."""
+    return run_rounds(
+        pgtc_init, pgtc_step, _emit_row, MESSAGES_PER_AGENT,
+        cfg, objectives, net, x0, streams, record_iterates, horizon,
+    )

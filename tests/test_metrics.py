@@ -18,8 +18,8 @@ from dpcopt.metrics import (
     write_trace_csv,
 )
 from dpcopt.noise import NoiseSchedule
-from dpcopt.pgtc import PgtcConfig, pgtc_run
-from dpcopt.ppdc import PpdcConfig, ppdc_run
+from dpcopt.pgtc import PgtcConfig, pgtc_init, pgtc_run
+from dpcopt.ppdc import PpdcConfig, ppdc_init, ppdc_run
 
 from tests.common import build_problem
 
@@ -40,7 +40,7 @@ def _row(k, bits=0, grad=1.0):
 
 def _trace_with_iterates(iterates):
     rows = [_row(k) for k in range(len(iterates))]
-    return Trace(rows=rows, stacked_iterates=list(iterates))
+    return Trace(rows=rows, stacked_iterates=np.array(iterates))
 
 
 def _pgtc_config(spec, iterations, noise=QUIET):
@@ -55,6 +55,24 @@ def _ppdc_config(spec, iterations, noise=QUIET):
         eta=0.015, gamma=45.0, omega=5.0, alpha_x=0.2,
         compressor=spec, noise_x=noise, noise_v=noise, iterations=iterations,
     )
+
+
+# --- start check ---
+
+
+@pytest.mark.parametrize(
+    "init,config", [(pgtc_init, _pgtc_config), (ppdc_init, _ppdc_config)], ids=["pgtc", "ppdc"]
+)
+@pytest.mark.parametrize(
+    "cut,message",
+    [(np.s_[:4], "x0 has shape"), (np.s_[:, :4], "objectives have dimension")],
+    ids=["rows", "dimension"],
+)
+def test_init_rejects_bad_shapes(init, config, cut, message):
+    net, streams, objectives, x0 = build_problem("quadratic", seed=3)
+    cfg = config(make_spec("identity", d=10), iterations=1)
+    with pytest.raises(DimensionMismatch, match=message):
+        init(cfg, objectives, net, x0[cut], streams)
 
 
 # --- residual series ---
@@ -115,7 +133,7 @@ def test_residual_requires_iterate_history():
     bare = Trace(rows=[_row(0)], stacked_iterates=None)
     with pytest.raises(EmptyTrace):
         residual_series(bare, np.zeros(1))
-    empty = Trace(rows=[], stacked_iterates=[])
+    empty = Trace(rows=[], stacked_iterates=np.empty((0, 1)))
     with pytest.raises(EmptyTrace):
         residual_series(empty, np.zeros(1))
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from common import finite_diff_grad
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.objectives import (
     MAX_BOX_RADIUS,
@@ -20,7 +21,6 @@ from dpcopt.objectives import (
     SinCosObjective,
     draw_zero_sum_coefficients,
     estimate_grad_bound,
-    finite_diff_grad,
     generate_dataset,
     make_objectives,
     mean_value_grad,

@@ -10,7 +10,7 @@ import pytest
 import dpcopt.rng
 from common import build_problem
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
-from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
+from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.objectives import AgentObjectives, QuadraticObjective
 from dpcopt.pgtc import (
@@ -87,14 +87,6 @@ def test_init_quadratic_at_zero_gives_negated_anchors():
     state = pgtc_init(_config(), objectives, net, x0, streams)
     anchors = np.stack([o.anchor for o in objectives])
     assert np.allclose(state.y, -anchors, atol=1e-15)
-
-
-def test_init_rejects_bad_shapes():
-    net, streams, objectives, x0 = build_problem("quadratic", seed=3)
-    with pytest.raises(DimensionMismatch):
-        pgtc_init(_config(), objectives, net, x0[:5], streams)
-    with pytest.raises(DimensionMismatch):
-        pgtc_init(_config(), objectives, net, x0[:, :4], streams)
 
 
 def test_frozen_dynamics_step():

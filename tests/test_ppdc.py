@@ -9,7 +9,7 @@ import pytest
 
 from common import build_problem
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
-from dpcopt.errors import ConfigInvalid, DimensionMismatch, NonFiniteState
+from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.pgtc import MESSAGES_PER_AGENT as PGTC_MESSAGES
 from dpcopt.ppdc import (
@@ -67,12 +67,6 @@ def test_init_state():
     assert np.array_equal(state.xc, np.zeros((6, 10)))
     assert np.array_equal(state.v.sum(axis=0), np.zeros(10))
     assert state.k == 0
-
-
-def test_init_rejects_bad_shapes():
-    net, streams, objectives, x0 = build_problem("quadratic", seed=21)
-    with pytest.raises(DimensionMismatch):
-        ppdc_init(_config(), objectives, net, x0[:4], streams)
 
 
 def test_frozen_dynamics_step():
