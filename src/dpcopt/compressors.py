@@ -54,6 +54,10 @@ KINDS = (IDENTITY, TOPK, BBIT, NORMSIGN)
 # Bits for one IEEE double scalar (norms, uncompressed coordinates).
 FLOAT_BITS = 64
 
+# validate_contraction runs its trials in chunks of about this many
+# vector elements.
+GATE_CHUNK_ELEMENTS = 1 << 13
+
 
 @dataclass(frozen=True)
 class CompressorSpec:
@@ -283,31 +287,53 @@ def validate_contraction(
     at most (1 - phi) * (1 + 3/sqrt(trials)).
 
     Trial t's vector is the t-th standard_normal(d) draw of rng, and for
-    bbit its dither follows it on the same stream. The ratios are added
-    in trial order, skipping zero vectors, so the estimate equals the
-    one-trial-at-a-time sum bit for bit.
+    bbit its dither follows it on the same stream unless the vector is
+    zero. The trials run in chunks of GATE_CHUNK_ELEMENTS // d, and the
+    ratios are added in trial order, skipping zero vectors, so the
+    estimate equals the one-trial-at-a-time sum bit for bit.
     """
     if trials < 1000:
         raise ConfigInvalid("contraction_trials: need at least 1000 trials")
-    if spec.kind == BBIT:
-        sq = np.empty(trials)
-        err_sq = np.empty(trials)
-        for t in range(trials):
-            x = rng.standard_normal(d)
-            err = compress(spec, x, rng) / spec.r - x
-            sq[t] = x @ x
-            err_sq[t] = err @ err
-    else:
-        # No compressor randomness: one draw holds every trial's vector.
-        x = rng.standard_normal((trials, d))
-        sq = row_dots(x)
-        err_sq = row_dots(compress(spec, x) / spec.r - x)
-    live = sq != 0.0
+    step = max(1, GATE_CHUNK_ELEMENTS // d)
     total = 0.0
-    for trial_ratio in (err_sq[live] / sq[live]).tolist():
-        total += trial_ratio
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        if spec.kind == BBIT:
+            x, sq, decoded = _bbit_trials(spec, d, count, rng)
+        else:
+            # No compressor randomness: one draw holds the chunk's vectors.
+            x = rng.standard_normal((count, d))
+            sq = row_dots(x)
+            decoded = compress(spec, x)
+        err_sq = row_dots(decoded / spec.r - x)
+        live = sq != 0.0
+        for trial_ratio in (err_sq[live] / sq[live]).tolist():
+            total += trial_ratio
     ratio = total / trials
     threshold = (1.0 - spec.phi) * (1.0 + 3.0 / math.sqrt(trials))
     return ContractionReport(
         empirical_ratio=ratio, threshold=threshold, passes=ratio <= threshold
     )
+
+
+def _bbit_trials(
+    spec: CompressorSpec, d: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count gate trials of bbit: their vectors (count, d), squared norms
+    and decoded outputs, drawn in the order of count compress calls.
+
+    Each vector's dither follows it on rng, and a zero vector draws none,
+    as compress does; the levels of the live rows come from one _dither.
+    """
+    x = np.empty((count, d))
+    u = np.empty((count, d))
+    sq = np.empty(count)
+    for t in range(count):
+        rng.standard_normal(out=x[t])
+        sq[t] = s = x[t] @ x[t]
+        if s:
+            rng.random(out=u[t])
+    live = sq != 0.0
+    decoded = np.zeros_like(x)
+    decoded[live] = _dither(spec, x[live], np.sqrt(sq[live])[:, None], u[live])
+    return x, sq, decoded

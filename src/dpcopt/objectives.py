@@ -16,7 +16,8 @@ The API is one class per family (LogisticObjective, SinCosObjective,
 QuadraticObjective), each with grad(x) and value_grad(x) on one agent's
 x (d,); make_objectives, which builds a run's n agents; and
 AgentObjectives, which make_objectives returns and whose grad(X) gives
-all n gradients of an (n, d) X in one call.
+all n gradients of an (n, d) X in one call, or of a stack (..., n, d) of
+such points.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from dpcopt.rng import StreamFactory, Tag
 # rng.uniform(-r, r) overflows its range high - low above half the
 # largest double.
 MAX_BOX_RADIUS = sys.float_info.max / 2
+
+# estimate_grad_bound evaluates its points in chunks whose largest
+# gradient temporary holds about this many elements.
+BOUND_CHUNK_ELEMENTS = 1 << 16
 
 __all__ = [
     "Dataset",
@@ -104,11 +109,11 @@ def _signed_features(dataset: Dataset) -> np.ndarray:
 
 def _margins(signed: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Margins z_j = s_j^T x of one agent, (m, d) signed features and x
-    (d,), or of stacked agents, (n, m, d) and x (n, d).
+    (d,), or of stacked agents, (n, m, d) and x (n, d) or (..., n, d).
 
     matmul with x as a trailing (d, 1) column runs the same BLAS
-    matrix-vector product for each agent, so a stacked call equals the
-    per-agent calls bit for bit (np.einsum does not).
+    matrix-vector product for each point and agent, so a stacked call
+    equals the per-agent calls bit for bit (np.einsum does not).
     """
     return np.matmul(signed, x[..., None])[..., 0]
 
@@ -118,7 +123,7 @@ def _logistic_grad(
 ) -> np.ndarray:
     """Gradient at x given its margins z, with reg = 2 lambda alpha;
     broadcasts over a leading agent axis (reg and alpha are then (n, 1)
-    columns).
+    columns) and over further leading axes of x and z.
 
     The logistic function sigma(z) comes from e = exp(-|z|), which cannot
     overflow. The data term -(1/m) sum_j sigma(z_j) u_j v_j is one BLAS
@@ -131,9 +136,20 @@ def _logistic_grad(
     included, and the same BLAS sum adds the same terms in the same order.
     A margin can differ from -u_j (v_j^T x) only in the sign of a zero,
     which neither |z| nor z >= 0 sees.
+
+    The numerator, 1 where z >= 0 and e elsewhere, is max(e, [z >= 0]),
+    since e lies in [0, 1]: the same values as a per-element select,
+    without its mispredicted branches on a stack of points. e and -1 - e
+    share one buffer and the quotient is taken in place, because each
+    fresh temporary of the margins' size costs page faults there.
     """
-    e = np.exp(-np.abs(z))
-    neg_sigma = np.where(z >= 0, 1.0, e) / (-1.0 - e)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    neg_sigma = (z >= 0).astype(np.float64)
+    np.maximum(neg_sigma, e, out=neg_sigma)
+    np.subtract(-1.0, e, out=e)
+    neg_sigma /= e
     grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :] / -signed.shape[-2]
     denom = 1.0 + alpha * (x * x)
     return grad + reg * x / (denom * denom)
@@ -141,7 +157,7 @@ def _logistic_grad(
 
 def _sincos_grad(m_i, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
     """Elementwise, so it broadcasts over a leading agent axis (m_i then
-    an (n, 1) column)."""
+    an (n, 1) column) and over further leading axes of x."""
     return 2.0 * x + 6.0 * sx * cx + m_i * (cx - x * sx)
 
 
@@ -220,42 +236,56 @@ class QuadraticObjective:
         return _checked(x, self.d) - self.anchor
 
 
-def _stacked_grad(items: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
-    """X (n, d) -> gradients (n, d) through the kind's shared formula, with
-    the agents' data stacked once here; None unless every agent is exactly
-    one built-in kind with equally shaped data."""
+def _stacked_grad(items: tuple) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int]:
+    """X (..., n, d) -> gradients of the same shape through the kind's
+    shared formula, with the agents' data stacked once here; None unless
+    every agent is exactly one built-in kind with equally shaped data.
+
+    Also returns the per-agent width of the formula's largest temporary:
+    d, or max(m, d) for logistic, whose margins are (..., n, m).
+    """
     kind = type(items[0])
+    d = items[0].d
     if any(type(obj) is not kind for obj in items):
-        return None
+        return None, d
     if kind is QuadraticObjective:
         anchors = np.stack([obj.anchor for obj in items])
-        return lambda x: x - anchors
+        return (lambda x: x - anchors), d
     if kind is SinCosObjective:
         coeffs = np.array([[obj.m_i] for obj in items])
-        return lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))
+        return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d
     if kind is LogisticObjective and len({obj.dataset.m for obj in items}) == 1:
         signed = np.stack([obj.signed for obj in items])
         reg = np.array([[obj.reg] for obj in items])
         alpha = np.array([[obj.alpha] for obj in items])
-        return lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
-    return None
+        return (
+            lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
+        ), max(items[0].dataset.m, d)
+    return None, d
 
 
 class AgentObjectives(Sequence):
     """The n per-agent objectives of one run, indexable like a list, whose
     grad evaluates all n gradients in one call.
 
-    Row i of grad(X) is objectives[i].grad(X[i]) bit for bit: both go
-    through the same per-kind formula, the stacked data being built once
+    grad takes X (n, d), or a stack (..., n, d) of such points, and
+    returns the same shape. X[..., i, :] maps to objectives[i].grad of it
+    bit for bit: both go through the same per-kind formula, which
+    broadcasts over the leading axes, the stacked data being built once
     here. Agents that are not all exactly one built-in kind (subclasses,
-    other objects with d/grad/value_grad) are evaluated one by one.
+    logistic agents with different m, other objects with
+    d/grad/value_grad) are evaluated one by one, point by point.
+
+    point_elements is the size of the largest temporary grad makes per
+    (n, d) point, which callers use to size a stack of points.
     """
 
     def __init__(self, objectives: Sequence) -> None:
         self._items = tuple(objectives)
         if not self._items:
             raise ConfigInvalid("objectives: need at least one agent")
-        self._stacked = _stacked_grad(self._items)
+        self._stacked, width = _stacked_grad(self._items)
+        self.point_elements = len(self._items) * width
 
     def __len__(self) -> int:
         return len(self._items)
@@ -268,15 +298,19 @@ class AgentObjectives(Sequence):
         return self._items[0].d
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradients (n, d): row i is agent i's gradient at x[i]."""
+        """Gradients (..., n, d): entry [..., i, :] is agent i's gradient
+        at x[..., i, :]."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (len(self._items), self.d):
-            raise DimensionMismatch(
-                f"x has shape {x.shape}, expected ({len(self._items)}, {self.d})"
-            )
-        if self._stacked is None:
-            return np.stack([obj.grad(row) for obj, row in zip(self._items, x)])
-        return self._stacked(x)
+        n, d = len(self._items), self.d
+        if x.shape[-2:] != (n, d):
+            raise DimensionMismatch(f"x has shape {x.shape}, expected (..., {n}, {d})")
+        if self._stacked is not None:
+            return self._stacked(x)
+        points = [
+            np.stack([obj.grad(row) for obj, row in zip(self._items, point)])
+            for point in x.reshape(-1, n, d)
+        ]
+        return np.stack(points).reshape(x.shape)
 
 
 def as_agent_objectives(objectives: Sequence) -> AgentObjectives:
@@ -306,13 +340,17 @@ def estimate_grad_bound(
         raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
     objectives = as_agent_objectives(objectives)
     n, d = len(objectives), objectives.d
-    # One draw of all points gives the values of `trials` draws of d.
-    points = rng.uniform(-radius, radius, size=(trials, d))
+    step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
+    worst = []
     # An overflowing gradient is reported below rather than as numpy's
-    # warning; np.max keeps a NaN norm, which max() would skip.
+    # warning; max keeps a NaN norm, which the builtin max() would skip.
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [row_norms(objectives.grad(np.tile(x, (n, 1)))).max() for x in points]
-    bound = 1.1 * float(np.max(norms))
+        for start in range(0, trials, step):
+            # Consecutive draws give the values of one draw of all points.
+            points = rng.uniform(-radius, radius, size=(min(step, trials - start), d))
+            grads = objectives.grad(np.broadcast_to(points[:, None, :], (len(points), n, d)))
+            worst.append(row_norms(grads).max())
+    bound = 1.1 * float(np.max(worst))
     if not math.isfinite(bound):
         raise DpcoptError(
             f"gradient bound on the box of radius {radius!r} is not finite"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,17 @@ def test_validate_contraction_fails_for_overtight_phi():
     spec = make_spec("topk", 10, k=2, phi=0.95)
     report = validate_contraction(spec, 10, 2000, np.random.default_rng(7))
     assert not report.passes
+
+
+def test_validate_contraction_holds_one_chunk_of_trials_at_a_time():
+    # All 100,000 trial vectors of d = 50 at once would take 40 MB.
+    tracemalloc.start()
+    try:
+        validate_contraction(make_spec("normsign", 50), 50, 100_000, np.random.default_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_validate_contraction_requires_trials():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,18 @@ def test_estimate_grad_bound_zero_objective():
     objs = [QuadraticObjective(anchor=np.zeros(3))]
     # radius 0 pins every sample at the anchor, where the gradient is 0
     assert estimate_grad_bound(objs, radius=0.0, trials=10, rng=np.random.default_rng(12)) == 0.0
+
+
+def test_estimate_grad_bound_holds_one_chunk_of_points_at_a_time():
+    # All 100,000 points of d = 50 at once would take 40 MB.
+    objs = [QuadraticObjective(anchor=np.zeros(50)), QuadraticObjective(anchor=np.ones(50))]
+    tracemalloc.start()
+    try:
+        estimate_grad_bound(objs, radius=1.0, trials=100_000, rng=np.random.default_rng(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():

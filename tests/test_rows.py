@@ -2,9 +2,10 @@
 
 The engines evaluate all n agents as (n, d) arrays: one gradient call,
 one encode per broadcast variable, one Laplace transform. The
-contraction gate compresses all its trials as one array. Each test
-compares that call with a loop over rows of the single-agent call, by
-the bytes of the result.
+contraction gate compresses its trials, and the gradient bound
+evaluates its points, in chunks of rows. Each test compares that call
+with a loop over rows of the single-agent call, by the bytes of the
+result.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from dpcopt.compressors import (
+    GATE_CHUNK_ELEMENTS,
     ContractionReport,
     compress,
     encode_decode,
@@ -26,6 +28,7 @@ from dpcopt.compressors import (
 from dpcopt.errors import DimensionMismatch
 from dpcopt.noise import sample_laplace
 from dpcopt.objectives import (
+    BOUND_CHUNK_ELEMENTS,
     AgentObjectives,
     QuadraticObjective,
     estimate_grad_bound,
@@ -177,13 +180,53 @@ def test_stacked_gradient_equals_per_agent_grad(kind, n, d, params):
         objs.grad(np.zeros(d))
 
 
+class _Shifted(QuadraticObjective):
+    # Not exactly a built-in kind, so AgentObjectives evaluates it alone.
+    def grad(self, x):
+        return super().grad(x) + 1.0
+
+
+def _mixed_agents(n: int, d: int) -> AgentObjectives:
+    """n agents that no stacked formula covers: plain and subclassed
+    quadratics, alternating."""
+    anchors = np.random.default_rng(50).standard_normal((n, d))
+    kinds = (QuadraticObjective, _Shifted)
+    return AgentObjectives(kinds[i % 2](anchor=a) for i, a in enumerate(anchors))
+
+
+def _grad_contract_cases():
+    for kind, n, d, params in OBJECTIVE_KINDS:
+        yield pytest.param(
+            lambda kind=kind, n=n, d=d, params=params: make_objectives(
+                kind, n, d, StreamFactory(master_seed=n + d), **params
+            ),
+            id=f"{kind}-{n}-{d}",
+        )
+    yield pytest.param(lambda: _mixed_agents(5, 7), id="mixed-5-7")
+
+
+@pytest.mark.parametrize("build", _grad_contract_cases())
+def test_grad_over_leading_axes_equals_one_call_per_point(build):
+    objs = build()
+    n, d = len(objs), objs.d
+    rng = np.random.default_rng(51)
+    x = rng.standard_normal((4, n, d)) * np.array([1.0, 10.0, 1e3, 0.0])[:, None, None]
+    want = np.stack([objs.grad(point) for point in x])
+    assert objs.grad(x).tobytes() == want.tobytes()
+    # Two leading axes, and one point repeated for every agent as a
+    # stride-0 view, the input estimate_grad_bound passes.
+    assert objs.grad(x.reshape(2, 2, n, d)).tobytes() == want.tobytes()
+    shared = np.broadcast_to(x[:, 0, None, :], x.shape)
+    want_shared = np.stack([objs.grad(np.tile(point[0], (n, 1))) for point in shared])
+    assert objs.grad(shared).tobytes() == want_shared.tobytes()
+    for shape in [(n,), (d,), (3, n, d + 1), (3, n + 1, d)]:
+        with pytest.raises(DimensionMismatch):
+            objs.grad(np.zeros(shape))
+
+
 def test_agent_objectives_fall_back_to_each_agents_grad():
     # A subclass may override grad; the stacked formula must not bypass it.
-    class Shifted(QuadraticObjective):
-        def grad(self, x):
-            return super().grad(x) + 1.0
-
-    objs = AgentObjectives([Shifted(anchor=np.zeros(3)), Shifted(anchor=np.ones(3))])
+    objs = AgentObjectives([_Shifted(anchor=np.zeros(3)), _Shifted(anchor=np.ones(3))])
     x = np.arange(6.0).reshape(2, 3)
     assert objs.grad(x).tolist() == [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]
 
@@ -231,3 +274,91 @@ def test_grad_bound_equals_per_agent_loop(kind, n, d, params):
     assert got == _per_agent_bound(objs, 2.0, 50, np.random.default_rng(46))
     # A plain list of agents gives the same bound.
     assert got == estimate_grad_bound(list(objs), 2.0, 50, np.random.default_rng(46))
+
+
+def _edges(step: int) -> list[int]:
+    """Trial counts at the chunk edges of a chunk of step rows."""
+    return [t for t in (1, step - 1, step, step + 1, 2 * step + 1) if t >= 1]
+
+
+# Agents whose bound chunk is short enough for the per-agent reference,
+# with the elements of their largest gradient temporary per point: the
+# logistic margins set it by m, the others by d.
+EDGE_AGENTS = [
+    pytest.param(
+        lambda: make_objectives(
+            "logistic", 6, 10, StreamFactory(master_seed=52), m=200, lam=1e-3, alpha=1.0
+        ),
+        6 * 200,
+        id="logistic-6-10-m200",
+    ),
+    pytest.param(
+        lambda: make_objectives("sincos", 7, 33, StreamFactory(master_seed=52)),
+        7 * 33,
+        id="sincos-7-33",
+    ),
+    pytest.param(
+        lambda: make_objectives("quadratic", 100, 100, StreamFactory(master_seed=52)),
+        100 * 100,
+        id="quadratic-100-100",
+    ),
+    pytest.param(lambda: _mixed_agents(4, 300), 4 * 300, id="mixed-4-300"),
+]
+
+
+@pytest.mark.parametrize("build,point_elements", EDGE_AGENTS)
+def test_grad_bound_at_chunk_edges_equals_per_agent_loop(build, point_elements):
+    objs = build()
+    assert objs.point_elements == point_elements
+    for trials in _edges(BOUND_CHUNK_ELEMENTS // point_elements):
+        got = estimate_grad_bound(objs, 3.0, trials, np.random.default_rng(trials))
+        assert got == _per_agent_bound(objs, 3.0, trials, np.random.default_rng(trials))
+
+
+@pytest.mark.parametrize("d", [1, 100, 1000])
+@pytest.mark.parametrize("kind,params", [("bbit", {"b": 4}), ("topk", {"k": 1})])
+def test_contraction_gate_at_chunk_edges_equals_per_trial_loop(kind, params, d):
+    spec = make_spec(kind, d, **params)
+    step = GATE_CHUNK_ELEMENTS // d
+    # The gate needs 1000 trials: straddle the first chunk edge above.
+    edge = step * -(-1001 // step)
+    for trials in (edge - 1, edge, edge + 1):
+        report = validate_contraction(spec, d, trials, np.random.default_rng(trials))
+        ratio = _per_trial_ratio(spec, d, trials, np.random.default_rng(trials))
+        assert report.empirical_ratio == ratio
+
+
+class _ZeroAt:
+    """A generator whose standard_normal calls number `zero_calls` fill
+    zeros in place of the draw; counts the calls to random."""
+
+    def __init__(self, seed: int, zero_calls: set[int]) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._zero_calls = zero_calls
+        self.normal_calls = 0
+        self.random_calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        got = self._rng.standard_normal(*args, **kwargs)
+        if self.normal_calls in self._zero_calls:
+            got[...] = 0.0
+        self.normal_calls += 1
+        return got
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self._rng.random(*args, **kwargs)
+
+
+def test_contraction_gate_skips_a_zero_vector_without_drawing_its_dither():
+    d, trials = 100, 1000
+    spec = make_spec("bbit", d, b=4)
+    # One zero vector inside a chunk and one at each side of a chunk edge.
+    step = GATE_CHUNK_ELEMENTS // d
+    zeros = {5, step - 1, step}
+    rng = _ZeroAt(53, zeros)
+    report = validate_contraction(spec, d, trials, rng)
+    reference = _ZeroAt(53, zeros)
+    assert report.empirical_ratio == _per_trial_ratio(spec, d, trials, reference)
+    assert rng.normal_calls == trials
+    assert rng.random_calls == reference.random_calls == trials - len(zeros)
