@@ -141,18 +141,31 @@ def _logistic_grad(
     since e lies in [0, 1]: the same values as a per-element select,
     without its mispredicted branches on a stack of points. e and -1 - e
     share one buffer and the quotient is taken in place, because each
-    fresh temporary of the margins' size costs page faults there.
+    fresh temporary of the margins' size costs page faults there. The
+    rest works in place on fresh temporaries too, in the order of
+    grad / -m + reg x / (1 + alpha x^2)^2, so the bits are the same; x
+    and z are never written, as they may be views of the caller's state
+    or read-only broadcasts.
     """
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    # A mixed bool/float np.maximum(e, z >= 0) gives the same bits, but its
+    # buffered cast is slower on stacked margins (6 x 200 and larger).
     neg_sigma = (z >= 0).astype(np.float64)
     np.maximum(neg_sigma, e, out=neg_sigma)
     np.subtract(-1.0, e, out=e)
     neg_sigma /= e
-    grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :] / -signed.shape[-2]
-    denom = 1.0 + alpha * (x * x)
-    return grad + reg * x / (denom * denom)
+    grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :]
+    grad /= -signed.shape[-2]
+    denom = x * x
+    denom *= alpha
+    denom += 1.0
+    denom *= denom
+    reg_term = reg * x
+    reg_term /= denom
+    grad += reg_term
+    return grad
 
 
 def _sincos_grad(m_i, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarray:
@@ -189,9 +202,10 @@ class LogisticObjective:
         """Loss and gradient. The loss term is evaluated as log1p(exp(z))
         via logaddexp so large margins never overflow."""
         x, z = self._checked_margins(x)
-        value = float(np.mean(np.logaddexp(0.0, z)))
+        # np.mean and np.sum without their Python wrappers: the same sums.
+        value = float(np.add.reduce(np.logaddexp(0.0, z)) / z.shape[0])
         xsq = x * x
-        value += float(np.sum(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq)))
+        value += float(np.add.reduce(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq)))
         return value, _logistic_grad(self.signed, self.reg, self.alpha, x, z)
 
     def grad(self, x: np.ndarray) -> np.ndarray:

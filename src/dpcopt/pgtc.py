@@ -15,6 +15,9 @@ One round, for every agent i simultaneously:
 5. y_{i,k+1} = y^a_i + gamma * sum_j w_ij (yhat_j - yhat_i)
    + grad f_i(x_{i,k+1}) - grad f_i(x_{i,k}).
 
+x and y share steps 1-4, so the state stacks them as one (2, n, d) block
+z = (x, y), and x^c, y^c as zc: one call per step, bit-equal to two.
+
 Because W is doubly stochastic, the mean of y tracks the mean local
 gradient plus all injected y-noise; the engine carries that cumulative
 noise so the identity can be checked to 1e-9 every round.
@@ -67,15 +70,18 @@ class PgtcConfig:
 
 @dataclass
 class PgtcState:
-    """Stacked (n, d) state of all agents after k rounds."""
+    """(2, n, d) blocks z = (x, y) and zc = (x^c, y^c) after k rounds."""
 
-    x: np.ndarray
-    y: np.ndarray
-    xc: np.ndarray
-    yc: np.ndarray
+    z: np.ndarray
+    zc: np.ndarray
     grad_prev: np.ndarray
     noise_y_cumsum: np.ndarray
     k: int
+
+    x = property(lambda self: self.z[0])
+    y = property(lambda self: self.z[1])
+    xc = property(lambda self: self.zc[0])
+    yc = property(lambda self: self.zc[1])
 
 
 def pgtc_init(
@@ -94,10 +100,8 @@ def pgtc_init(
     if not np.isfinite(grad0).all():
         raise NonFiniteState(0, "initial gradient is not finite")
     return PgtcState(
-        x=x0.copy(),
-        y=grad0.copy(),
-        xc=np.zeros_like(x0),
-        yc=np.zeros_like(x0),
+        z=np.stack([x0, grad0]),
+        zc=np.zeros((2,) + x0.shape),
         grad_prev=grad0,
         noise_y_cumsum=np.zeros(x0.shape[1]),
         k=0,
@@ -112,50 +116,46 @@ def pgtc_step(
     streams: StreamFactory,
 ) -> PgtcState:
     """Advance one synchronous round. Pure: returns a fresh state."""
-    n, d = state.x.shape
-    w = net.mixing.w
-    spec = cfg.compressor
+    _, n, d = state.z.shape
     k = state.k
 
     # A round whose scale is 0 (schedule disabled, or s*q^k underflowed)
     # adds no noise to that variable and draws none.
     theta_x = scale_at(cfg.noise_x, k)
     theta_y = scale_at(cfg.noise_y, k)
-    xa = state.x
+    za = state.z.copy() if theta_x > 0.0 or theta_y > 0.0 else state.z
     if theta_x > 0.0:
-        xa = xa + sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
-    ya = state.y
+        za[0] += sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
     noise_y_cumsum = state.noise_y_cumsum
     if theta_y > 0.0:
         xi_y = sample_laplace(theta_y, d, streams.rows(Tag.NOISE_Y, k, n))
-        ya = ya + xi_y
+        za[1] += xi_y
         # What xi_y.mean(axis=0) computes, without its Python wrapper.
         noise_y_cumsum = noise_y_cumsum + np.add.reduce(xi_y, axis=0) / n
 
-    # One compression draw per sender per round; every receiver decodes
-    # the same xhat/yhat because the draw happens exactly once here. Each
-    # sender's stream serves its x-encode, then its y-encode.
-    rngs_c = None
-    if spec.kind == BBIT:
-        rngs_c = streams.rows(Tag.COMPRESS, k, n)
-    xhat = encode_decode(spec, xa, state.xc, rngs_c)
-    yhat = encode_decode(spec, ya, state.yc, rngs_c)
+    # One compression draw per sender per round, so all receivers decode the
+    # same zhat. The x rows come first: a sender's stream serves x, then y.
+    spec = cfg.compressor
+    rngs_c = streams.rows(Tag.COMPRESS, k, n) * 2 if spec.kind == BBIT else None
+    zhat = encode_decode(spec, za.reshape(-1, d), state.zc.reshape(-1, d), rngs_c)
+    zhat = zhat.reshape(2, n, d)
 
     # Divergence shows up as overflow here; the finite check below is
     # the official detector, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
-        grad_next = as_agent_objectives(objectives).grad(x_next)
-        y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
+        z_next = za + cfg.gamma * (net.mixing.w @ zhat - zhat)
+        z_next[0] -= cfg.eta * state.y
+        grad_next = as_agent_objectives(objectives).grad(z_next[0])
+        z_next[1] += grad_next
+        z_next[1] -= state.grad_prev
 
-    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
+    if not np.isfinite(z_next).all():
         raise NonFiniteState(k, "gradient-tracking update diverged")
 
+    alpha = np.array([cfg.alpha_x, cfg.alpha_y])[:, None, None]
     return PgtcState(
-        x=x_next,
-        y=y_next,
-        xc=(1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
-        yc=(1.0 - cfg.alpha_y) * state.yc + cfg.alpha_y * yhat,
+        z=z_next,
+        zc=(1.0 - alpha) * state.zc + alpha * zhat,
         grad_prev=grad_next,
         noise_y_cumsum=noise_y_cumsum,
         k=k + 1,

@@ -1,4 +1,5 @@
-"""Shared builders for engine-level tests, and a finite-difference oracle."""
+"""Shared builders for engine-level tests, a finite-difference oracle and
+the two-variable pgtc round that the stacked step must reproduce."""
 
 from __future__ import annotations
 
@@ -6,8 +7,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from dpcopt.errors import ConfigInvalid
-from dpcopt.objectives import make_objectives
+from dpcopt.compressors import BBIT, encode_decode
+from dpcopt.errors import ConfigInvalid, NonFiniteState
+from dpcopt.noise import sample_laplace, scale_at
+from dpcopt.objectives import as_agent_objectives, make_objectives
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network, build_graph, build_network
 
@@ -41,3 +44,50 @@ def finite_diff_grad(
         step[s] = h
         grad[s] = (f(x + step) - f(x - step)) / (2.0 * h)
     return grad
+
+
+def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> dict:
+    """One pgtc round with x and y as separate (n, d) arrays: a noise add,
+    an encode, a mixing product, a finite check and a reference update per
+    variable. Returns the next state's arrays by name, and k."""
+    n, d = state.x.shape
+    w = net.mixing.w
+    spec = cfg.compressor
+    k = state.k
+
+    theta_x = scale_at(cfg.noise_x, k)
+    theta_y = scale_at(cfg.noise_y, k)
+    xa = state.x
+    if theta_x > 0.0:
+        xa = xa + sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
+    ya = state.y
+    noise_y_cumsum = state.noise_y_cumsum
+    if theta_y > 0.0:
+        xi_y = sample_laplace(theta_y, d, streams.rows(Tag.NOISE_Y, k, n))
+        ya = ya + xi_y
+        noise_y_cumsum = noise_y_cumsum + np.add.reduce(xi_y, axis=0) / n
+
+    # Each sender's stream serves its x-encode, then its y-encode.
+    rngs_c = None
+    if spec.kind == BBIT:
+        rngs_c = streams.rows(Tag.COMPRESS, k, n)
+    xhat = encode_decode(spec, xa, state.xc, rngs_c)
+    yhat = encode_decode(spec, ya, state.yc, rngs_c)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
+        grad_next = as_agent_objectives(objectives).grad(x_next)
+        y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
+
+    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
+        raise NonFiniteState(k, "gradient-tracking update diverged")
+
+    return {
+        "x": x_next,
+        "y": y_next,
+        "xc": (1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
+        "yc": (1.0 - cfg.alpha_y) * state.yc + cfg.alpha_y * yhat,
+        "grad_prev": grad_next,
+        "noise_y_cumsum": noise_y_cumsum,
+        "k": k + 1,
+    }

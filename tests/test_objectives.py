@@ -217,6 +217,66 @@ def test_signed_kernel_keeps_its_bits_at_the_edges(name):
     _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x)
 
 
+def _out_of_place_logistic_grad(signed, reg, alpha, x):
+    """The signed kernel as it was before it worked in place: a fresh
+    array at every step. Broadcasts like the kernel."""
+    z = np.matmul(signed, x[..., None])[..., 0]
+    e = np.exp(-np.abs(z))
+    neg_sigma = np.maximum((z >= 0).astype(np.float64), e) / (-1.0 - e)
+    grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :] / -signed.shape[-2]
+    denom = 1.0 + alpha * (x * x)
+    return grad + reg * x / (denom * denom)
+
+
+def _wrapped_logistic_value(obj, x):
+    """The loss value through np.mean and np.sum."""
+    z = np.matmul(obj.signed, x[:, None])[:, 0]
+    xsq = x * x
+    return float(np.mean(np.logaddexp(0.0, z))) + float(
+        np.sum(obj.lam * obj.alpha * xsq / (1.0 + obj.alpha * xsq))
+    )
+
+
+def _read_only(x):
+    locked = x.copy()
+    locked.flags.writeable = False
+    return locked
+
+
+@pytest.mark.parametrize("name", ["z=0", "|z|>745", "signed zeros", "non-finite x"])
+def test_kernel_writes_no_input_and_keeps_the_out_of_place_bits(name):
+    features, labels, lam, alpha, x = _edge_case("z=0" if name == "non-finite x" else name)
+    if name == "non-finite x":
+        x[0, 0], x[1, 1], x[2] = np.inf, -np.inf, np.nan
+    objs = AgentObjectives(
+        LogisticObjective(Dataset(f, u), float(la), float(al))
+        for f, u, la, al in zip(features, labels, lam, alpha)
+    )
+    signed = -labels[..., None] * features
+    reg = (2.0 * lam * alpha)[:, None]
+    n, d = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Read-only inputs, as an engine's state views and the bound's
+        # stride-0 broadcasts are: an in-place write would raise.
+        stacked_inputs = [
+            _read_only(x),
+            np.broadcast_to(x[0], (n, d)),
+            np.broadcast_to(x, (3, n, d)),
+        ]
+        for xs in stacked_inputs:
+            want = _out_of_place_logistic_grad(signed, reg, alpha[:, None], xs)
+            assert objs.grad(xs).tobytes() == want.tobytes()
+        for i, obj in enumerate(objs):
+            for xi in (_read_only(x[i]), np.broadcast_to(x[i], (d,))):
+                want = _out_of_place_logistic_grad(signed[i], reg[i, 0], alpha[i], xi)
+                assert obj.grad(xi).tobytes() == want.tobytes()
+                value, grad = obj.value_grad(xi)
+                assert grad.tobytes() == want.tobytes()
+                assert np.float64(value).tobytes() == np.float64(
+                    _wrapped_logistic_value(obj, xi)
+                ).tobytes()
+
+
 def test_logistic_dimension_mismatch():
     ds = generate_dataset(5, 3, np.random.default_rng(4))
     with pytest.raises(DimensionMismatch):

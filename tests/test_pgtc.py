@@ -6,13 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpcopt.rng
-from common import build_problem
+from common import build_problem, pgtc_step_two_calls
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import AgentObjectives, QuadraticObjective
+from dpcopt.objectives import AgentObjectives, QuadraticObjective, make_objectives
 from dpcopt.pgtc import (
     MESSAGES_PER_AGENT,
     PgtcConfig,
@@ -21,7 +23,8 @@ from dpcopt.pgtc import (
     pgtc_step,
     tracking_residual,
 )
-from dpcopt.rng import Tag
+from dpcopt.rng import StreamFactory, Tag
+from dpcopt.topology import build_graph, build_network
 
 IDENTITY = make_spec("identity", 10)
 QUIET = NoiseSchedule(s=0.0, q=0.5)
@@ -280,3 +283,63 @@ def test_grad_eval_count_one_per_agent_per_round():
     pgtc_run(cfg, objectives, net, x0, streams)
     # one evaluation per agent at init plus one per agent per round
     assert rows["n"] == 6 * (1 + 10)
+
+
+NOISE = {
+    "off": NoiseSchedule(s=0.5, q=0.5, enabled=False),
+    "on": NoiseSchedule(s=0.5, q=0.5),
+    # s * q^k is 1e-200 at k = 1 and underflows to 0 from k = 2 on.
+    "underflows": NoiseSchedule(s=1.0, q=1e-200),
+}
+
+
+@st.composite
+def _stacked_rounds(draw):
+    n = draw(st.integers(2, 7))
+    # A random spanning tree (node i joins an earlier node) plus extra edges.
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=n)) if p[0] != p[1]}
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["identity", "topk", "bbit", "normsign"]))
+    param = {"topk": st.integers(1, d), "bbit": st.integers(1, 6)}.get(kind, st.none())
+    return (
+        n, sorted(edges), d, kind, draw(param),
+        draw(st.sampled_from(["logistic", "sincos", "quadratic"])),
+        draw(st.sampled_from(sorted(NOISE))), draw(st.sampled_from(sorted(NOISE))),
+        draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stacked_rounds())
+@example((4, [(0, 1), (1, 2), (1, 3), (2, 3)], 5, "bbit", 2, "logistic",
+          "underflows", "on", 2, 7))
+@example((3, [(0, 1), (0, 2)], 3, "topk", 1, "quadratic",
+          "on", "underflows", 3, 8))
+def test_stacked_step_equals_the_two_variable_round_bytewise(case):
+    n, edges, d, kind, param, objective, noise_x, noise_y, warm, seed = case
+    params = {"topk": {"k": param}, "bbit": {"b": param}}.get(kind, {})
+    # Distinct gains, so a swapped (alpha_x, alpha_y) column shows.
+    cfg = _config(
+        compressor=make_spec(kind, d, **params), alpha_x=0.3, alpha_y=0.7,
+        noise_x=NOISE[noise_x], noise_y=NOISE[noise_y],
+    )
+    net = build_network(build_graph(n, edges))
+    streams = StreamFactory(master_seed=seed)
+    objectives = make_objectives(objective, n, d, streams, m=5, lam=1e-3, alpha=1.0)
+    x0 = np.stack([streams.get(i, Tag.INIT, 0).random(d) for i in range(n)])
+    state = pgtc_init(cfg, objectives, net, x0, streams)
+    for _ in range(warm):
+        state = pgtc_step(state, cfg, objectives, net, streams)
+    names = ("z", "zc", "grad_prev", "noise_y_cumsum")
+    before = [getattr(state, name).tobytes() for name in names]
+
+    want = pgtc_step_two_calls(state, cfg, objectives, net, streams)
+    got = pgtc_step(state, cfg, objectives, net, streams)
+
+    assert got.k == want.pop("k")
+    for name, value in want.items():
+        assert getattr(got, name).tobytes() == value.tobytes(), name
+    # The step is pure: the incoming state keeps its bytes.
+    assert [getattr(state, name).tobytes() for name in names] == before

@@ -1,7 +1,8 @@
 """Row-wise paths equal the per-agent loop bit for bit.
 
 The engines evaluate all n agents as (n, d) arrays: one gradient call,
-one encode per broadcast variable, one Laplace transform. The
+one encode per round (pgtc stacks its x and y rows), one Laplace
+transform. The
 contraction gate compresses its trials, and the gradient bound
 evaluates its points, in chunks of rows. Each test compares that call
 with a loop over rows of the single-agent call, by the bytes of the
@@ -89,7 +90,8 @@ def test_topk_rows_keep_lower_index_on_ties():
 def test_bbit_zero_row_draws_nothing_and_a_second_encode_lines_up():
     # The pgtc pattern: one compression stream per sender serves the
     # x-encode and then the y-encode. A sender whose x difference is
-    # exactly zero must not draw, or its y-encode would shift.
+    # exactly zero must not draw, or its y-encode would shift. Sender 2's
+    # x and y differences are zero, sender 3's x and sender 4's y.
     d, n = 10, 5
     spec = make_spec("bbit", d, b=3)
     rng = np.random.default_rng(40)
@@ -110,10 +112,21 @@ def test_bbit_zero_row_draws_nothing_and_a_second_encode_lines_up():
     assert yhat.tobytes() == np.stack(want_y).tobytes()
     assert xhat[3].tobytes() == xc[3].tobytes()
 
-    # Sender 2 sent two zero differences and left its stream untouched.
+    # The stacked pgtc call: x rows, then y rows, in one (2n, d) encode
+    # with each sender's stream listed twice, draws in the same order.
+    stacked_gens = _generators(n, 41)
+    zhat = encode_decode(
+        spec, np.concatenate([xa, ya]), np.concatenate([xc, yc]), stacked_gens * 2
+    )
+    assert zhat.tobytes() == np.concatenate([xhat, yhat]).tobytes()
+
+    # Both ways leave every stream at the same place, and sender 2, which
+    # sent two zero differences, left its stream untouched.
+    after = [g.random() for g in gens]
+    assert [g.random() for g in stacked_gens] == after
     fresh = _generators(n, 41)
-    assert gens[2].random() == fresh[2].random()
-    assert gens[0].random() != fresh[0].random()
+    assert after[2] == fresh[2].random()
+    assert after[0] != fresh[0].random()
 
 
 def test_row_norms_equal_linalg_norm_per_row():
