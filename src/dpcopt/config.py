@@ -391,6 +391,8 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config: invalid JSON in {path}: {exc}") from exc
     if isinstance(doc, dict) and "config" in doc and "config_sha256" in doc:
+        if config_digest(doc["config"]) != doc["config_sha256"]:
+            raise ConfigInvalid("config_sha256: does not match the embedded config")
         doc = doc["config"]
     return parse_config(doc)
 

@@ -143,7 +143,7 @@ def pgtc_step(
     # Divergence shows up as overflow here; the finite check below is
     # the official detector, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        z_next = za + cfg.gamma * (net.mixing.w @ zhat - zhat)
+        z_next = za + cfg.gamma * (net.mixing @ zhat - zhat)
         z_next[0] -= cfg.eta * state.y
         grad_next = as_agent_objectives(objectives).grad(z_next[0])
         z_next[1] += grad_next

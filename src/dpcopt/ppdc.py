@@ -101,7 +101,7 @@ def ppdc_step(
 ) -> PpdcState:
     """Advance one synchronous round. Pure: returns a fresh state."""
     n, d = state.x.shape
-    lap = net.laplacian.l
+    lap = net.laplacian
     spec = cfg.compressor
     k = state.k
 

@@ -3,7 +3,7 @@ shared by both solver engines, and their spectral summary on request."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,6 @@ from dpcopt.errors import (
 
 __all__ = [
     "Graph",
-    "MixingMatrix",
-    "LaplacianMatrix",
     "SpectralSummary",
     "Network",
     "build_graph",
@@ -27,8 +25,6 @@ __all__ = [
     "build_network",
 ]
 
-# Doubly-stochastic and zero-row-sum checks run at this tolerance.
-STOCHASTICITY_TOL = 1e-12
 # Eigenvalues below this are treated as the Laplacian's zero eigenvalue.
 ZERO_EIG_TOL = 1e-10
 
@@ -76,13 +72,6 @@ class Graph:
                     stack.append(v)
         return count == self.n
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 def build_graph(n: int, edges) -> Graph:
     """Validate and normalize an edge list into a Graph.
@@ -93,67 +82,11 @@ def build_graph(n: int, edges) -> Graph:
     normalized: set[tuple[int, int]] = set()
     for pair in edges:
         i, j = int(pair[0]), int(pair[1])
-        if i == j:
-            raise InvalidEdge(f"self-loop at node {i}")
         key = (min(i, j), max(i, j))
         if key in normalized:
             raise InvalidEdge(f"duplicate edge {key}")
         normalized.add(key)
     return Graph(n=int(n), edges=frozenset(normalized))
-
-
-@dataclass(frozen=True)
-class MixingMatrix:
-    """Symmetric doubly stochastic weights W aligned with a graph.
-
-    W[i][j] > 0 exactly when (i, j) is an edge or i == j; rows and
-    columns sum to 1 within STOCHASTICITY_TOL.
-    """
-
-    w: np.ndarray
-    graph: Graph = field(repr=False)
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        n = self.graph.n
-        if w.shape != (n, n):
-            raise InvalidEdge(f"mixing matrix shape {w.shape} does not match n={n}")
-        if not np.array_equal(w, w.T):
-            raise InvalidEdge("mixing matrix is not symmetric")
-        if np.any(w < 0):
-            raise InvalidEdge("mixing matrix has negative weights")
-        rows = w.sum(axis=1)
-        cols = w.sum(axis=0)
-        if np.max(np.abs(rows - 1.0)) > STOCHASTICITY_TOL:
-            raise InvalidEdge("mixing matrix rows do not sum to 1")
-        if np.max(np.abs(cols - 1.0)) > STOCHASTICITY_TOL:
-            raise InvalidEdge("mixing matrix columns do not sum to 1")
-        edge_set = self.graph.edges
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((i, j) in edge_set) != (w[i, j] > 0):
-                    raise InvalidEdge(
-                        f"weight sparsity at ({i},{j}) disagrees with the edge set"
-                    )
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Graph Laplacian L = D - A built from the off-diagonal mixing
-    weights; rows sum to 0 within STOCHASTICITY_TOL."""
-
-    l: np.ndarray
-
-    def __post_init__(self) -> None:
-        l = np.asarray(self.l, dtype=np.float64)
-        object.__setattr__(self, "l", l)
-        if l.ndim != 2 or l.shape[0] != l.shape[1]:
-            raise InvalidEdge(f"laplacian shape {l.shape} is not square")
-        if not np.array_equal(l, l.T):
-            raise InvalidEdge("laplacian is not symmetric")
-        if np.max(np.abs(l.sum(axis=1))) > STOCHASTICITY_TOL:
-            raise InvalidEdge("laplacian rows do not sum to 0")
 
 
 @dataclass(frozen=True)
@@ -166,28 +99,26 @@ class SpectralSummary:
     lambda_min_pos_l: float
 
 
-def metropolis_weights(g: Graph) -> MixingMatrix:
-    """Metropolis-Hastings weights: 1/(1 + max(deg_i, deg_j)) on edges,
-    diagonal absorbs the remainder. Doubly stochastic on any connected
-    undirected graph."""
-    deg = g.degrees()
+def metropolis_weights(g: Graph) -> np.ndarray:
+    """Metropolis-Hastings weights W: 1/(1 + max(deg_i, deg_j)) on edges,
+    diagonal absorbs the remainder. Symmetric and doubly stochastic on any
+    connected undirected graph, with support exactly the edges plus the
+    diagonal."""
+    i, j = np.array(sorted(g.edges), dtype=np.intp).T
+    deg = np.bincount(np.concatenate((i, j)), minlength=g.n)
     w = np.zeros((g.n, g.n), dtype=np.float64)
-    for i, j in g.edges:
-        value = 1.0 / (1.0 + max(deg[i], deg[j]))
-        w[i, j] = value
-        w[j, i] = value
-    for i in range(g.n):
-        w[i, i] = 1.0 - (w[i].sum() - w[i, i])
-    return MixingMatrix(w=w, graph=g)
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    # Each row is summed while its diagonal is still 0.
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
 
 
-def laplacian(g: Graph, w: MixingMatrix) -> LaplacianMatrix:
+def laplacian(w: np.ndarray) -> np.ndarray:
     """L = D - A where A is W with its diagonal removed and D holds A's
     row sums, so rows sum to 0 by construction."""
-    a = w.w.copy()
+    a = w.copy()
     np.fill_diagonal(a, 0.0)
-    l = np.diag(a.sum(axis=1)) - a
-    return LaplacianMatrix(l=l)
+    return np.diag(a.sum(axis=1)) - a
 
 
 def consensus_contraction_radius(w: np.ndarray) -> float:
@@ -206,10 +137,10 @@ def consensus_contraction_radius(w: np.ndarray) -> float:
     return float(np.max(np.abs(eigenvalues)))
 
 
-def spectral_summary(w: MixingMatrix, l: LaplacianMatrix) -> SpectralSummary:
-    rho_w = consensus_contraction_radius(w.w)
+def spectral_summary(w: np.ndarray, l: np.ndarray) -> SpectralSummary:
+    rho_w = consensus_contraction_radius(w)
     try:
-        eigenvalues = np.linalg.eigvalsh(l.l)
+        eigenvalues = np.linalg.eigvalsh(l)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
     positive = eigenvalues[eigenvalues > ZERO_EIG_TOL]
@@ -225,11 +156,12 @@ def spectral_summary(w: MixingMatrix, l: LaplacianMatrix) -> SpectralSummary:
 
 @dataclass(frozen=True)
 class Network:
-    """Bundle of everything the engines need about one topology."""
+    """Bundle of everything the engines need about one topology: the
+    graph, its (n, n) mixing weights W and its (n, n) Laplacian L."""
 
     graph: Graph
-    mixing: MixingMatrix
-    laplacian: LaplacianMatrix
+    mixing: np.ndarray
+    laplacian: np.ndarray
 
     @property
     def n(self) -> int:
@@ -238,4 +170,4 @@ class Network:
 
 def build_network(g: Graph) -> Network:
     w = metropolis_weights(g)
-    return Network(graph=g, mixing=w, laplacian=laplacian(g, w))
+    return Network(graph=g, mixing=w, laplacian=laplacian(w))

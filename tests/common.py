@@ -1,18 +1,20 @@
-"""Shared builders for engine-level tests, a finite-difference oracle and
-the two-variable pgtc round that the stacked step must reproduce."""
+"""Shared builders for engine-level tests, a connected-graph strategy, a
+finite-difference oracle, the loop form of the Metropolis weights and the
+two-variable pgtc round that the stacked step must reproduce."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dpcopt.compressors import BBIT, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.noise import sample_laplace, scale_at
 from dpcopt.objectives import as_agent_objectives, make_objectives
 from dpcopt.rng import StreamFactory, Tag
-from dpcopt.topology import Network, build_graph, build_network
+from dpcopt.topology import Graph, Network, build_graph, build_network
 
 # 6-agent benchmark topology used across the engine tests.
 BENCH_EDGES = [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]
@@ -20,6 +22,48 @@ BENCH_EDGES = [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]
 
 def bench_network() -> Network:
     return build_network(build_graph(6, BENCH_EDGES))
+
+
+def grid_edges(rows: int, cols: int) -> list[list[int]]:
+    edges = []
+    for i in range(rows * cols):
+        if (i + 1) % cols:
+            edges.append([i, i + 1])
+        if i + cols < rows * cols:
+            edges.append([i, i + cols])
+    return edges
+
+
+# The 24-agent golden topology: a 4 x 6 grid plus two long-range edges.
+GRID_24_EDGES = grid_edges(4, 6) + [[0, 23], [5, 18]]
+
+
+@st.composite
+def connected_graphs(draw, max_n: int) -> Graph:
+    """A random spanning tree on 2..max_n nodes (node i joins an earlier
+    node) plus up to n extra edges."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=n)) if p[0] != p[1]}
+    return build_graph(n, sorted(edges))
+
+
+def metropolis_weights_loops(g: Graph) -> np.ndarray:
+    """Metropolis weights built edge by edge and row by row: the oracle
+    that metropolis_weights must reproduce byte for byte."""
+    deg = np.zeros(g.n, dtype=np.int64)
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = np.zeros((g.n, g.n), dtype=np.float64)
+    for i, j in g.edges:
+        value = 1.0 / (1.0 + max(deg[i], deg[j]))
+        w[i, j] = value
+        w[j, i] = value
+    for i in range(g.n):
+        w[i, i] = 1.0 - (w[i].sum() - w[i, i])
+    return w
 
 
 def build_problem(kind: str, seed: int, d: int = 10, **kwargs):
@@ -51,7 +95,7 @@ def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> dict:
     an encode, a mixing product, a finite check and a reference update per
     variable. Returns the next state's arrays by name, and k."""
     n, d = state.x.shape
-    w = net.mixing.w
+    w = net.mixing
     spec = cfg.compressor
     k = state.k
 

@@ -244,6 +244,17 @@ def test_load_config_file_and_replay(tmp_path):
     assert load_config(meta_path) == rc
 
 
+def test_load_config_rejects_a_metadata_document_with_a_stale_digest(tmp_path):
+    materialized = to_document(parse_config(base_doc()))
+    meta = {"config": materialized, "config_sha256": config_digest(materialized)}
+    # The embedded config was edited after its digest was recorded.
+    meta["config"] = {**materialized, "iterations": materialized["iterations"] + 2}
+    path = tmp_path / "metadata.json"
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="config_sha256"):
+        load_config(path)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigInvalid, match="cannot read"):
         load_config(tmp_path / "missing.json")

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from common import GRID_24_EDGES
 from dpcopt.config import config_digest, load_config, to_document
 from dpcopt.runner import EXIT_OK, OUTPUT_ROOT_ENV, main
 
@@ -59,16 +60,6 @@ PPDC_BBIT_DOC = {
     "reference": {"horizon_multiplier": 10},
     "outputs": "ppdc_bbit",
 }
-
-
-def _grid_edges(rows: int, cols: int) -> list[list[int]]:
-    edges = []
-    for i in range(rows * cols):
-        if (i + 1) % cols:
-            edges.append([i, i + 1])
-        if i + cols < rows * cols:
-            edges.append([i, i + cols])
-    return edges
 
 
 def _doc(algorithm, objective, compressor, seed, outputs, **overrides):
@@ -119,7 +110,7 @@ INLINE_GOLDEN = {
         {"kind": "topk", "k": 8},
         14,
         "ppdc_grid_24x32",
-        graph={"n": 24, "edges": _grid_edges(4, 6) + [[0, 23], [5, 18]]},
+        graph={"n": 24, "edges": GRID_24_EDGES},
         noise={"x": {"s": 0.1, "q": 0.9}, "v": {"s": 0.1, "q": 0.9}},
         gains={"eta": 0.1, "gamma": 5.0, "alpha_x": 0.3, "omega": 1.0},
         iterations=30,

@@ -72,7 +72,7 @@ def _decode(pairs, k, streams):
 
 
 def _pgtc_round_with_zero_noise(state, cfg, objectives, net, streams):
-    n, k, w = len(state.x), state.k, net.mixing.w
+    n, k, w = len(state.x), state.k, net.mixing
     xa = state.x + _explicit_noise(cfg.noise_x, Tag.NOISE_X, k, n, streams)
     xi_y = _explicit_noise(cfg.noise_y, Tag.NOISE_Y, k, n, streams)
     ya = state.y + xi_y
@@ -90,7 +90,7 @@ def _pgtc_round_with_zero_noise(state, cfg, objectives, net, streams):
 
 
 def _ppdc_round_with_zero_noise(state, cfg, objectives, net, streams):
-    n, k, lap = len(state.x), state.k, net.laplacian.l
+    n, k, lap = len(state.x), state.k, net.laplacian
     xa = state.x + _explicit_noise(cfg.noise_x, Tag.NOISE_X, k, n, streams)
     xi_v = _explicit_noise(cfg.noise_v, Tag.NOISE_V, k, n, streams)
     (xhat,) = _decode([(xa, state.xc)], k, streams)

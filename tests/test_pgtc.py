@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpcopt.rng
-from common import build_problem, pgtc_step_two_calls
+from common import build_problem, connected_graphs, pgtc_step_two_calls
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
@@ -122,7 +122,7 @@ def test_single_step_matches_hand_rolled_update():
     stepped = pgtc_step(state, cfg, objectives, net, streams)
 
     n, d, k = 6, 10, 0
-    w = net.mixing.w
+    w = net.mixing
     theta = scale_at(TABLE_NOISE, k)
     xi_x = np.stack(
         [sample_laplace(theta, d, streams.get(i, Tag.NOISE_X, k)) for i in range(n)]
@@ -295,16 +295,12 @@ NOISE = {
 
 @st.composite
 def _stacked_rounds(draw):
-    n = draw(st.integers(2, 7))
-    # A random spanning tree (node i joins an earlier node) plus extra edges.
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges |= {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=n)) if p[0] != p[1]}
+    g = draw(connected_graphs(max_n=7))
     d = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["identity", "topk", "bbit", "normsign"]))
     param = {"topk": st.integers(1, d), "bbit": st.integers(1, 6)}.get(kind, st.none())
     return (
-        n, sorted(edges), d, kind, draw(param),
+        g.n, sorted(g.edges), d, kind, draw(param),
         draw(st.sampled_from(["logistic", "sincos", "quadratic"])),
         draw(st.sampled_from(sorted(NOISE))), draw(st.sampled_from(sorted(NOISE))),
         draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1)),

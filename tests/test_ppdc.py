@@ -97,7 +97,7 @@ def test_single_step_matches_hand_rolled_update():
     stepped = ppdc_step(state, cfg, objectives, net, streams)
 
     n, d, k = 6, 10, 0
-    lap = net.laplacian.l
+    lap = net.laplacian
     theta = scale_at(TABLE_NOISE, k)
     xi_x = np.stack(
         [sample_laplace(theta, d, streams.get(i, Tag.NOISE_X, k)) for i in range(n)]

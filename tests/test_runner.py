@@ -134,6 +134,20 @@ def test_rerun_and_metadata_replay_are_byte_identical(tmp_path, monkeypatch):
     assert replay == first
 
 
+def test_replaying_a_tampered_metadata_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(write_doc(tmp_path, make_doc(out)))]) == EXIT_OK
+    meta_path = out / "metadata.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["config"]["iterations"] = 7
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    trace = (out / "trace.csv").read_bytes()
+
+    assert main(["run", str(meta_path)]) == EXIT_CONFIG_ERROR
+    assert "config_sha256" in capsys.readouterr().err
+    assert (out / "trace.csv").read_bytes() == trace
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == EXIT_CONFIG_ERROR
