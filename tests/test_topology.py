@@ -156,6 +156,17 @@ def test_laplacian_triangle_eigenvalues():
     assert np.allclose(eig, [0.0, 1.0, 1.0], atol=1e-12)
 
 
+def test_laplacian_rows_sum_to_zero():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        g = _random_connected_graph(int(rng.integers(2, 12)), rng)
+        l = laplacian(metropolis_weights(g))
+        assert np.max(np.abs(l.sum(axis=1))) < 1e-12
+        # x-bar invariance: L (c 1) = 0 for any scalar
+        ones = np.full(g.n, 3.7)
+        assert np.max(np.abs(l @ ones)) < 1e-12
+
+
 def test_laplacian_equals_identity_minus_w():
     g = build_graph(6, BENCH_EDGES)
     w = metropolis_weights(g)
