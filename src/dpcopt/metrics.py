@@ -4,14 +4,15 @@ residual/accuracy metrics and the trace CSV schema.
 A Trace holds one row per round counter k = 0..K. Row k describes the
 state after k synchronous rounds: consensus error ||x_k - xbar_k||^2
 over the stacked iterates, gradient norm of the average objective at
-the mean iterate, the algorithm's per-round invariant residual
-(tracking identity or dual-average identity), cumulative transmitted
-bits, and the noise scales in effect at round k.
+the mean iterate, and the algorithm's per-round invariant residual
+(tracking identity or dual-average identity). The written trace adds
+the cumulative transmitted bits and the noise scales in effect at
+round k, which follow from k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from dpcopt.noise import NoiseSchedule, scale_at
 from dpcopt.objectives import as_agent_objectives
 
 __all__ = [
-    "TraceRow",
     "Trace",
     "check_start",
     "run_rounds",
@@ -42,23 +42,27 @@ CSV_HEADER = (
 # the gradient-tracking engine, dual-average identity for primal-dual).
 IDENTITY_RESIDUAL_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class TraceRow:
-    k: int
-    consensus_err: float
-    grad_norm_mean: float
-    residual: float
-    cum_bits: int
-    theta_x: float
-    theta_second: float
+# residual_series subtracts x_inf from this many history elements at a
+# time, so its temporary stays small however long the history is.
+RESIDUAL_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass
 class Trace:
-    """Completed run record; immutable by convention once returned."""
+    """Completed run record; immutable by convention once returned.
 
-    rows: list[TraceRow] = field(default_factory=list)
+    consensus_err, grad_norm_mean and residual hold row k = 0..K, one
+    float64 per round. cum_bits = k * per_round_bits and the noise scales
+    in effect at round k follow from the run's constants, so they are
+    derived only where they are written.
+    """
+
+    consensus_err: np.ndarray
+    grad_norm_mean: np.ndarray
+    residual: np.ndarray
+    per_round_bits: int
+    noise_x: NoiseSchedule
+    noise_second: NoiseSchedule
     # Row k holds the stacked iterate x_k, shape (K + 1, n * d).
     stacked_iterates: np.ndarray | None = None
     # Stacked iterate after the last round run, and that round's counter:
@@ -66,19 +70,18 @@ class Trace:
     final_stacked: np.ndarray | None = None
     final_k: int = 0
 
+    def __len__(self) -> int:
+        return len(self.residual)
+
     def record(
-        self, x: np.ndarray, xbar: np.ndarray, gbar: np.ndarray, k: int, residual: float,
-        noise_x: NoiseSchedule, noise_second: NoiseSchedule, per_round_bits: int,
+        self, x: np.ndarray, xbar: np.ndarray, gbar: np.ndarray, k: int, residual: float
     ) -> None:
-        """Append row k for the (n, d) iterate x with mean xbar and mean
+        """Fill row k for the (n, d) iterate x with mean xbar and mean
         gradient gbar, and keep x as history row k if history is kept."""
         with np.errstate(over="ignore", invalid="ignore"):
-            consensus = float(((x - xbar) ** 2).sum())
-            grad_norm = float(np.linalg.norm(gbar))
-        theta_x, theta_second = scale_at(noise_x, k), scale_at(noise_second, k)
-        self.rows.append(
-            TraceRow(k, consensus, grad_norm, residual, k * per_round_bits, theta_x, theta_second)
-        )
+            self.consensus_err[k] = ((x - xbar) ** 2).sum()
+            self.grad_norm_mean[k] = np.linalg.norm(gbar)
+        self.residual[k] = residual
         if self.stacked_iterates is not None:
             self.stacked_iterates[k] = x.reshape(-1)
 
@@ -99,16 +102,17 @@ def check_start(x0: np.ndarray, objectives, n: int) -> np.ndarray:
 
 
 def run_rounds(
-    init, step, emit, messages_per_agent: int, cfg, objectives, net,
-    x0: np.ndarray, streams, record_iterates: bool, horizon: int,
+    init, step, emit, messages_per_agent: int, noise_second: NoiseSchedule,
+    cfg, objectives, net, x0: np.ndarray, streams, record_iterates: bool, horizon: int,
 ) -> Trace:
     """Run cfg.iterations synchronous rounds of one engine and return the
     trace (row k=0 included).
 
     init(cfg, objectives, net, x0, streams) builds the round-0 state,
     step(state, cfg, objectives, net, streams) returns the next one, and
-    emit(trace, state, cfg, objectives, per_round_bits) records its row.
-    Each agent sends messages_per_agent compressed vectors per round.
+    emit(trace, state, objectives) records its row. Each agent sends
+    messages_per_agent compressed vectors per round; noise_second is the
+    schedule of the engine's second noised variable (y or v).
     Engines pass the three functions from their module globals on each
     call, so wrappers set on those names (bench/tracer.py) see every call.
 
@@ -121,12 +125,14 @@ def run_rounds(
     state = init(cfg, objectives, net, x0, streams)
     n, d = state.x.shape
     per_round_bits = messages_per_agent * n * bit_cost(cfg.compressor, d)
-    history = np.empty((cfg.iterations + 1, n * d)) if record_iterates else None
-    trace = Trace(stacked_iterates=history)
-    emit(trace, state, cfg, objectives, per_round_bits)
+    rows = cfg.iterations + 1
+    history = np.empty((rows, n * d)) if record_iterates else None
+    # One (3, rows) block holds the consensus, gradient-norm and residual columns.
+    trace = Trace(*np.empty((3, rows)), per_round_bits, cfg.noise_x, noise_second, history)
+    emit(trace, state, objectives)
     for _ in range(cfg.iterations):
         state = step(state, cfg, objectives, net, streams)
-        emit(trace, state, cfg, objectives, per_round_bits)
+        emit(trace, state, objectives)
     for _ in range(cfg.iterations, horizon):
         state = step(state, cfg, objectives, net, streams)
     trace.final_k = state.k
@@ -151,8 +157,12 @@ def residual_series(trace: Trace, x_inf: np.ndarray) -> np.ndarray:
         )
     # A far but finite x_inf overflows the squared distance; that is
     # reported as a failed run below rather than as numpy's warning.
+    # Each row's value is its own product, so blocks keep every byte.
+    sq = np.empty(len(history))
+    block = max(1, RESIDUAL_CHUNK_ELEMENTS // width)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = row_dots(history - x_inf)
+        for start in range(0, len(history), block):
+            sq[start:start + block] = row_dots(history[start:start + block] - x_inf)
     bad = np.flatnonzero(~np.isfinite(sq))
     if bad.size:
         raise NonFiniteState(
@@ -170,9 +180,9 @@ def reference_point(trace: Trace) -> np.ndarray:
     the stacked iterate at round H. H must be at least 10x the measured
     horizon K so that x_inf sits well past the rounds it is compared with.
     """
-    if not trace.rows:
+    if not len(trace):
         raise EmptyTrace("trace has no rows")
-    base_horizon = trace.rows[-1].k
+    base_horizon = len(trace) - 1
     if trace.final_k < 10 * base_horizon:
         raise ConfigInvalid(
             "reference.horizon_multiplier: reference horizon must be at least "
@@ -184,9 +194,9 @@ def reference_point(trace: Trace) -> np.ndarray:
 
 def final_accuracy(trace: Trace) -> float:
     """Gradient norm of the average objective at the last mean iterate."""
-    if not trace.rows:
+    if not len(trace):
         raise EmptyTrace("trace has no rows")
-    return trace.rows[-1].grad_norm_mean
+    return float(trace.grad_norm_mean[-1])
 
 
 def fmt17(value: float) -> str:
@@ -202,26 +212,21 @@ def write_trace_csv(trace: Trace, path, residuals: np.ndarray | None = None) -> 
     byte for byte. The R_k column is blank when no reference point was
     configured.
     """
-    if residuals is not None and len(residuals) != len(trace.rows):
+    rows = len(trace)
+    if residuals is not None and len(residuals) != rows:
         raise DimensionMismatch(
-            f"residual series has length {len(residuals)}, trace has {len(trace.rows)}"
+            f"residual series has length {len(residuals)}, trace has {rows}"
         )
-    lines = [CSV_HEADER]
-    for row in trace.rows:
-        r_field = "" if residuals is None else fmt17(float(residuals[row.k]))
-        lines.append(
-            ",".join(
-                (
-                    str(row.k),
-                    fmt17(row.consensus_err),
-                    fmt17(row.grad_norm_mean),
-                    fmt17(row.residual),
-                    str(row.cum_bits),
-                    fmt17(row.theta_x),
-                    fmt17(row.theta_second),
-                    r_field,
-                )
-            )
-        )
+    ks = range(rows)
+    measured = (trace.consensus_err, trace.grad_norm_mean, trace.residual)
+    columns = (
+        map(str, ks),
+        *(map(fmt17, column.tolist()) for column in measured),
+        (str(k * trace.per_round_bits) for k in ks),
+        (fmt17(scale_at(trace.noise_x, k)) for k in ks),
+        (fmt17(scale_at(trace.noise_second, k)) for k in ks),
+        [""] * rows if residuals is None else map(fmt17, residuals.tolist()),
+    )
+    lines = [CSV_HEADER, *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

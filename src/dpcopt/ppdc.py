@@ -153,16 +153,11 @@ def dual_average_residual(state: PpdcState) -> float:
     return float(np.max(np.abs(gap)))
 
 
-def _emit_row(
-    trace: Trace, state: PpdcState, cfg: PpdcConfig, objectives, per_round_bits: int
-) -> None:
+def _emit_row(trace: Trace, state: PpdcState, objectives) -> None:
     xbar = np.add.reduce(state.x, axis=0) / len(state.x)
     with np.errstate(over="ignore", invalid="ignore"):
         _, gbar = mean_value_grad(objectives, xbar)
-    trace.record(
-        state.x, xbar, gbar, state.k, dual_average_residual(state),
-        cfg.noise_x, cfg.noise_v, per_round_bits,
-    )
+    trace.record(state.x, xbar, gbar, state.k, dual_average_residual(state))
 
 
 def ppdc_run(
@@ -177,6 +172,6 @@ def ppdc_run(
     """Run cfg.iterations rounds and return the trace (row k=0 included);
     see metrics.run_rounds for the horizon."""
     return run_rounds(
-        ppdc_init, ppdc_step, _emit_row, MESSAGES_PER_AGENT,
+        ppdc_init, ppdc_step, _emit_row, MESSAGES_PER_AGENT, cfg.noise_v,
         cfg, objectives, net, x0, streams, record_iterates, horizon,
     )

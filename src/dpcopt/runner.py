@@ -18,7 +18,6 @@ import json
 import math
 import os
 import platform
-import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -143,7 +142,7 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
     residuals = None
     if rc.reference is not None:
         residuals = residual_series(trace, reference_point(trace))
-    residual_max = max(row.residual for row in trace.rows)
+    residual_max = float(trace.residual.max())
     checks = {
         "contraction_empirical_ratio": gate.empirical_ratio,
         "contraction_threshold": gate.threshold,
@@ -151,7 +150,7 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
         "tracking_or_dual_residual_max": residual_max,
         "tracking_or_dual_residual_tol": IDENTITY_RESIDUAL_TOL,
         "tracking_or_dual_residual_ok": bool(residual_max <= IDENTITY_RESIDUAL_TOL),
-        "rows": len(trace.rows),
+        "rows": len(trace),
     }
     if rc.reference is not None:
         checks["reference_horizon"] = reference_horizon
@@ -200,8 +199,8 @@ def cmd_run(rc: RunConfig) -> int:
     write_trace_csv(trace, out_dir / "trace.csv", residuals)
     _write_metadata(out_dir / "metadata.json", rc, {"invariants": checks})
     if residuals is not None:
-        ks = [float(row.k) for row in trace.rows]
-        bits = [float(row.cum_bits) for row in trace.rows]
+        ks = [float(k) for k in range(len(trace))]
+        bits = [float(k * trace.per_round_bits) for k in range(len(trace))]
         values = [float(r) for r in residuals]
         write_chart(
             out_dir / "residual_vs_rounds.svg",
@@ -276,7 +275,7 @@ def cmd_sweep(rc: RunConfig) -> int:
                     file=sys.stderr,
                 )
         if accuracies:
-            med = statistics.median(accuracies)
+            med = float(np.median(accuracies))
             summary_lines.append(
                 ",".join(map(fmt17, (value, med, min(accuracies), max(accuracies))))
             )

@@ -1,6 +1,7 @@
 """Shared builders for engine-level tests, a connected-graph strategy, a
-finite-difference oracle, the loop form of the Metropolis weights and the
-two-variable pgtc round that the stacked step must reproduce."""
+finite-difference oracle, the loop form of the Metropolis weights, the
+written trace's columns and the two-variable pgtc round that the stacked
+step must reproduce."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from dpcopt.compressors import BBIT, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
+from dpcopt.metrics import Trace, write_trace_csv
 from dpcopt.noise import sample_laplace, scale_at
 from dpcopt.objectives import as_agent_objectives, make_objectives
 from dpcopt.rng import StreamFactory, Tag
@@ -64,6 +66,13 @@ def metropolis_weights_loops(g: Graph) -> np.ndarray:
     for i in range(g.n):
         w[i, i] = 1.0 - (w[i].sum() - w[i, i])
     return w
+
+
+def csv_columns(trace: Trace, path) -> dict[str, list[str]]:
+    """Write the trace to path and return its CSV fields column by column."""
+    write_trace_csv(trace, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(zip(header.split(","), map(list, zip(*(line.split(",") for line in lines)))))
 
 
 def build_problem(kind: str, seed: int, d: int = 10, **kwargs):

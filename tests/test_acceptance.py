@@ -183,7 +183,7 @@ def test_03_tracking_identity_holds_under_compression_and_noise(capfd):
         )
         cfg = _pgtc_cfg(500, noise=DECAY)
         trace = pgtc_run(cfg, objectives, net, x0, streams)
-        worst = max(row.residual for row in trace.rows)
+        worst = trace.residual.max()
         info["detail"] = f"max residual {worst:.2e} over 500 rounds"
         assert worst <= 1e-9
 
@@ -195,7 +195,7 @@ def test_04_dual_average_identity_holds_under_compression_and_noise(capfd):
         )
         cfg = _ppdc_cfg(500, noise=DECAY)
         trace = ppdc_run(cfg, objectives, net, x0, streams)
-        worst = max(row.residual for row in trace.rows)
+        worst = trace.residual.max()
         info["detail"] = f"max residual {worst:.2e} over 500 rounds"
         assert worst <= 1e-9
 
@@ -209,14 +209,14 @@ def test_05_noise_free_runs_converge_linearly_to_machine_precision(capfd):
         ):
             net, streams, objectives, x0 = build_problem("quadratic", seed=7)
             trace = run(cfg, objectives, net, x0, streams, record_iterates=True)
-            last = trace.rows[-1]
-            consensus_norm = math.sqrt(last.consensus_err)
+            grad_norm = trace.grad_norm_mean[-1]
+            consensus_norm = math.sqrt(trace.consensus_err[-1])
             r = residual_series(trace, _quadratic_optimum(objectives, net.n))
             floor = max(float(r[-1]), 1e-300)
             slope, r2 = _log_residual_fit(r, floor)
-            parts.append(f"{label} grad {last.grad_norm_mean:.1e} slope {slope:.4f} R2 {r2:.4f}")
-            assert last.k <= 5000
-            assert last.grad_norm_mean <= 1e-8
+            parts.append(f"{label} grad {grad_norm:.1e} slope {slope:.4f} R2 {r2:.4f}")
+            assert len(trace) - 1 <= 5000
+            assert grad_norm <= 1e-8
             assert consensus_norm <= 1e-12
             assert slope < 0.0
             assert r2 >= 0.98
@@ -292,7 +292,7 @@ def test_09_compression_reaches_the_target_on_fewer_bits(capfd):
             r = residual_series(trace, _quadratic_optimum(objectives, net.n))
             assert float(r.min()) <= target, f"{label}: never reached {target}"
             hit = int(np.argmax(r <= target))
-            bits_to_target[label] = int(trace.rows[hit].cum_bits)
+            bits_to_target[label] = hit * trace.per_round_bits
         assert bits_to_target["topk"] < bits_to_target["identity"]
 
         # Per-round meter: one message per agent per round instead of
@@ -301,7 +301,7 @@ def test_09_compression_reaches_the_target_on_fewer_bits(capfd):
         pg = pgtc_run(_pgtc_cfg(5), objectives, net, x0, streams)
         net, streams, objectives, x0 = build_problem("quadratic", seed=7)
         pd = ppdc_run(_ppdc_cfg(5), objectives, net, x0, streams)
-        assert [row.cum_bits for row in pg.rows] == [2 * row.cum_bits for row in pd.rows]
+        assert pg.per_round_bits == 2 * pd.per_round_bits
         info["detail"] = (
             f"bits to {target:g}: topk {bits_to_target['topk']} < "
             f"identity {bits_to_target['identity']}; round meter 2:1 exact"

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpcopt.compressors import (
     CompressorSpec,
@@ -84,6 +86,32 @@ def test_topk_tie_break_lower_index():
     spec1 = make_spec("topk", 3, k=1)
     out1 = compress(spec1, np.array([3.0, 3.0, 3.0]))
     assert np.array_equal(out1, np.array([3.0, 0.0, 0.0]))
+
+
+@st.composite
+def _tied_rows(draw):
+    # Few distinct magnitudes, both signs and both zeros, so ties abound.
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    values = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, -2.0])
+    rows = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n))
+    return np.array(rows), draw(st.integers(1, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_rows())
+@example((np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]), 2))
+@example((np.array([[-2.0, 2.0, 1.5, -2.0, 2.0]]), 3))
+def test_topk_keeps_lowest_indices_among_ties_row_by_row(case):
+    x, k = case
+    n, d = x.shape
+    spec = make_spec("topk", d, k=k)
+    out = compress(spec, x)
+    for row, got in zip(x, out):
+        keep = sorted(range(d), key=lambda i: (-abs(row[i]), i))[:k]
+        want = np.zeros(d)
+        want[keep] = row[keep]
+        assert got.tobytes() == want.tobytes()
+        assert compress(spec, row).tobytes() == want.tobytes()
 
 
 def test_topk_nonzeros_match_input_exactly():

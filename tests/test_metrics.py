@@ -11,36 +11,30 @@ from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFinit
 from dpcopt.metrics import (
     CSV_HEADER,
     Trace,
-    TraceRow,
     final_accuracy,
     reference_point,
     residual_series,
     write_trace_csv,
 )
-from dpcopt.noise import NoiseSchedule
+from dpcopt.noise import NoiseSchedule, scale_at
 from dpcopt.pgtc import PgtcConfig, pgtc_init, pgtc_run
 from dpcopt.ppdc import PpdcConfig, ppdc_init, ppdc_run
 
-from tests.common import build_problem
+from tests.common import build_problem, csv_columns
 
 QUIET = NoiseSchedule(s=0.0, q=0.5)
 
 
-def _row(k, bits=0, grad=1.0):
-    return TraceRow(
-        k=k,
-        consensus_err=0.0,
-        grad_norm_mean=grad,
-        residual=0.0,
-        cum_bits=bits,
-        theta_x=0.0,
-        theta_second=0.0,
-    )
+def _trace(grads, bits=0, iterates=None):
+    """A trace whose rows hold the given gradient norms, zero consensus
+    error and residual, and per_round_bits = bits."""
+    grads = np.array(grads, dtype=np.float64)
+    zeros = np.zeros(len(grads))
+    return Trace(zeros, grads, zeros.copy(), bits, QUIET, QUIET, iterates)
 
 
 def _trace_with_iterates(iterates):
-    rows = [_row(k) for k in range(len(iterates))]
-    return Trace(rows=rows, stacked_iterates=np.array(iterates))
+    return _trace(np.ones(len(iterates)), iterates=np.array(iterates))
 
 
 def _pgtc_config(spec, iterations, noise=QUIET):
@@ -104,16 +98,19 @@ def test_residual_nonincreasing_property():
 
 def test_residual_series_equals_per_row_loop():
     # The reference: one 1-D dot product per iterate, then a running min.
+    # The shapes span one block, several blocks with a short last one, and
+    # rows wider than a block.
     rng = np.random.default_rng(6)
-    iterates = list(rng.normal(size=(50, 12)) * 10.0)
-    x_inf = rng.normal(size=12)
-    best, want = math.inf, []
-    for xt in iterates:
-        diff = xt - x_inf
-        best = min(best, float(diff @ diff))
-        want.append(best)
-    got = residual_series(_trace_with_iterates(iterates), x_inf)
-    assert got.tobytes() == np.array(want).tobytes()
+    for rows, width in ((50, 12), (1500, 12), (3, 9000)):
+        iterates = list(rng.normal(size=(rows, width)) * 10.0)
+        x_inf = rng.normal(size=width)
+        best, want = math.inf, []
+        for xt in iterates:
+            diff = xt - x_inf
+            best = min(best, float(diff @ diff))
+            want.append(best)
+        got = residual_series(_trace_with_iterates(iterates), x_inf)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_residual_series_names_first_non_finite_round():
@@ -130,10 +127,10 @@ def test_residual_dimension_mismatch():
 
 
 def test_residual_requires_iterate_history():
-    bare = Trace(rows=[_row(0)], stacked_iterates=None)
+    bare = _trace([1.0])
     with pytest.raises(EmptyTrace):
         residual_series(bare, np.zeros(1))
-    empty = Trace(rows=[], stacked_iterates=np.empty((0, 1)))
+    empty = _trace([], iterates=np.empty((0, 1)))
     with pytest.raises(EmptyTrace):
         residual_series(empty, np.zeros(1))
 
@@ -142,55 +139,55 @@ def test_residual_requires_iterate_history():
 
 
 def test_final_accuracy_is_last_grad_norm():
-    trace = Trace(rows=[_row(0, grad=3.0), _row(1, grad=0.25)])
+    trace = _trace([3.0, 0.25])
     assert final_accuracy(trace) == 0.25
+    assert type(final_accuracy(trace)) is float
 
 
 def test_final_accuracy_empty_trace():
     with pytest.raises(EmptyTrace):
-        final_accuracy(Trace())
+        final_accuracy(_trace([]))
 
 
 def test_cum_bits_series_and_empty(tmp_path):
     # The bit meter is written as exact integers; an empty trace writes
     # only the header.
     path = tmp_path / "trace.csv"
-    write_trace_csv(Trace(rows=[_row(0, bits=0), _row(1, bits=7680)]), path)
-    lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    assert [line.split(",")[4] for line in lines] == ["0", "7680"]
-    write_trace_csv(Trace(), path)
+    assert csv_columns(_trace([1.0, 1.0], bits=7680), path)["cum_bits"] == ["0", "7680"]
+    write_trace_csv(_trace([]), path)
     assert path.read_text(encoding="utf-8") == CSV_HEADER + "\n"
 
 
-def _bits(trace):
-    return [row.cum_bits for row in trace.rows]
+def _bits(trace, path):
+    return [int(bits) for bits in csv_columns(trace, path)["cum_bits"]]
 
 
-def test_pgtc_identity_bits_per_round():
+def test_pgtc_identity_bits_per_round(tmp_path):
     # 2 messages x 6 agents x 640 bits for a dense d=10 vector.
     net, streams, objectives, x0 = build_problem("quadratic", seed=3)
     cfg = _pgtc_config(make_spec("identity", d=10), iterations=1)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    assert _bits(trace) == [0, 7680]
+    assert _bits(trace, tmp_path / "trace.csv") == [0, 7680]
 
 
-def test_ppdc_topk_bits_per_round():
+def test_ppdc_topk_bits_per_round(tmp_path):
     # 1 message x 6 agents x 136 bits for two (value, index) pairs.
     net, streams, objectives, x0 = build_problem("quadratic", seed=3)
     cfg = _ppdc_config(make_spec("topk", d=10, k=2), iterations=1)
     trace = ppdc_run(cfg, objectives, net, x0, streams)
-    assert _bits(trace) == [0, 816]
+    assert _bits(trace, tmp_path / "trace.csv") == [0, 816]
 
 
-def test_ppdc_bits_are_half_of_pgtc():
+def test_ppdc_bits_are_half_of_pgtc(tmp_path):
     spec = make_spec("bbit", d=10, b=2)
+    path = tmp_path / "trace.csv"
     for k in (1, 5):
         net, streams, objectives, x0 = build_problem("quadratic", seed=11)
-        pg = pgtc_run(_pgtc_config(spec, k), objectives, net, x0, streams)
+        pg = _bits(pgtc_run(_pgtc_config(spec, k), objectives, net, x0, streams), path)
         net, streams, objectives, x0 = build_problem("quadratic", seed=11)
-        pd = ppdc_run(_ppdc_config(spec, k), objectives, net, x0, streams)
-        assert _bits(pg) == [2 * bits for bits in _bits(pd)]
-        assert np.all(np.diff(_bits(pg)) > 0)
+        pd = _bits(ppdc_run(_ppdc_config(spec, k), objectives, net, x0, streams), path)
+        assert pg == [2 * bits for bits in pd]
+        assert np.all(np.diff(pg) > 0)
 
 
 # --- reference point ---
@@ -216,7 +213,7 @@ def test_reference_point_noise_free_quadratic():
     trace = pgtc_run(
         cfg, objectives, net, x0, streams, record_iterates=True, horizon=2000
     )
-    assert len(trace.rows) == len(trace.stacked_iterates) == 61
+    assert len(trace) == len(trace.stacked_iterates) == 61
     x_inf = reference_point(trace)
     anchors = np.stack([obj.anchor for obj in objectives])
     expected = np.tile(anchors.mean(axis=0), net.n)
@@ -245,14 +242,15 @@ def test_one_pass_reference_equals_explicit_long_run(run, make_cfg):
     )
     explicit = run(make_cfg(spec, 200, noise), objectives, net, x0, streams)
     assert np.array_equal(reference_point(one_pass), explicit.final_stacked)
-    assert one_pass.rows == explicit.rows[:21]
+    for column in ("consensus_err", "grad_norm_mean", "residual"):
+        assert getattr(one_pass, column).tobytes() == getattr(explicit, column)[:21].tobytes()
 
 
 # --- CSV writer ---
 
 
 def test_csv_header_and_blank_residual(tmp_path):
-    trace = Trace(rows=[_row(0, bits=0), _row(1, bits=816)])
+    trace = _trace([1.0, 1.0], bits=816)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -262,37 +260,28 @@ def test_csv_header_and_blank_residual(tmp_path):
 
 
 def test_csv_seventeen_digit_round_trip(tmp_path):
-    values = (1.0 / 3.0, 0.1 + 0.2, 2.0**-52, 1.2345678901234567e30)
-    rows = [
-        TraceRow(
-            k=i,
-            consensus_err=v,
-            grad_norm_mean=v * 7.0,
-            residual=-v,
-            cum_bits=i * 816,
-            theta_x=v / 3.0,
-            theta_second=v / 9.0,
-        )
-        for i, v in enumerate(values)
-    ]
-    trace = Trace(rows=rows)
-    residuals = np.array([v * 13.0 for v in values])
+    values = np.array([1.0 / 3.0, 0.1 + 0.2, 2.0**-52, 1.2345678901234567e30])
+    noise_x = NoiseSchedule(s=1.0 / 3.0, q=0.1 + 0.2)
+    noise_second = NoiseSchedule(s=2.0**-52, q=1.0 / 3.0)
+    trace = Trace(values, values * 7.0, -values, 816, noise_x, noise_second)
+    residuals = values * 13.0
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path, residuals=residuals)
     lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    for row, res, line in zip(rows, residuals, lines):
+    assert len(lines) == len(values)
+    for k, (v, line) in enumerate(zip(values, lines)):
         fields = line.split(",")
-        assert int(fields[0]) == row.k
-        assert float(fields[1]) == row.consensus_err
-        assert float(fields[2]) == row.grad_norm_mean
-        assert float(fields[3]) == row.residual
-        assert int(fields[4]) == row.cum_bits
-        assert float(fields[5]) == row.theta_x
-        assert float(fields[6]) == row.theta_second
-        assert float(fields[7]) == res
+        assert int(fields[0]) == k
+        assert float(fields[1]) == v
+        assert float(fields[2]) == v * 7.0
+        assert float(fields[3]) == -v
+        assert int(fields[4]) == k * 816
+        assert float(fields[5]) == scale_at(noise_x, k)
+        assert float(fields[6]) == scale_at(noise_second, k)
+        assert float(fields[7]) == v * 13.0
 
 
 def test_csv_rejects_residual_length_mismatch(tmp_path):
-    trace = Trace(rows=[_row(0), _row(1)])
+    trace = _trace([1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         write_trace_csv(trace, tmp_path / "trace.csv", residuals=np.zeros(3))

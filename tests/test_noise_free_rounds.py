@@ -183,5 +183,5 @@ def test_identity_holds_through_noise_free_rounds(engine, case):
         "logistic", seed=41, d=D, m=20, lam=1e-3, alpha=1.0
     )
     trace = run(config(noise_x, second), objectives, net, x0, streams)
-    assert len(trace.rows) == 31
-    assert max(row.residual for row in trace.rows) <= 1e-9
+    assert len(trace) == 31
+    assert trace.residual.max() <= 1e-9

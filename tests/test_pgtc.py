@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpcopt.rng
-from common import build_problem, connected_graphs, pgtc_step_two_calls
+from common import build_problem, connected_graphs, csv_columns, pgtc_step_two_calls
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
+from dpcopt.metrics import fmt17
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.objectives import AgentObjectives, QuadraticObjective, make_objectives
 from dpcopt.pgtc import (
@@ -175,7 +176,7 @@ def test_round_streams_build_one_generator_per_agent_and_tag(monkeypatch):
         iterations=50,
     )
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    assert len(trace.rows) == 51
+    assert len(trace) == 51
     assert len(built) <= data_and_init + 3 * net.n
 
 
@@ -185,8 +186,7 @@ def test_tracking_identity_under_noise():
     )
     net, streams, objectives, x0 = build_problem("quadratic", seed=6)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    worst = max(row.residual for row in trace.rows)
-    assert worst <= 1e-9
+    assert trace.residual.max() <= 1e-9
 
 
 def test_tracking_identity_single_step():
@@ -205,26 +205,30 @@ def test_noise_free_convergence_to_quadratic_optimum():
     optimum = np.stack([o.anchor for o in objectives]).mean(axis=0)
     final = trace.final_stacked.reshape(6, 10)
     assert np.max(np.abs(final - optimum)) <= 1e-8
-    assert trace.rows[-1].consensus_err <= 1e-12
-    assert trace.rows[-1].grad_norm_mean <= 1e-8
+    assert trace.consensus_err[-1] <= 1e-12
+    assert trace.grad_norm_mean[-1] <= 1e-8
 
 
-def test_run_trace_shape_and_bits():
-    cfg = _config(compressor=make_spec("topk", 10, k=2), iterations=7)
+def test_run_trace_shape_and_bits(tmp_path):
+    cfg = _config(
+        compressor=make_spec("topk", 10, k=2), noise_y=TABLE_NOISE, iterations=7
+    )
     net, streams, objectives, x0 = build_problem("quadratic", seed=9)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    assert [row.k for row in trace.rows] == list(range(8))
+    columns = csv_columns(trace, tmp_path / "trace.csv")
+    assert columns["k"] == [str(k) for k in range(8)]
     per_round = MESSAGES_PER_AGENT * 6 * bit_cost(cfg.compressor, 10)
     assert per_round == 2 * 6 * 136
-    assert [row.cum_bits for row in trace.rows] == [k * per_round for k in range(8)]
-    assert trace.rows[0].theta_x == 0.0  # disabled schedule reports zero scale
+    assert columns["cum_bits"] == [str(k * per_round) for k in range(8)]
+    assert columns["theta_x"] == ["0"] * 8  # disabled schedule reports zero scale
+    assert columns["theta_second"] == [fmt17(scale_at(TABLE_NOISE, k)) for k in range(8)]
 
 
 def test_single_round_trace_length():
     cfg = _config(iterations=1)
     net, streams, objectives, x0 = build_problem("quadratic", seed=10)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    assert len(trace.rows) == 2
+    assert len(trace) == 2
 
 
 def test_run_deterministic():
@@ -240,8 +244,8 @@ def test_run_deterministic():
         traces.append(pgtc_run(cfg, objectives, net, x0, streams))
     a, b = traces
     assert np.array_equal(a.final_stacked, b.final_stacked)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra == rb
+    for column in ("consensus_err", "grad_norm_mean", "residual"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
 
 
 def test_divergence_raises_non_finite():

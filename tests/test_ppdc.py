@@ -6,10 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from common import build_problem
+from common import build_problem, connected_graphs, csv_columns
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
+from dpcopt.metrics import fmt17
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.pgtc import MESSAGES_PER_AGENT as PGTC_MESSAGES
 from dpcopt.ppdc import (
@@ -20,7 +23,9 @@ from dpcopt.ppdc import (
     ppdc_run,
     ppdc_step,
 )
-from dpcopt.rng import Tag
+from dpcopt.objectives import make_objectives
+from dpcopt.rng import StreamFactory, Tag
+from dpcopt.topology import build_graph, build_network
 
 IDENTITY = make_spec("identity", 10)
 QUIET = NoiseSchedule(s=0.0, q=0.5)
@@ -133,15 +138,49 @@ def test_dual_average_identity_under_noise():
     cfg = _config(noise_x=TABLE_NOISE, noise_v=TABLE_NOISE, iterations=500)
     net, streams, objectives, x0 = build_problem("quadratic", seed=25)
     trace = ppdc_run(cfg, objectives, net, x0, streams)
-    worst = max(row.residual for row in trace.rows)
-    assert worst <= 1e-9
+    assert trace.residual.max() <= 1e-9
+
+
+@st.composite
+def _noisy_runs(draw):
+    g = draw(connected_graphs(max_n=8))
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["identity", "topk", "bbit", "normsign"]))
+    param = {"topk": st.integers(1, d), "bbit": st.integers(1, 6)}.get(kind, st.none())
+    return (
+        g.n, sorted(g.edges), d, kind, draw(param),
+        draw(st.sampled_from(["logistic", "sincos", "quadratic"])),
+        draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_noisy_runs())
+@example((5, [(0, 1), (0, 2), (0, 3), (0, 4)], 4, "bbit", 1, "logistic", 40, 3))
+@example((4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3, "normsign", None,
+          "sincos", 40, 5))
+def test_dual_average_identity_holds_on_noisy_runs_of_every_compressor(case):
+    n, edges, d, kind, param, objective, iterations, seed = case
+    params = {"topk": {"k": param}, "bbit": {"b": param}}.get(kind, {})
+    noise = NoiseSchedule(s=0.5, q=0.9)
+    cfg = _config(
+        eta=0.05, gamma=1.0, omega=1.0, compressor=make_spec(kind, d, **params),
+        noise_x=noise, noise_v=noise, iterations=iterations,
+    )
+    net = build_network(build_graph(n, edges))
+    streams = StreamFactory(master_seed=seed)
+    objectives = make_objectives(objective, n, d, streams, m=5, lam=1e-3, alpha=1.0)
+    x0 = np.stack([streams.get(i, Tag.INIT, 0).random(d) for i in range(n)])
+    trace = ppdc_run(cfg, objectives, net, x0, streams)
+    assert len(trace) == iterations + 1
+    assert trace.residual.max() <= 1e-9
 
 
 def test_noise_free_convergence_table_gains():
     cfg = _config(iterations=5000)
     net, streams, objectives, x0 = build_problem("quadratic", seed=26)
     trace = ppdc_run(cfg, objectives, net, x0, streams)
-    assert trace.rows[-1].grad_norm_mean <= 1e-6
+    assert trace.grad_norm_mean[-1] <= 1e-6
 
 
 def test_noise_free_step_preserves_converged_consensus():
@@ -159,15 +198,18 @@ def test_noise_free_step_preserves_converged_consensus():
     assert after <= 1e-12
 
 
-def test_run_trace_shape_and_bits():
+def test_run_trace_shape_and_bits(tmp_path):
     spec = make_spec("topk", 10, k=2)
-    cfg = _config(compressor=spec, iterations=7)
+    cfg = _config(compressor=spec, noise_x=TABLE_NOISE, iterations=7)
     net, streams, objectives, x0 = build_problem("quadratic", seed=28)
     trace = ppdc_run(cfg, objectives, net, x0, streams)
-    assert [row.k for row in trace.rows] == list(range(8))
+    columns = csv_columns(trace, tmp_path / "trace.csv")
+    assert columns["k"] == [str(k) for k in range(8)]
     per_round = MESSAGES_PER_AGENT * 6 * bit_cost(spec, 10)
     assert per_round == 6 * 136
-    assert [row.cum_bits for row in trace.rows] == [k * per_round for k in range(8)]
+    assert columns["cum_bits"] == [str(k * per_round) for k in range(8)]
+    assert columns["theta_x"] == [fmt17(scale_at(TABLE_NOISE, k)) for k in range(8)]
+    assert columns["theta_second"] == ["0"] * 8  # disabled schedule reports zero scale
     # half of the gradient-tracking meter at equal compressor/topology
     assert PGTC_MESSAGES == 2 * MESSAGES_PER_AGENT
 
@@ -176,7 +218,7 @@ def test_single_round_trace_length():
     cfg = _config(iterations=1)
     net, streams, objectives, x0 = build_problem("quadratic", seed=29)
     trace = ppdc_run(cfg, objectives, net, x0, streams)
-    assert len(trace.rows) == 2
+    assert len(trace) == 2
 
 
 def test_run_deterministic():
@@ -192,8 +234,8 @@ def test_run_deterministic():
         traces.append(ppdc_run(cfg, objectives, net, x0, streams))
     a, b = traces
     assert np.array_equal(a.final_stacked, b.final_stacked)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra == rb
+    for column in ("consensus_err", "grad_norm_mean", "residual"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
 
 
 def test_divergence_raises_non_finite():
