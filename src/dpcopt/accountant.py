@@ -1,17 +1,18 @@
 """Per-agent differential-privacy budgets for both engines and their
 inversion to noise scales for a target budget.
 
-For a finite horizon K with Laplace schedules theta_k = s * q^k, the
-budgets are
+For a finite horizon K with Laplace schedules theta_k = s * q^k, both
+engines spend
 
-    gradient tracking: eps = 4 sqrt(d) M (sqrt(eta)/s_x + 1/s_y) S
-    primal-dual:       eps = 2 sqrt(d) M (sqrt(eta)/s_x + 2/(omega s_v)) S
+    eps = a sqrt(d) M (sqrt(eta)/s_x + c/(w s_2)) S
 
-where S = sum_{k=0}^{K} q^{-k}, evaluated in closed form. M is the
-gradient bound, supplied as a box-restricted empirical surrogate (see
-objectives.estimate_grad_bound); any report should carry the box radius
-alongside eps. The budgets grow without bound as K grows because the
-decaying noise spends privacy faster each round.
+where s_2 is the second variable's base scale, (a, c) = (4, 1) and
+w = 1 for gradient tracking, (a, c) = (2, 2) and w = omega for the
+primal-dual engine, and S = sum_{k=0}^{K} q^{-k}, evaluated in closed
+form. M is the gradient bound, supplied as a box-restricted empirical
+surrogate (see objectives.estimate_grad_bound); any report should carry
+the box radius alongside eps. The budgets grow without bound as K grows
+because the decaying noise spends privacy faster each round.
 """
 
 from __future__ import annotations
@@ -25,32 +26,34 @@ from dpcopt.noise import NoiseSchedule
 __all__ = [
     "PrivacyParams",
     "geometric_budget_sum",
-    "epsilon_pgtc",
-    "epsilon_ppdc",
+    "epsilon",
     "scales_for_epsilon",
     "budget_for_run",
 ]
 
+# (a, c) of the budget formula, per engine.
+_BUDGET_CONSTANTS = {"pgtc": (4.0, 1.0), "ppdc": (2.0, 2.0)}
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Inputs to the budget formulas.
+    """The run an engine's budget describes, without its noise scales.
 
-    s_x / s_second may be left as None when the params feed
-    scales_for_epsilon; the epsilon functions require them positive.
-    omega only matters for the primal-dual budget.
+    omega is required for the primal-dual budget and ignored by the
+    gradient-tracking one.
     """
 
+    algorithm: str
     d: int
     M: float
     K: int
     eta: float
     q: float
-    s_x: float | None = None
-    s_second: float | None = None
     omega: float | None = None
 
     def __post_init__(self) -> None:
+        if self.algorithm not in _BUDGET_CONSTANTS:
+            raise ConfigInvalid(f"algorithm: unknown algorithm {self.algorithm!r}")
         if self.d < 1:
             raise ConfigInvalid("privacy: dimension must be >= 1")
         if not (self.M > 0):
@@ -61,11 +64,15 @@ class PrivacyParams:
             raise ConfigInvalid("privacy: eta must be positive")
         if not (0.0 < self.q < 1.0):
             raise ConfigInvalid("privacy: q must lie in (0, 1)")
-        for name, value in (("s_x", self.s_x), ("s_second", self.s_second)):
-            if value is not None and not (value > 0):
-                raise ConfigInvalid(f"privacy: {name} must be positive when given")
         if self.omega is not None and not (self.omega > 0):
             raise ConfigInvalid("privacy: omega must be positive when given")
+        if self.algorithm == "ppdc" and self.omega is None:
+            raise ConfigInvalid("privacy: omega is required for the primal-dual budget")
+
+    @property
+    def w(self) -> float:
+        """Divisor of the second term: omega for ppdc, 1 for pgtc."""
+        return self.omega if self.algorithm == "ppdc" else 1.0
 
 
 def geometric_budget_sum(q: float, K: int) -> float:
@@ -86,66 +93,38 @@ def geometric_budget_sum(q: float, K: int) -> float:
         return math.inf
 
 
-def _require_scales(p: PrivacyParams) -> tuple[float, float]:
-    if p.s_x is None or p.s_second is None:
-        raise ConfigInvalid("privacy: both noise scales are required")
-    return p.s_x, p.s_second
-
-
-def epsilon_pgtc(p: PrivacyParams) -> float:
-    """Budget spent by a K-round gradient-tracking run."""
-    s_x, s_y = _require_scales(p)
+def epsilon(p: PrivacyParams, s_x: float, s_second: float) -> float:
+    """Budget spent by a K-round run with base scales s_x and s_second."""
+    if not (s_x > 0 and s_second > 0):
+        raise ConfigInvalid("privacy: both noise scales must be positive")
+    a, c = _BUDGET_CONSTANTS[p.algorithm]
     s = geometric_budget_sum(p.q, p.K)
-    return 4.0 * math.sqrt(p.d) * p.M * (math.sqrt(p.eta) / s_x + 1.0 / s_y) * s
-
-
-def epsilon_ppdc(p: PrivacyParams) -> float:
-    """Budget spent by a K-round primal-dual run."""
-    s_x, s_v = _require_scales(p)
-    if p.omega is None:
-        raise ConfigInvalid("privacy: omega is required for the primal-dual budget")
-    s = geometric_budget_sum(p.q, p.K)
-    term = math.sqrt(p.eta) / s_x + 2.0 / (p.omega * s_v)
-    return 2.0 * math.sqrt(p.d) * p.M * term * s
+    return a * math.sqrt(p.d) * p.M * (math.sqrt(p.eta) / s_x + c / (p.w * s_second)) * s
 
 
 def scales_for_epsilon(
-    algorithm: str, target: float, p: PrivacyParams, split: float = 0.5
+    p: PrivacyParams, target: float, split: float = 0.5
 ) -> tuple[float, float]:
     """Invert the budget: scales making the x-term contribute
     split*target and the second term (1-split)*target.
 
-    Feeding the result back through the matching epsilon function
-    reproduces the target up to rounding.
+    Feeding the result back through epsilon reproduces the target up to
+    rounding.
     """
     if not (target > 0) or math.isinf(target):
         raise ConfigInvalid("privacy: target epsilon must be positive and finite")
     if not (0.0 < split < 1.0):
         raise ConfigInvalid("privacy.split: must lie in (0, 1)")
+    a, c = _BUDGET_CONSTANTS[p.algorithm]
     s = geometric_budget_sum(p.q, p.K)
     root_d = math.sqrt(p.d)
-    if algorithm == "pgtc":
-        s_x = 4.0 * root_d * p.M * math.sqrt(p.eta) * s / (split * target)
-        s_second = 4.0 * root_d * p.M * s / ((1.0 - split) * target)
-    elif algorithm == "ppdc":
-        if p.omega is None:
-            raise ConfigInvalid("privacy: omega is required for the primal-dual budget")
-        s_x = 2.0 * root_d * p.M * math.sqrt(p.eta) * s / (split * target)
-        s_second = 4.0 * root_d * p.M * s / (p.omega * (1.0 - split) * target)
-    else:
-        raise ConfigInvalid(f"algorithm: unknown algorithm {algorithm!r}")
+    s_x = a * root_d * p.M * math.sqrt(p.eta) * s / (split * target)
+    s_second = (a * c) * root_d * p.M * s / (p.w * (1.0 - split) * target)
     return s_x, s_second
 
 
 def budget_for_run(
-    algorithm: str,
-    d: int,
-    M: float,
-    K: int,
-    eta: float,
-    noise_x: NoiseSchedule,
-    noise_second: NoiseSchedule,
-    omega: float | None = None,
+    p: PrivacyParams, noise_x: NoiseSchedule, noise_second: NoiseSchedule
 ) -> float | None:
     """Budget for a configured run, or None when no guarantee exists.
 
@@ -157,22 +136,9 @@ def budget_for_run(
         return None
     if noise_x.s == 0.0 or noise_second.s == 0.0:
         return None
-    if noise_x.q != noise_second.q:
+    if not (noise_x.q == noise_second.q == p.q):
         raise ConfigInvalid(
-            "privacy: budgets assume one shared decay rate across noise families"
+            "privacy: budgets assume one decay rate shared by both noise "
+            "families and the horizon sum"
         )
-    params = PrivacyParams(
-        d=d,
-        M=M,
-        K=K,
-        eta=eta,
-        q=noise_x.q,
-        s_x=noise_x.s,
-        s_second=noise_second.s,
-        omega=omega,
-    )
-    if algorithm == "pgtc":
-        return epsilon_pgtc(params)
-    if algorithm == "ppdc":
-        return epsilon_ppdc(params)
-    raise ConfigInvalid(f"algorithm: unknown algorithm {algorithm!r}")
+    return epsilon(p, noise_x.s, noise_second.s)

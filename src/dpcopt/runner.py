@@ -324,16 +324,11 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
     bound = estimate_grad_bound(
         objectives, rc.privacy.box_radius, rc.privacy.trials, rng
     )
-    epsilon = budget_for_run(
-        rc.algorithm,
-        rc.objective.d,
-        bound,
-        rc.iterations,
-        rc.eta,
-        rc.noise_x,
-        rc.noise_second,
+    params = PrivacyParams(
+        rc.algorithm, rc.objective.d, bound, rc.iterations, rc.eta, rc.noise_x.q,
         omega=rc.omega,
     )
+    epsilon = budget_for_run(params, rc.noise_x, rc.noise_second)
     report: dict = {
         "algorithm": rc.algorithm,
         "iterations": rc.iterations,
@@ -355,16 +350,8 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
     else:
         lines.append(f"epsilon: {epsilon:.6g}")
     if target_epsilon is not None:
-        params = PrivacyParams(
-            d=rc.objective.d,
-            M=bound,
-            K=rc.iterations,
-            eta=rc.eta,
-            q=rc.noise_x.q,
-            omega=rc.omega,
-        )
         s_x, s_second = scales_for_epsilon(
-            rc.algorithm, target_epsilon, params, split=rc.privacy.split
+            params, target_epsilon, split=rc.privacy.split
         )
         report["target_epsilon"] = target_epsilon
         report["required_s_x"] = _json_number(s_x)

@@ -51,7 +51,9 @@ class Graph:
                 raise InvalidEdge(f"edge ({i},{j}) outside range(0, {self.n})")
             if i > j:
                 raise InvalidEdge(f"edge ({i},{j}) not normalized (use build_graph)")
-        if not self._connected():
+        # Fewer than n - 1 edges cannot connect n nodes; checking the count
+        # first keeps a huge n from allocating an n-node traversal.
+        if len(self.edges) < self.n - 1 or not self._connected():
             raise DisconnectedGraph(f"graph on {self.n} nodes is not connected")
 
     def _connected(self) -> bool:

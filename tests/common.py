@@ -1,7 +1,7 @@
-"""Shared builders for engine-level tests, a connected-graph strategy, a
-finite-difference oracle, the loop form of the Metropolis weights, the
-written trace's columns and the two-variable pgtc round that the stacked
-step must reproduce."""
+"""Shared builders for engine-level tests, a connected-graph strategy and
+a noisy-run strategy built on it, a finite-difference oracle, the loop
+form of the Metropolis weights, the written trace's columns and the
+two-variable pgtc round that the stacked step must reproduce."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from collections.abc import Callable
 import numpy as np
 from hypothesis import strategies as st
 
-from dpcopt.compressors import BBIT, encode_decode
+from dpcopt.compressors import BBIT, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, write_trace_csv
 from dpcopt.noise import sample_laplace, scale_at
@@ -49,6 +49,33 @@ def connected_graphs(draw, max_n: int) -> Graph:
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges |= {(min(p), max(p)) for p in draw(st.lists(pairs, max_size=n)) if p[0] != p[1]}
     return build_graph(n, sorted(edges))
+
+
+@st.composite
+def noisy_runs(draw):
+    """(n, edges, d, compressor kind, its k or b, objective, iterations,
+    seed) for one engine run on a drawn connected graph."""
+    g = draw(connected_graphs(max_n=8))
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["identity", "topk", "bbit", "normsign"]))
+    param = {"topk": st.integers(1, d), "bbit": st.integers(1, 6)}.get(kind, st.none())
+    return (
+        g.n, sorted(g.edges), d, kind, draw(param),
+        draw(st.sampled_from(["logistic", "sincos", "quadratic"])),
+        draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def drawn_run(case):
+    """Compressor spec, network, fresh stream factory, objectives and a
+    uniform [0,1)^d start for a noisy_runs case."""
+    n, edges, d, kind, param, objective, _, seed = case
+    params = {"topk": {"k": param}, "bbit": {"b": param}}.get(kind, {})
+    net = build_network(build_graph(n, edges))
+    streams = StreamFactory(master_seed=seed)
+    objectives = make_objectives(objective, n, d, streams, m=5, lam=1e-3, alpha=1.0)
+    x0 = np.stack([streams.get(i, Tag.INIT, 0).random(d) for i in range(n)])
+    return make_spec(kind, d, **params), net, streams, objectives, x0
 
 
 def metropolis_weights_loops(g: Graph) -> np.ndarray:

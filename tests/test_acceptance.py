@@ -16,12 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from common import BENCH_EDGES, build_problem
-from dpcopt.accountant import (
-    PrivacyParams,
-    epsilon_pgtc,
-    epsilon_ppdc,
-    scales_for_epsilon,
-)
+from dpcopt.accountant import PrivacyParams, epsilon, scales_for_epsilon
 from dpcopt.compressors import compress, make_spec, validate_contraction
 from dpcopt.metrics import final_accuracy, residual_series
 from dpcopt.noise import NoiseSchedule
@@ -314,39 +309,40 @@ def test_10_privacy_budgets_match_direct_summation(capfd):
         worst = 0.0
         worst_rt = 0.0
         for _ in range(100):
-            p = PrivacyParams(
+            pg = PrivacyParams(
+                "pgtc",
                 d=int(rng.integers(1, 101)),
                 M=float(rng.uniform(0.1, 10.0)),
                 K=int(rng.integers(0, 401)),
                 eta=float(rng.uniform(1e-4, 1.0)),
                 q=float(rng.uniform(0.3, 0.99)),
-                s_x=float(rng.uniform(0.1, 100.0)),
-                s_second=float(rng.uniform(0.1, 100.0)),
-                omega=float(rng.uniform(0.2, 50.0)),
             )
-            budget_sum = math.fsum(p.q ** (-k) for k in range(p.K + 1))
+            s_x = float(rng.uniform(0.1, 100.0))
+            s_second = float(rng.uniform(0.1, 100.0))
+            pd = replace(pg, algorithm="ppdc", omega=float(rng.uniform(0.2, 50.0)))
+            budget_sum = math.fsum(pg.q ** (-k) for k in range(pg.K + 1))
             direct_pg = (
                 4.0
-                * math.sqrt(p.d)
-                * p.M
-                * (math.sqrt(p.eta) / p.s_x + 1.0 / p.s_second)
+                * math.sqrt(pg.d)
+                * pg.M
+                * (math.sqrt(pg.eta) / s_x + 1.0 / s_second)
                 * budget_sum
             )
             direct_pd = (
                 2.0
-                * math.sqrt(p.d)
-                * p.M
-                * (math.sqrt(p.eta) / p.s_x + 2.0 / (p.omega * p.s_second))
+                * math.sqrt(pd.d)
+                * pd.M
+                * (math.sqrt(pd.eta) / s_x + 2.0 / (pd.omega * s_second))
                 * budget_sum
             )
-            worst = max(worst, abs(epsilon_pgtc(p) - direct_pg) / direct_pg)
-            worst = max(worst, abs(epsilon_ppdc(p) - direct_pd) / direct_pd)
+            worst = max(worst, abs(epsilon(pg, s_x, s_second) - direct_pg) / direct_pg)
+            worst = max(worst, abs(epsilon(pd, s_x, s_second) - direct_pd) / direct_pd)
 
             target = float(rng.uniform(0.5, 50.0))
             split = float(rng.uniform(0.2, 0.8))
-            for algorithm, budget in (("pgtc", epsilon_pgtc), ("ppdc", epsilon_ppdc)):
-                s_x, s_second = scales_for_epsilon(algorithm, target, p, split=split)
-                back = budget(replace(p, s_x=s_x, s_second=s_second))
+            for p in (pg, pd):
+                s_x, s_second = scales_for_epsilon(p, target, split=split)
+                back = epsilon(p, s_x, s_second)
                 worst_rt = max(worst_rt, abs(back - target) / target)
         assert worst <= 1e-12
         assert worst_rt <= 1e-12
@@ -354,17 +350,17 @@ def test_10_privacy_budgets_match_direct_summation(capfd):
         # With a shared scale and omega > 1 the primal-dual run spends
         # strictly less budget than gradient tracking.
         for _ in range(50):
-            p = PrivacyParams(
+            pg = PrivacyParams(
+                "pgtc",
                 d=int(rng.integers(1, 101)),
                 M=float(rng.uniform(0.1, 10.0)),
                 K=int(rng.integers(0, 401)),
                 eta=float(rng.uniform(1e-4, 1.0)),
                 q=float(rng.uniform(0.3, 0.99)),
-                s_x=(shared := float(rng.uniform(0.1, 100.0))),
-                s_second=shared,
-                omega=float(rng.uniform(1.0 + 1e-9, 50.0)),
             )
-            assert epsilon_ppdc(p) < epsilon_pgtc(p)
+            shared = float(rng.uniform(0.1, 100.0))
+            pd = replace(pg, algorithm="ppdc", omega=float(rng.uniform(1.0 + 1e-9, 50.0)))
+            assert epsilon(pd, shared, shared) < epsilon(pg, shared, shared)
         info["detail"] = f"max rel err {worst:.2e}, round-trip max {worst_rt:.2e}"
 
 

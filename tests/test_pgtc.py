@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpcopt.rng
-from common import build_problem, connected_graphs, csv_columns, pgtc_step_two_calls
+from common import (
+    build_problem,
+    connected_graphs,
+    csv_columns,
+    drawn_run,
+    noisy_runs,
+    pgtc_step_two_calls,
+)
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import fmt17
@@ -186,6 +193,20 @@ def test_tracking_identity_under_noise():
     )
     net, streams, objectives, x0 = build_problem("quadratic", seed=6)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
+    assert trace.residual.max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(noisy_runs())
+def test_tracking_identity_holds_on_noisy_runs_of_every_compressor(case):
+    spec, net, streams, objectives, x0 = drawn_run(case)
+    iterations = case[6]
+    noise = NoiseSchedule(s=0.5, q=0.9)
+    cfg = _config(
+        eta=0.05, compressor=spec, noise_x=noise, noise_y=noise, iterations=iterations
+    )
+    trace = pgtc_run(cfg, objectives, net, x0, streams)
+    assert len(trace) == iterations + 1
     assert trace.residual.max() <= 1e-9
 
 

@@ -7,9 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from common import build_problem, connected_graphs, csv_columns
+from common import build_problem, csv_columns, drawn_run, noisy_runs
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import fmt17
@@ -23,9 +22,7 @@ from dpcopt.ppdc import (
     ppdc_run,
     ppdc_step,
 )
-from dpcopt.objectives import make_objectives
-from dpcopt.rng import StreamFactory, Tag
-from dpcopt.topology import build_graph, build_network
+from dpcopt.rng import Tag
 
 IDENTITY = make_spec("identity", 10)
 QUIET = NoiseSchedule(s=0.0, q=0.5)
@@ -141,36 +138,19 @@ def test_dual_average_identity_under_noise():
     assert trace.residual.max() <= 1e-9
 
 
-@st.composite
-def _noisy_runs(draw):
-    g = draw(connected_graphs(max_n=8))
-    d = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["identity", "topk", "bbit", "normsign"]))
-    param = {"topk": st.integers(1, d), "bbit": st.integers(1, 6)}.get(kind, st.none())
-    return (
-        g.n, sorted(g.edges), d, kind, draw(param),
-        draw(st.sampled_from(["logistic", "sincos", "quadratic"])),
-        draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1)),
-    )
-
-
 @settings(max_examples=60, deadline=None)
-@given(_noisy_runs())
+@given(noisy_runs())
 @example((5, [(0, 1), (0, 2), (0, 3), (0, 4)], 4, "bbit", 1, "logistic", 40, 3))
 @example((4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 3, "normsign", None,
           "sincos", 40, 5))
 def test_dual_average_identity_holds_on_noisy_runs_of_every_compressor(case):
-    n, edges, d, kind, param, objective, iterations, seed = case
-    params = {"topk": {"k": param}, "bbit": {"b": param}}.get(kind, {})
+    spec, net, streams, objectives, x0 = drawn_run(case)
+    iterations = case[6]
     noise = NoiseSchedule(s=0.5, q=0.9)
     cfg = _config(
-        eta=0.05, gamma=1.0, omega=1.0, compressor=make_spec(kind, d, **params),
+        eta=0.05, gamma=1.0, omega=1.0, compressor=spec,
         noise_x=noise, noise_v=noise, iterations=iterations,
     )
-    net = build_network(build_graph(n, edges))
-    streams = StreamFactory(master_seed=seed)
-    objectives = make_objectives(objective, n, d, streams, m=5, lam=1e-3, alpha=1.0)
-    x0 = np.stack([streams.get(i, Tag.INIT, 0).random(d) for i in range(n)])
     trace = ppdc_run(cfg, objectives, net, x0, streams)
     assert len(trace) == iterations + 1
     assert trace.residual.max() <= 1e-9

@@ -26,6 +26,7 @@ from dpcopt.runner import (
     main,
     resolve_output_dir,
 )
+from dpcopt.topology import Graph
 
 
 def make_doc(outputs, algorithm="pgtc", **overrides):
@@ -161,6 +162,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, doc)
     assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+
+
+def test_huge_graph_n_exits_2_without_a_traversal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Graph, "_connected", lambda self: pytest.fail("traversed"))
+    doc = make_doc(tmp_path / "out", graph={"n": 2**40, "edges": [[0, 1]]})
+    cfg = write_doc(tmp_path, doc)
+    assert main(["validate-compressor", str(cfg)]) == EXIT_CONFIG_ERROR
+    assert "not connected" in capsys.readouterr().err
 
 
 FLOAT_FIELDS = [

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from common import GRID_24_EDGES, connected_graphs, metropolis_weights_loops
 from dpcopt.errors import DisconnectedGraph, InvalidEdge
 from dpcopt.topology import (
+    Graph,
     build_graph,
     build_network,
     consensus_contraction_radius,
@@ -61,6 +62,14 @@ def test_build_graph_rejects_bad_edges(edges):
 def test_build_graph_rejects_disconnected():
     with pytest.raises(DisconnectedGraph):
         build_graph(4, [(0, 1), (2, 3)])
+
+
+def test_huge_n_with_too_few_edges_is_rejected_before_traversal(monkeypatch):
+    # A traversal over 2**40 nodes would exhaust memory; the edge count
+    # alone proves the graph disconnected.
+    monkeypatch.setattr(Graph, "_connected", lambda self: pytest.fail("traversed"))
+    with pytest.raises(DisconnectedGraph):
+        build_graph(2**40, [(0, 1)])
 
 
 def test_metropolis_two_node_path():
