@@ -8,6 +8,11 @@ the mean iterate, and the algorithm's per-round invariant residual
 (tracking identity or dual-average identity). The written trace adds
 the cumulative transmitted bits and the noise scales in effect at
 round k, which follow from k.
+
+Each round's Trace.record(x, xbar, k, residual) fills the consensus and
+residual entries of row k. run_rounds collects the mean iterates of a
+bounded block of rows and fills their gradient norms from one stacked
+call, each row the bits of a call on its mean iterate alone.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcopt.compressors import bit_cost, row_dots
+from dpcopt.compressors import bit_cost, row_dots, row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 from dpcopt.noise import NoiseSchedule, scale_at
 from dpcopt.objectives import as_agent_objectives
@@ -46,6 +51,11 @@ IDENTITY_RESIDUAL_TOL = 1e-9
 # time, so its temporary stays small however long the history is.
 RESIDUAL_CHUNK_ELEMENTS = 1 << 13
 
+# The gradient-norm column is filled from blocks of mean iterates whose
+# largest gradient temporary holds about this many elements (as the
+# privacy bound's chunks do; see objectives.BOUND_CHUNK_ELEMENTS).
+GRAD_NORM_CHUNK_ELEMENTS = 1 << 16
+
 
 @dataclass
 class Trace:
@@ -73,14 +83,12 @@ class Trace:
     def __len__(self) -> int:
         return len(self.residual)
 
-    def record(
-        self, x: np.ndarray, xbar: np.ndarray, gbar: np.ndarray, k: int, residual: float
-    ) -> None:
-        """Fill row k for the (n, d) iterate x with mean xbar and mean
-        gradient gbar, and keep x as history row k if history is kept."""
+    def record(self, x: np.ndarray, xbar: np.ndarray, k: int, residual: float) -> None:
+        """Fill the consensus error and residual of row k for the (n, d)
+        iterate x with mean xbar, and keep x as history row k if history
+        is kept. run_rounds fills the gradient-norm column."""
         with np.errstate(over="ignore", invalid="ignore"):
             self.consensus_err[k] = ((x - xbar) ** 2).sum()
-            self.grad_norm_mean[k] = np.linalg.norm(gbar)
         self.residual[k] = residual
         if self.stacked_iterates is not None:
             self.stacked_iterates[k] = x.reshape(-1)
@@ -102,7 +110,7 @@ def check_start(x0: np.ndarray, objectives, n: int) -> np.ndarray:
 
 
 def run_rounds(
-    init, step, emit, messages_per_agent: int, noise_second: NoiseSchedule,
+    init, step, emit, mean_grad, messages_per_agent: int, noise_second: NoiseSchedule,
     cfg, objectives, net, x0: np.ndarray, streams, record_iterates: bool, horizon: int,
 ) -> Trace:
     """Run cfg.iterations synchronous rounds of one engine and return the
@@ -110,11 +118,16 @@ def run_rounds(
 
     init(cfg, objectives, net, x0, streams) builds the round-0 state,
     step(state, cfg, objectives, net, streams) returns the next one, and
-    emit(trace, state, objectives) records its row. Each agent sends
+    emit(trace, state, xbar) records its row and writes the mean iterate
+    into xbar (d,). mean_grad(objectives, xbars), with the signature of
+    objectives.mean_value_grad, takes a block of those mean iterates at
+    once (max(1, GRAD_NORM_CHUNK_ELEMENTS // point_elements) rows), and
+    the norms of its gradients fill the block's gradient-norm rows, each
+    with the bits of a call on its mean iterate alone. Each agent sends
     messages_per_agent compressed vectors per round; noise_second is the
-    schedule of the engine's second noised variable (y or v).
-    Engines pass the three functions from their module globals on each
-    call, so wrappers set on those names (bench/tracer.py) see every call.
+    schedule of the engine's second noised variable (y or v). Engines
+    pass the four functions from their module globals on each call, so
+    wrappers set on those names (bench/tracer.py) see every call.
 
     With a horizon H > cfg.iterations the same trajectory keeps stepping
     to round H without emitting rows or iterates; final_stacked is then
@@ -129,10 +142,22 @@ def run_rounds(
     history = np.empty((rows, n * d)) if record_iterates else None
     # One (3, rows) block holds the consensus, gradient-norm and residual columns.
     trace = Trace(*np.empty((3, rows)), per_round_bits, cfg.noise_x, noise_second, history)
-    emit(trace, state, objectives)
-    for _ in range(cfg.iterations):
-        state = step(state, cfg, objectives, net, streams)
-        emit(trace, state, objectives)
+    # Mean iterates wait in a buffer of one block of rows. Each full block,
+    # and the partial last one, gets its gradient norms from one stacked
+    # mean_grad call, so memory stays O(block * d) however long the run.
+    block = max(1, GRAD_NORM_CHUNK_ELEMENTS // objectives.point_elements)
+    xbars = np.empty((min(block, rows), d))
+    for k in range(rows):
+        if k:
+            state = step(state, cfg, objectives, net, streams)
+        emit(trace, state, xbars[k % block])
+        if k % block == block - 1 or k == cfg.iterations:
+            start = k - k % block
+            # An overflowing gradient leaves an inf or nan norm, as in the
+            # run's other columns, rather than numpy's warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, gbar = mean_grad(objectives, xbars[:k + 1 - start])
+                trace.grad_norm_mean[start:k + 1] = row_norms(gbar)
     for _ in range(cfg.iterations, horizon):
         state = step(state, cfg, objectives, net, streams)
     trace.final_k = state.k

@@ -14,10 +14,15 @@ Three benchmark families:
 
 The API is one class per family (LogisticObjective, SinCosObjective,
 QuadraticObjective), each with grad(x) and value_grad(x) on one agent's
-x (d,); make_objectives, which builds a run's n agents; and
-AgentObjectives, which make_objectives returns and whose grad(X) gives
-all n gradients of an (n, d) X in one call, or of a stack (..., n, d) of
-such points.
+point x (d,) or on a stack (..., d) of points; make_objectives, which
+builds a run's n agents; AgentObjectives, which make_objectives returns
+and whose grad(X) gives all n gradients of an (n, d) X in one call, or
+of a stack (..., n, d) of such points; and mean_value_grad, the network
+average's value and gradient at a point (d,) or a stack (..., d).
+
+Every stacked call returns, for each point, the bits of the call on that
+point alone: reductions run along the last axis and dot products go
+through row_dots or matmul, which add the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dpcopt.compressors import row_norms
+from dpcopt.compressors import row_dots, row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.rng import StreamFactory, Tag
 
@@ -93,11 +98,16 @@ def generate_dataset(m: int, d: int, rng: np.random.Generator) -> Dataset:
 
 
 def _checked(x: np.ndarray, d: int) -> np.ndarray:
-    """x as a float64 vector, which must have shape (d,)."""
+    """x as a float64 point (d,) or stack of points (..., d)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({d},)")
+    if x.ndim < 1 or x.shape[-1] != d:
+        raise DimensionMismatch(f"x has shape {x.shape}, expected (..., {d})")
     return x
+
+
+def _value(total: np.ndarray) -> float | np.ndarray:
+    """A loss as a float for one point, or as a (...,) array for a stack."""
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _signed_features(dataset: Dataset) -> np.ndarray:
@@ -198,15 +208,15 @@ class LogisticObjective:
         x = _checked(x, self.d)
         return x, _margins(self.signed, x)
 
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         """Loss and gradient. The loss term is evaluated as log1p(exp(z))
         via logaddexp so large margins never overflow."""
         x, z = self._checked_margins(x)
         # np.mean and np.sum without their Python wrappers: the same sums.
-        value = float(np.add.reduce(np.logaddexp(0.0, z)) / z.shape[0])
+        value = np.add.reduce(np.logaddexp(0.0, z), axis=-1) / z.shape[-1]
         xsq = x * x
-        value += float(np.add.reduce(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq)))
-        return value, _logistic_grad(self.signed, self.reg, self.alpha, x, z)
+        value += np.add.reduce(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq), axis=-1)
+        return _value(value), _logistic_grad(self.signed, self.reg, self.alpha, x, z)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x, z = self._checked_margins(x)
@@ -222,12 +232,14 @@ class SinCosObjective:
     def d(self) -> int:
         return self.dim
 
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         x = _checked(x, self.dim)
         sx = np.sin(x)
         cx = np.cos(x)
-        value = float(x @ x + 3.0 * (sx @ sx) + self.m_i * (x @ cx))
-        return value, _sincos_grad(self.m_i, x, sx, cx)
+        # x @ cx of each point, as row_dots takes x @ x.
+        x_cx = np.matmul(x[..., None, :], cx[..., :, None])[..., 0, 0]
+        value = row_dots(x) + 3.0 * row_dots(sx) + self.m_i * x_cx
+        return _value(value), _sincos_grad(self.m_i, x, sx, cx)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = _checked(x, self.dim)
@@ -242,9 +254,9 @@ class QuadraticObjective:
     def d(self) -> int:
         return self.anchor.shape[0]
 
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         diff = _checked(x, self.d) - self.anchor
-        return 0.5 * float(diff @ diff), diff
+        return _value(0.5 * row_dots(diff)), diff
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return _checked(x, self.d) - self.anchor
@@ -427,9 +439,12 @@ def make_objectives(
     raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
 
 
-def mean_value_grad(objectives: Sequence, x: np.ndarray) -> tuple[float, np.ndarray]:
+def mean_value_grad(
+    objectives: Sequence, x: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Value and gradient of the network average f = (1/n) sum_i f_i at
-    a single point."""
+    a point x (d,), or at each point of a stack (..., d): values (...,)
+    and gradients (..., d), each point's those of its own call."""
     total_value = 0.0
     total_grad = np.zeros_like(np.asarray(x, dtype=np.float64))
     for obj in objectives:

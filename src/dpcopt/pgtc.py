@@ -174,11 +174,9 @@ def tracking_residual(state: PgtcState) -> float:
     return float(np.max(np.abs(gap)))
 
 
-def _emit_row(trace: Trace, state: PgtcState, objectives) -> None:
-    xbar = np.add.reduce(state.x, axis=0) / len(state.x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, gbar = mean_value_grad(objectives, xbar)
-    trace.record(state.x, xbar, gbar, state.k, tracking_residual(state))
+def _emit_row(trace: Trace, state: PgtcState, xbar: np.ndarray) -> None:
+    np.divide(np.add.reduce(state.x, axis=0), len(state.x), out=xbar)
+    trace.record(state.x, xbar, state.k, tracking_residual(state))
 
 
 def pgtc_run(
@@ -193,6 +191,6 @@ def pgtc_run(
     """Run cfg.iterations rounds and return the trace (row k=0 included);
     see metrics.run_rounds for the horizon."""
     return run_rounds(
-        pgtc_init, pgtc_step, _emit_row, MESSAGES_PER_AGENT, cfg.noise_y,
+        pgtc_init, pgtc_step, _emit_row, mean_value_grad, MESSAGES_PER_AGENT, cfg.noise_y,
         cfg, objectives, net, x0, streams, record_iterates, horizon,
     )

@@ -153,11 +153,9 @@ def dual_average_residual(state: PpdcState) -> float:
     return float(np.max(np.abs(gap)))
 
 
-def _emit_row(trace: Trace, state: PpdcState, objectives) -> None:
-    xbar = np.add.reduce(state.x, axis=0) / len(state.x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, gbar = mean_value_grad(objectives, xbar)
-    trace.record(state.x, xbar, gbar, state.k, dual_average_residual(state))
+def _emit_row(trace: Trace, state: PpdcState, xbar: np.ndarray) -> None:
+    np.divide(np.add.reduce(state.x, axis=0), len(state.x), out=xbar)
+    trace.record(state.x, xbar, state.k, dual_average_residual(state))
 
 
 def ppdc_run(
@@ -172,6 +170,6 @@ def ppdc_run(
     """Run cfg.iterations rounds and return the trace (row k=0 included);
     see metrics.run_rounds for the horizon."""
     return run_rounds(
-        ppdc_init, ppdc_step, _emit_row, MESSAGES_PER_AGENT, cfg.noise_v,
+        ppdc_init, ppdc_step, _emit_row, mean_value_grad, MESSAGES_PER_AGENT, cfg.noise_v,
         cfg, objectives, net, x0, streams, record_iterates, horizon,
     )

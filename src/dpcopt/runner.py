@@ -19,6 +19,7 @@ import math
 import os
 import platform
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,9 +242,11 @@ def cmd_sweep(rc: RunConfig) -> int:
     chart_y: list[float] = []
     failures: list[dict] = []
     cells: list[dict] = []
+    total_cells = len(rc.sweep.values) * rc.sweep.repeats
     for value_index, value in enumerate(rc.sweep.values):
         accuracies: list[float] = []
         for repeat_index in range(rc.sweep.repeats):
+            started = time.perf_counter()
             child_seed = derive_seed(rc.seed, value_index, repeat_index)
             cell = replace(
                 apply_sweep_value(rc, rc.sweep.parameter, value),
@@ -274,6 +277,13 @@ def cmd_sweep(rc: RunConfig) -> int:
                     f"repeat {repeat_index}): {exc}",
                     file=sys.stderr,
                 )
+            # Progress goes to stderr, so stdout and the files keep their bytes.
+            print(
+                f"sweep cell {len(cells) + len(failures)}/{total_cells} "
+                f"({rc.sweep.parameter}={value}, repeat {repeat_index}): "
+                f"{time.perf_counter() - started:.3f} s",
+                file=sys.stderr,
+            )
         if accuracies:
             med = float(np.median(accuracies))
             summary_lines.append(

@@ -1,7 +1,9 @@
 """Shared builders for engine-level tests, a connected-graph strategy and
 a noisy-run strategy built on it, a finite-difference oracle, the loop
-form of the Metropolis weights, the written trace's columns and the
-two-variable pgtc round that the stacked step must reproduce."""
+form of the Metropolis weights, the written trace's columns, the
+round-by-round gradient-norm formula that the blocked fill must
+reproduce, and the two-variable pgtc round that the stacked step must
+reproduce."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dpcopt.compressors import BBIT, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, write_trace_csv
 from dpcopt.noise import sample_laplace, scale_at
-from dpcopt.objectives import as_agent_objectives, make_objectives
+from dpcopt.objectives import as_agent_objectives, make_objectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Graph, Network, build_graph, build_network
 
@@ -100,6 +102,21 @@ def csv_columns(trace: Trace, path) -> dict[str, list[str]]:
     write_trace_csv(trace, path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()
     return dict(zip(header.split(","), map(list, zip(*(line.split(",") for line in lines)))))
+
+
+def grad_norms_per_round(objectives, trace: Trace) -> np.ndarray:
+    """The gradient-norm column computed round by round from the trace's
+    iterate history: xbar_k, then mean_value_grad at that single point,
+    then np.linalg.norm, as each round's row was once filled."""
+    n = len(objectives)
+    norms = np.empty(len(trace))
+    for k, row in enumerate(trace.stacked_iterates):
+        x = row.reshape(n, -1)
+        xbar = np.add.reduce(x, axis=0) / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, gbar = mean_value_grad(objectives, xbar)
+            norms[k] = np.linalg.norm(gbar)
+    return norms
 
 
 def build_problem(kind: str, seed: int, d: int = 10, **kwargs):

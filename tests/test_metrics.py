@@ -1,11 +1,17 @@
 """Trace metrics tests: residual series, reference points, bit meters,
 and the replay-grade CSV writer."""
 
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from common import build_problem, csv_columns, drawn_run, grad_norms_per_round, noisy_runs
+from dpcopt import metrics
 from dpcopt.compressors import make_spec
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 from dpcopt.metrics import (
@@ -19,8 +25,6 @@ from dpcopt.metrics import (
 from dpcopt.noise import NoiseSchedule, scale_at
 from dpcopt.pgtc import PgtcConfig, pgtc_init, pgtc_run
 from dpcopt.ppdc import PpdcConfig, ppdc_init, ppdc_run
-
-from tests.common import build_problem, csv_columns
 
 QUIET = NoiseSchedule(s=0.0, q=0.5)
 
@@ -49,6 +53,26 @@ def _ppdc_config(spec, iterations, noise=QUIET):
         eta=0.015, gamma=45.0, omega=5.0, alpha_x=0.2,
         compressor=spec, noise_x=noise, noise_v=noise, iterations=iterations,
     )
+
+
+# Gains that keep both engines finite on every drawn connected graph.
+NOISY = NoiseSchedule(s=0.5, q=0.9)
+ENGINES = {
+    "pgtc": (
+        lambda spec, iterations, eta=0.05: PgtcConfig(
+            eta=eta, gamma=0.2, alpha_x=0.5, alpha_y=0.5, compressor=spec,
+            noise_x=NOISY, noise_y=NOISY, iterations=iterations,
+        ),
+        pgtc_run,
+    ),
+    "ppdc": (
+        lambda spec, iterations, eta=0.05: PpdcConfig(
+            eta=eta, gamma=1.0, omega=1.0, alpha_x=0.2, compressor=spec,
+            noise_x=NOISY, noise_v=NOISY, iterations=iterations,
+        ),
+        ppdc_run,
+    ),
+}
 
 
 # --- start check ---
@@ -285,3 +309,63 @@ def test_csv_rejects_residual_length_mismatch(tmp_path):
     trace = _trace([1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         write_trace_csv(trace, tmp_path / "trace.csv", residuals=np.zeros(3))
+
+
+# --- gradient-norm column ---
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@settings(max_examples=30, deadline=None)
+@given(case=noisy_runs(), rows_per_block=st.one_of(st.none(), st.integers(1, 7)))
+def test_grad_norm_column_equals_the_per_round_formula(engine, case, rows_per_block):
+    # rows_per_block None keeps the shipped block size; 1..7 rows split
+    # the K + 1 rows into several blocks, most often with a partial last.
+    make_cfg, run = ENGINES[engine]
+    spec, net, streams, objectives, x0 = drawn_run(case)
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_per_block is not None:
+            elements = rows_per_block * objectives.point_elements
+            patch.setattr(metrics, "GRAD_NORM_CHUNK_ELEMENTS", elements)
+        trace = run(make_cfg(spec, case[6]), objectives, net, x0, streams, record_iterates=True)
+    want = grad_norms_per_round(objectives, trace)
+    assert trace.grad_norm_mean.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_grad_norm_column_is_filled_one_block_of_rows_per_call(engine, monkeypatch):
+    make_cfg, run = ENGINES[engine]
+    module = importlib.import_module(f"dpcopt.{engine}")
+    net, streams, objectives, x0 = build_problem("logistic", seed=3, m=20, lam=1e-3, alpha=1.0)
+    monkeypatch.setattr(metrics, "GRAD_NORM_CHUNK_ELEMENTS", 4 * objectives.point_elements)
+    steps = []
+    blocks = []
+    step, mean_value_grad = getattr(module, f"{engine}_step"), module.mean_value_grad
+
+    def counting_step(*args):
+        steps.append(None)
+        return step(*args)
+
+    def recording_mean_value_grad(objs, xbars):
+        blocks.append((len(steps), len(xbars)))
+        return mean_value_grad(objs, xbars)
+
+    monkeypatch.setattr(module, f"{engine}_step", counting_step)
+    monkeypatch.setattr(module, "mean_value_grad", recording_mean_value_grad)
+    cfg = make_cfg(make_spec("topk", 10, k=2), 10)
+    trace = run(cfg, objectives, net, x0, streams, record_iterates=True, horizon=100)
+    # 11 rows in blocks of 4, 4 and 3, each filled once its last row is
+    # written (after rounds 3, 7 and 10), none in the reference tail.
+    assert blocks == [(3, 4), (7, 4), (10, 3)]
+    assert len(steps) == 100
+    assert trace.grad_norm_mean.tobytes() == grad_norms_per_round(objectives, trace).tobytes()
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_diverging_run_raises_non_finite_without_a_warning(engine, monkeypatch):
+    make_cfg, run = ENGINES[engine]
+    monkeypatch.setattr(metrics, "GRAD_NORM_CHUNK_ELEMENTS", 1)
+    net, streams, objectives, x0 = build_problem("quadratic", seed=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            run(make_cfg(make_spec("identity", 10), 400, eta=1e8), objectives, net, x0, streams)

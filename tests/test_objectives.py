@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from common import finite_diff_grad
+from dpcopt.compressors import row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.objectives import (
     MAX_BOX_RADIUS,
@@ -205,6 +206,78 @@ def _edge_case(name):
         x[:, ::2] = 0.0
         x[:, 1::2] *= np.array([[-0.0], [0.0], [-0.0]])
     return features, labels, np.full(n, 1e-3), np.array([1.0, 0.0, 2.5]), x
+
+
+def _assert_stack_equals_single_points(objs, x):
+    """value_grad of each agent and mean_value_grad on the stack x
+    (..., d) equal their calls on each point alone: values ==, gradients
+    and the norms of the mean gradients byte for byte."""
+    points = list(np.ndindex(x.shape[:-1]))
+    for obj in objs:
+        values, grads = obj.value_grad(x)
+        assert values.shape == x.shape[:-1] and grads.shape == x.shape
+        assert obj.grad(x).tobytes() == grads.tobytes()
+        for index in points:
+            value, grad = obj.value_grad(x[index])
+            assert values[index] == value
+            assert grads[index].tobytes() == grad.tobytes()
+    values, grads = mean_value_grad(objs, x)
+    norms = row_norms(grads)
+    for index in points:
+        value, grad = mean_value_grad(objs, x[index])
+        assert values[index] == value
+        assert grads[index].tobytes() == grad.tobytes()
+        assert norms[index].tobytes() == np.float64(np.linalg.norm(grad)).tobytes()
+
+
+@st.composite
+def _stacked_points(draw):
+    kind = draw(st.sampled_from(["logistic", "sincos", "quadratic"]))
+    n = draw(st.integers(1, 3))
+    # Past 8 terms numpy's and BLAS's sums split into partial sums, whose
+    # order a stacked call must keep too.
+    d = draw(st.integers(1, 24))
+    # Products up to 1e6 * d push logistic margins past +-745; the float
+    # strategy also draws exact zeros of either sign.
+    values = st.floats(-1e3, 1e3)
+    if kind == "logistic":
+        m = draw(st.integers(1, 24))
+        labels = hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0]))
+        objs = [
+            LogisticObjective(
+                Dataset(draw(hnp.arrays(np.float64, (m, d), elements=values)), draw(labels)),
+                lam=draw(st.floats(0.0, 1.0)),
+                alpha=draw(st.floats(0.0, 10.0)),
+            )
+            for _ in range(n)
+        ]
+    elif kind == "sincos":
+        objs = [SinCosObjective(draw(st.floats(-1.0, 1.0)), d) for _ in range(n)]
+    else:
+        objs = [
+            QuadraticObjective(draw(hnp.arrays(np.float64, d, elements=values)))
+            for _ in range(n)
+        ]
+    lead = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
+    return objs, draw(hnp.arrays(np.float64, lead + (d,), elements=values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacked_points())
+def test_value_grad_on_a_stack_equals_one_call_per_point(case):
+    _assert_stack_equals_single_points(*case)
+
+
+@pytest.mark.parametrize("name", ["z=0", "|z|>745", "signed zeros"])
+def test_logistic_stack_keeps_its_bits_at_the_edges(name):
+    # Agent i's edge-case margins are those at point x[i], and the stack
+    # holds every agent's point.
+    features, labels, lam, alpha, x = _edge_case(name)
+    objs = [
+        LogisticObjective(Dataset(f, u), lam=float(l), alpha=float(a))
+        for f, u, l, a in zip(features, labels, lam, alpha)
+    ]
+    _assert_stack_equals_single_points(objs, x)
 
 
 @pytest.mark.parametrize("name", ["z=0", "|z|>745", "m=1", "signed zeros"])

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +354,22 @@ def test_sweep_outputs(tmp_path):
         assert cell["seed"] != 42  # per-cell derived seeds
     assert meta["cells"][0]["seed"] == derive_seed(42, 0, 0)
     assert meta["cells"][3]["seed"] == derive_seed(42, 1, 1)
+
+
+def test_sweep_reports_each_cell_on_stderr_only(tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = make_doc(out, sweep={"parameter": "q", "values": [0.3, 0.6], "repeats": 2})
+    assert main(["sweep", str(write_doc(tmp_path, doc))]) == EXIT_OK
+    captured = capsys.readouterr()
+    cells = [(0.3, 0), (0.3, 1), (0.6, 0), (0.6, 1)]
+    lines = captured.err.splitlines()
+    assert len(lines) == len(cells)
+    for done, (line, (value, repeat)) in enumerate(zip(lines, cells), start=1):
+        prefix = f"sweep cell {done}/4 (q={value}, repeat {repeat}): "
+        assert line.startswith(prefix), line
+        assert re.fullmatch(r"\d+\.\d{3} s", line[len(prefix):]), line
+    summary = out / "sweep_summary.csv"
+    assert captured.out == f"sweep complete: {summary} (2 values x 2 repeats, 0 failed)\n"
 
 
 def test_degenerate_sweep_matches_single_run(tmp_path):
