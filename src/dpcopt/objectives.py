@@ -23,6 +23,11 @@ average's value and gradient at a point (d,) or a stack (..., d).
 Every stacked call returns, for each point, the bits of the call on that
 point alone: reductions run along the last axis and dot products go
 through row_dots or matmul, which add the same terms in the same order.
+
+The logistic formulas skip exp and logaddexp on saturated margins,
+|z| >= SATURATED_MARGIN, where their results are known exactly (+0.0 and
+max(z, 0)); every other margin gets the same arithmetic, so the bits are
+those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ from dpcopt.rng import StreamFactory, Tag
 # rng.uniform(-r, r) overflows its range high - low above half the
 # largest double.
 MAX_BOX_RADIUS = sys.float_info.max / 2
+
+# exp(t) rounds to +0.0 for every t below ln(2^-1075) = -745.1332...,
+# half the smallest subnormal, so exp(-|z|) is +0.0 and logaddexp(0, z) is
+# exactly max(z, 0) wherever |z| >= SATURATED_MARGIN.
+SATURATED_MARGIN = 746.0
 
 # estimate_grad_bound evaluates its points in chunks whose largest
 # gradient temporary holds about this many elements.
@@ -117,29 +127,63 @@ def _signed_features(dataset: Dataset) -> np.ndarray:
     return -dataset.labels[:, None] * dataset.features
 
 
-def _margins(signed: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _unit_axis(out: np.ndarray | None, axis: int) -> np.ndarray | None:
+    """A C-contiguous out buffer as a view with a new unit axis, the shape
+    of a matmul result whose axis the caller then drops; None stays None."""
+    return None if out is None else np.expand_dims(out, axis)
+
+
+def _margins(signed: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Margins z_j = s_j^T x of one agent, (m, d) signed features and x
-    (d,), or of stacked agents, (n, m, d) and x (n, d) or (..., n, d).
+    (d,), or of stacked agents, (n, m, d) and x (n, d) or (..., n, d);
+    written into out, a C-contiguous array of z's shape, when given.
 
     matmul with x as a trailing (d, 1) column runs the same BLAS
     matrix-vector product for each point and agent, so a stacked call
     equals the per-agent calls bit for bit (np.einsum does not).
     """
-    return np.matmul(signed, x[..., None])[..., 0]
+    return np.matmul(signed, x[..., None], out=_unit_axis(out, -1))[..., 0]
+
+
+def _logistic_loss(z: np.ndarray) -> np.ndarray:
+    """log1p(exp(z)) of each margin as logaddexp(0, z), which cannot
+    overflow. Where |z| >= SATURATED_MARGIN, logaddexp(0, z) is exactly
+    max(z, 0), since the exp inside it is +0.0: max is taken there, and
+    logaddexp, with its exp and log1p, runs only on the rest."""
+    loss = np.maximum(z, 0.0)
+    np.logaddexp(0.0, z, out=loss, where=np.abs(z) < SATURATED_MARGIN)
+    return loss
+
+
+def _logistic_buffers(z_shape: tuple, d: int) -> tuple:
+    """Empty (e, numerator, mask, gradient) buffers for _logistic_grad on
+    margins of shape z_shape (..., m) and points of width d."""
+    return (
+        np.empty(z_shape),
+        np.empty(z_shape),
+        np.empty(z_shape, dtype=bool),
+        np.empty(z_shape[:-1] + (d,)),
+    )
 
 
 def _logistic_grad(
-    signed: np.ndarray, reg, alpha, x: np.ndarray, z: np.ndarray
+    signed: np.ndarray, reg, alpha, x: np.ndarray, z: np.ndarray, out: tuple | None = None
 ) -> np.ndarray:
     """Gradient at x given its margins z, with reg = 2 lambda alpha;
     broadcasts over a leading agent axis (reg and alpha are then (n, 1)
-    columns) and over further leading axes of x and z.
+    columns) and over further leading axes of x and z. out, when given, is
+    a _logistic_buffers tuple for z's shape, which the call overwrites; the
+    gradient is then its last buffer.
 
     The logistic function sigma(z) comes from e = exp(-|z|), which cannot
-    overflow. The data term -(1/m) sum_j sigma(z_j) u_j v_j is one BLAS
-    product per agent, (-sigma)^T S, divided by -m: the stacked matmul
-    runs the same product for each agent, so a stacked call equals the
-    per-agent calls bit for bit.
+    overflow. exp runs only where -|z| >= -SATURATED_MARGIN: below that
+    every exp is +0.0 (see SATURATED_MARGIN), numpy's exp is slowest there,
+    and the clamp to +0.0 after it writes those zeros while leaving each
+    computed e, NaN included, as it is. The data term
+    -(1/m) sum_j sigma(z_j) u_j v_j is one BLAS product per agent,
+    (-sigma)^T S, divided by -m: the stacked matmul runs the same product
+    for each agent, so a stacked call equals the per-agent calls bit for
+    bit.
 
     These are the bits of -(c^T V) / m with c = u * sigma and z = -u * (V x).
     u = +-1, so (-sigma_j) s_jk is u_j sigma_j v_jk exactly, sign of zero
@@ -151,22 +195,29 @@ def _logistic_grad(
     since e lies in [0, 1]: the same values as a per-element select,
     without its mispredicted branches on a stack of points. e and -1 - e
     share one buffer and the quotient is taken in place, because each
-    fresh temporary of the margins' size costs page faults there. The
-    rest works in place on fresh temporaries too, in the order of
-    grad / -m + reg x / (1 + alpha x^2)^2, so the bits are the same; x
-    and z are never written, as they may be views of the caller's state
-    or read-only broadcasts.
+    fresh temporary of the margins' size costs page faults there; the
+    gradient bound passes one set of buffers for all its chunks. The rest
+    works in place too, in the order of grad / -m + reg x / (1 + alpha x^2)^2,
+    so the bits are the same; x and z are never written, as they may be
+    views of the caller's state or read-only broadcasts.
     """
-    e = np.abs(z)
+    e, neg_sigma, mask, grad = out or (None, None, None, None)
+    e = np.abs(z, out=e)
     np.negative(e, out=e)
-    np.exp(e, out=e)
+    mask = np.greater_equal(e, -SATURATED_MARGIN, out=mask)
+    np.exp(e, out=e, where=mask)
+    np.maximum(e, 0.0, out=e)
     # A mixed bool/float np.maximum(e, z >= 0) gives the same bits, but its
     # buffered cast is slower on stacked margins (6 x 200 and larger).
-    neg_sigma = (z >= 0).astype(np.float64)
+    np.greater_equal(z, 0.0, out=mask)
+    if neg_sigma is None:
+        neg_sigma = mask.astype(np.float64)
+    else:
+        np.copyto(neg_sigma, mask)
     np.maximum(neg_sigma, e, out=neg_sigma)
     np.subtract(-1.0, e, out=e)
     neg_sigma /= e
-    grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :]
+    grad = np.matmul(neg_sigma[..., None, :], signed, out=_unit_axis(grad, -2))[..., 0, :]
     grad /= -signed.shape[-2]
     denom = x * x
     denom *= alpha
@@ -209,11 +260,9 @@ class LogisticObjective:
         return x, _margins(self.signed, x)
 
     def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        """Loss and gradient. The loss term is evaluated as log1p(exp(z))
-        via logaddexp so large margins never overflow."""
         x, z = self._checked_margins(x)
         # np.mean and np.sum without their Python wrappers: the same sums.
-        value = np.add.reduce(np.logaddexp(0.0, z), axis=-1) / z.shape[-1]
+        value = np.add.reduce(_logistic_loss(z), axis=-1) / z.shape[-1]
         xsq = x * x
         value += np.add.reduce(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq), axis=-1)
         return _value(value), _logistic_grad(self.signed, self.reg, self.alpha, x, z)
@@ -262,32 +311,44 @@ class QuadraticObjective:
         return _checked(x, self.d) - self.anchor
 
 
-def _stacked_grad(items: tuple) -> tuple[Callable[[np.ndarray], np.ndarray] | None, int]:
+def _stacked_grad(items: tuple) -> tuple[Callable | None, int, Callable | None]:
     """X (..., n, d) -> gradients of the same shape through the kind's
     shared formula, with the agents' data stacked once here; None unless
     every agent is exactly one built-in kind with equally shaped data.
 
     Also returns the per-agent width of the formula's largest temporary:
-    d, or max(m, d) for logistic, whose margins are (..., n, m).
+    d, or max(m, d) for logistic, whose margins are (..., n, m); and, for
+    logistic agents, a function of p that returns the formula on stacks
+    (q, n, d) of q <= p points with one set of buffers reused by every
+    call, else None.
     """
     kind = type(items[0])
     d = items[0].d
     if any(type(obj) is not kind for obj in items):
-        return None, d
+        return None, d, None
     if kind is QuadraticObjective:
         anchors = np.stack([obj.anchor for obj in items])
-        return (lambda x: x - anchors), d
+        return (lambda x: x - anchors), d, None
     if kind is SinCosObjective:
         coeffs = np.array([[obj.m_i] for obj in items])
-        return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d
+        return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d, None
     if kind is LogisticObjective and len({obj.dataset.m for obj in items}) == 1:
         signed = np.stack([obj.signed for obj in items])
         reg = np.array([[obj.reg] for obj in items])
         alpha = np.array([[obj.alpha] for obj in items])
+
+        def reusing(p: int) -> Callable[[np.ndarray], np.ndarray]:
+            z = np.empty((p,) + signed.shape[:-1])
+            kernel = _logistic_buffers(z.shape, d)
+            return lambda x: _logistic_grad(
+                signed, reg, alpha, x, _margins(signed, x, z[: len(x)]),
+                tuple(b[: len(x)] for b in kernel),
+            )
+
         return (
             lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
-        ), max(items[0].dataset.m, d)
-    return None, d
+        ), max(items[0].dataset.m, d), reusing
+    return None, d, None
 
 
 class AgentObjectives(Sequence):
@@ -310,7 +371,7 @@ class AgentObjectives(Sequence):
         self._items = tuple(objectives)
         if not self._items:
             raise ConfigInvalid("objectives: need at least one agent")
-        self._stacked, width = _stacked_grad(self._items)
+        self._stacked, width, self._reusing = _stacked_grad(self._items)
         self.point_elements = len(self._items) * width
 
     def __len__(self) -> int:
@@ -337,6 +398,12 @@ class AgentObjectives(Sequence):
             for point in x.reshape(-1, n, d)
         ]
         return np.stack(points).reshape(x.shape)
+
+    def _chunk_grad(self, p: int) -> Callable[[np.ndarray], np.ndarray]:
+        """grad for stacks (q, n, d) of q <= p points. For logistic agents
+        every call writes its margins, temporaries and gradients into one
+        set of buffers, so a result lives only until the next call."""
+        return self.grad if self._reusing is None else self._reusing(p)
 
 
 def as_agent_objectives(objectives: Sequence) -> AgentObjectives:
@@ -367,15 +434,26 @@ def estimate_grad_bound(
     objectives = as_agent_objectives(objectives)
     n, d = len(objectives), objectives.d
     step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
+    # Every chunk reuses one points buffer and, for logistic agents, one set
+    # of kernel buffers: fresh chunk-sized temporaries would each be faulted
+    # in again, as often as the heap layout happens to demand.
+    grad = objectives._chunk_grad(step)
+    buffer = np.empty((step, d))
+    # Each point at every agent: a read-only view, no copy.
+    stack = np.broadcast_to(buffer[:, None, :], (step, n, d))
     worst = []
     # An overflowing gradient is reported below rather than as numpy's
     # warning; max keeps a NaN norm, which the builtin max() would skip.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, trials, step):
-            # Consecutive draws give the values of one draw of all points.
-            points = rng.uniform(-radius, radius, size=(min(step, trials - start), d))
-            grads = objectives.grad(np.broadcast_to(points[:, None, :], (len(points), n, d)))
-            worst.append(row_norms(grads).max())
+            rows = min(step, trials - start)
+            # Consecutive draws give the values of one draw of all points,
+            # and these are the bits of rng.uniform(-radius, radius), which
+            # takes -radius + (radius - -radius) * u of the same draws u.
+            points = rng.random(out=buffer[:rows])
+            points *= radius - -radius
+            points += -radius
+            worst.append(row_norms(grad(stack[:rows])).max())
     bound = 1.1 * float(np.max(worst))
     if not math.isfinite(bound):
         raise DpcoptError(

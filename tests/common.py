@@ -2,16 +2,20 @@
 a noisy-run strategy built on it, a finite-difference oracle, the loop
 form of the Metropolis weights, the written trace's columns, the
 round-by-round gradient-norm formula that the blocked fill must
-reproduce, and the two-variable pgtc round that the stacked step must
+reproduce, the two-variable pgtc round that the stacked step must
+reproduce, and the plain logistic formulas that the saturation cut must
 reproduce."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from dpcopt import objectives as objectives_module
 from dpcopt.compressors import BBIT, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, write_trace_csv
@@ -188,3 +192,46 @@ def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> dict:
         "noise_y_cumsum": noise_y_cumsum,
         "k": k + 1,
     }
+
+
+def plain_logistic_grad(signed, reg, alpha, x, z, out=None):
+    """The logistic kernel as it ran before the saturation cut, with
+    exp(-|z|) taken on every margin: the oracle whose bytes
+    objectives._logistic_grad must keep. Its steps work in place as the
+    kernel's do, so that even the sign of a NaN gradient matches (an
+    out-of-place grad + reg_term can pick the other NaN operand).
+    Broadcasts like the kernel; out is accepted and unused."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    neg_sigma = (z >= 0).astype(np.float64)
+    np.maximum(neg_sigma, e, out=neg_sigma)
+    np.subtract(-1.0, e, out=e)
+    neg_sigma /= e
+    grad = np.matmul(neg_sigma[..., None, :], signed)[..., 0, :]
+    grad /= -signed.shape[-2]
+    denom = x * x
+    denom *= alpha
+    denom += 1.0
+    denom *= denom
+    reg_term = reg * x
+    reg_term /= denom
+    grad += reg_term
+    return grad
+
+
+def plain_logistic_loss(z):
+    """log1p(exp(z)) of each margin as np.logaddexp(0, z) on every margin:
+    the oracle whose bytes objectives._logistic_loss must keep."""
+    return np.logaddexp(0.0, z)
+
+
+@contextmanager
+def plain_logistic_formulas() -> Iterator[None]:
+    """Within the block, every logistic gradient and loss in dpcopt, the
+    engines' and the stacked AgentObjectives.grad included, goes through
+    the plain oracles above instead of the saturation cut."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objectives_module, "_logistic_grad", plain_logistic_grad)
+        patch.setattr(objectives_module, "_logistic_loss", plain_logistic_loss)
+        yield

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from common import build_problem, csv_columns, drawn_run, grad_norms_per_round, noisy_runs
+from common import (
+    build_problem,
+    csv_columns,
+    drawn_run,
+    grad_norms_per_round,
+    noisy_runs,
+    plain_logistic_formulas,
+)
 from dpcopt import metrics
 from dpcopt.compressors import make_spec
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
@@ -329,6 +336,44 @@ def test_grad_norm_column_equals_the_per_round_formula(engine, case, rows_per_bl
         trace = run(make_cfg(spec, case[6]), objectives, net, x0, streams, record_iterates=True)
     want = grad_norms_per_round(objectives, trace)
     assert trace.grad_norm_mean.tobytes() == want.tobytes()
+
+
+@st.composite
+def _saturating_logistic_runs(draw):
+    """A noisy_runs case on logistic agents and a factor for its x0 that
+    puts the largest start margin at 500..3000, so that margins pass the
+    saturation cut (|z| = 746) from the first rounds on."""
+    case = draw(noisy_runs())
+    return case[:5] + ("logistic",) + case[6:], draw(st.floats(500.0, 3000.0))
+
+
+def _run_bytes(engine, case, largest_margin):
+    """The trace columns, iterate history and final state of one run, as
+    bytes, past a reference tail of 3 rounds; or the error that ended it."""
+    make_cfg, run = ENGINES[engine]
+    spec, net, streams, objectives, x0 = drawn_run(case)
+    margins = [obj.signed @ x for obj, x in zip(objectives, x0)]
+    x0 = x0 * (largest_margin / max(np.abs(z).max() for z in margins))
+    try:
+        trace = run(
+            make_cfg(spec, case[6]), objectives, net, x0, streams,
+            record_iterates=True, horizon=case[6] + 3,
+        )
+    except NonFiniteState as exc:
+        return repr(exc)
+    columns = (trace.consensus_err, trace.grad_norm_mean, trace.residual)
+    return [a.tobytes() for a in (*columns, trace.stacked_iterates, trace.final_stacked)]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@settings(max_examples=25, deadline=None)
+@given(_saturating_logistic_runs())
+def test_saturated_runs_keep_the_bytes_of_the_plain_logistic_formulas(engine, drawn):
+    case, largest_margin = drawn
+    got = _run_bytes(engine, case, largest_margin)
+    with plain_logistic_formulas():
+        want = _run_bytes(engine, case, largest_margin)
+    assert got == want
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

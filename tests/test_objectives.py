@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,11 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from common import finite_diff_grad
+from common import (
+    finite_diff_grad,
+    plain_logistic_formulas,
+    plain_logistic_grad,
+    plain_logistic_loss,
+)
+from dpcopt import objectives
 from dpcopt.compressors import row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.objectives import (
     MAX_BOX_RADIUS,
+    SATURATED_MARGIN,
     AgentObjectives,
     Dataset,
     LogisticObjective,
@@ -348,6 +357,138 @@ def test_kernel_writes_no_input_and_keeps_the_out_of_place_bits(name):
                 assert np.float64(value).tobytes() == np.float64(
                     _wrapped_logistic_value(obj, xi)
                 ).tobytes()
+
+
+# Margins where exp(-|z|) turns subnormal (-708.4) and where it rounds to
+# +0.0 (below -745.1332...), and the cut itself; each also with its sign
+# flipped.
+CUT_EDGES = [-708.4, -745.1332191019412, -SATURATED_MARGIN]
+
+
+def _cut_margins(non_finite: bool):
+    """Margin values in and around CUT_EDGES of either sign, signed zeros,
+    |z| up to 1e6 and, if non_finite, +-inf and NaN."""
+    edges = st.sampled_from(CUT_EDGES + [-z for z in CUT_EDGES] + [0.0, -0.0])
+    near = st.builds(lambda z, dz: z + dz, edges, st.floats(-0.2, 0.2))
+    values = [edges, near, near, st.floats(-1e6, 1e6)]
+    if non_finite:
+        values.append(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return st.one_of(values)
+
+
+def _quiet_if_finite(*arrays):
+    """A block that turns every numpy warning into an error when all the
+    arrays are finite; otherwise one that lets overflow and NaN pass."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return _no_warnings()
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+@contextmanager
+def _no_warnings():
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+        warnings.simplefilter("error")
+        yield
+
+
+@st.composite
+def _kernel_margins(draw):
+    """Signed features (n, m, d), reg and alpha (n, 1) columns, points
+    (..., n, d) and margins (..., n, m) drawn on their own, so that they
+    can take any value: the kernel is elementwise in the margins. A drawn
+    flag makes every margin <= 0, where sigma is the exp itself."""
+    n, m, d = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    signed = draw(hnp.arrays(np.float64, (n, m, d), elements=st.floats(-1e3, 1e3)))
+    x = draw(hnp.arrays(np.float64, lead + (n, d), elements=st.floats(-1e3, 1e3)))
+    z = draw(hnp.arrays(np.float64, lead + (n, m), elements=_cut_margins(draw(st.booleans()))))
+    if draw(st.booleans()):
+        z = -np.abs(z)
+    # lam = 0 leaves the data term alone in the gradient, so that even a
+    # lone subnormal sigma shows in its bytes.
+    lam = draw(hnp.arrays(np.float64, (n, 1), elements=st.sampled_from([0.0, 1e-3, 1.0])))
+    alpha = draw(hnp.arrays(np.float64, (n, 1), elements=st.floats(0.0, 10.0)))
+    return signed, 2.0 * lam * alpha, alpha, x, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_margins())
+def test_saturation_cut_keeps_the_plain_kernel_and_loss_bytes(case):
+    signed, reg, alpha, x, z = case
+    want = plain_logistic_grad(signed, reg, alpha, x, z)
+    with _quiet_if_finite(x, z):
+        got = objectives._logistic_grad(signed, reg, alpha, x, z)
+        out = objectives._logistic_buffers(z.shape, signed.shape[-1])
+        into = objectives._logistic_grad(signed, reg, alpha, x, z, out)
+        loss = objectives._logistic_loss(z)
+    assert got.tobytes() == want.tobytes()
+    # The gradient is written into the last buffer.
+    assert into.tobytes() == out[-1].tobytes() == want.tobytes()
+    assert np.shares_memory(into, out[-1])
+    with np.errstate(invalid="ignore"):
+        assert loss.tobytes() == plain_logistic_loss(z).tobytes()
+
+
+@st.composite
+def _saturating_agents(draw):
+    """Logistic agents with one m whose margins at a base point x0 lie in
+    and around CUT_EDGES, and a stack (..., d) of multiples of x0, by
+    factors near 1 and up to 1e3, so that the margins move around the
+    edges and reach |z| = 1e6; a factor may be +-inf or NaN."""
+    n, m, d = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    # x0 and the raw features are positive, so no raw margin is zero.
+    positive = st.floats(0.5, 2.0)
+    x0 = draw(hnp.arrays(np.float64, d, elements=positive))
+    objs = []
+    for _ in range(n):
+        features = draw(hnp.arrays(np.float64, (m, d), elements=positive))
+        labels = draw(hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
+        target = draw(hnp.arrays(np.float64, m, elements=_cut_margins(False)))
+        if draw(st.booleans()):
+            target = -np.abs(target)
+        # Row j scaled so that its margin -u_j v_j^T x0 is about target_j.
+        features *= (target / (-labels * (features @ x0)))[:, None]
+        objs.append(
+            LogisticObjective(
+                Dataset(features, labels),
+                lam=draw(st.sampled_from([0.0, 1e-3])),
+                alpha=draw(st.floats(0.0, 10.0)),
+            )
+        )
+    factors = st.one_of(
+        st.floats(0.999, 1.001), st.floats(-1e3, 1e3),
+        st.sampled_from([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan]),
+    )
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    scale = draw(hnp.arrays(np.float64, lead, elements=factors))
+    return objs, np.multiply.outer(scale, x0)
+
+
+def _logistic_entry_points(objs, x):
+    """The bytes of every logistic entry point on a stack x (..., d): each
+    agent's grad and value_grad on the stack and on each point alone, the
+    network mean, and AgentObjectives.grad with every agent at each point."""
+    got = []
+    for obj in objs:
+        got += [obj.grad(x), *obj.value_grad(x)]
+        for index in np.ndindex(x.shape[:-1]):
+            value, grad = obj.value_grad(x[index])
+            got += [obj.grad(x[index]), np.float64(value), grad]
+    got += list(mean_value_grad(objs, x))
+    n, d = len(objs), x.shape[-1]
+    got.append(AgentObjectives(objs).grad(np.broadcast_to(x[..., None, :], x.shape[:-1] + (n, d))))
+    return [np.asarray(a).tobytes() for a in got]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_saturating_agents())
+def test_saturation_cut_keeps_every_logistic_entry_point_bytewise(case):
+    objs, x = case
+    with _quiet_if_finite(x):
+        got = _logistic_entry_points(objs, x)
+    with np.errstate(over="ignore", invalid="ignore"), plain_logistic_formulas():
+        want = _logistic_entry_points(objs, x)
+    assert got == want
 
 
 def test_logistic_dimension_mismatch():
