@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcopt.errors import ConfigInvalid, SpecDimensionMismatch
+from dpcopt.errors import ConfigInvalid, DimensionMismatch, SpecDimensionMismatch
 
 __all__ = [
     "IDENTITY",
@@ -125,7 +125,7 @@ def make_spec(
         if k is None:
             raise ConfigInvalid("compressor.k: required for topk")
         if k > d:
-            raise SpecDimensionMismatch(f"top-k with k={k} exceeds d={d}")
+            raise SpecDimensionMismatch(f"compressor.k: top-k with k={k} exceeds d={d}")
         default_r, default_phi = 1.0, k / d
     elif kind == BBIT:
         # Above FLOAT_BITS a coordinate costs more than the identity's double.
@@ -172,18 +172,20 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 def compress(
     spec: CompressorSpec,
     x: np.ndarray,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Decoded compressor output of a vector (d,) or of each row of an
-    (n, d) array; bit_cost(spec, d) gives the payload bits of one vector.
+    """Decoded compressor output of each row of an (n, d) array of
+    senders; bit_cost(spec, d) gives the payload bits of one row.
 
-    Rows are independent senders: row i of the result is what the call on
-    x[i] alone returns, bit for bit. Only the bbit kind consumes rng: one
-    generator for a vector, a sequence of n generators (row i draws from
-    rng[i]) for an array. A row that is exactly zero draws nothing.
+    Rows are independent: row i of the result depends on x[i] alone. Only
+    the bbit kind consumes rngs, a sequence of n generators of which row i
+    draws its d dither uniforms from rngs[i]; a row that is exactly zero
+    draws nothing.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[-1]
+    if x.ndim != 2:
+        raise DimensionMismatch(f"x has shape {x.shape}, expected (n, d)")
+    d = x.shape[1]
     if spec.kind == TOPK and spec.k is not None and spec.k > d:
         raise SpecDimensionMismatch(f"top-k with k={spec.k} exceeds d={d}")
 
@@ -196,48 +198,44 @@ def compress(
 
     if spec.kind == TOPK:
         # Stable sort on -|x| keeps the lower index first among ties.
-        keep = (-np.abs(x)).argsort(axis=-1, kind="stable")[..., : spec.k]
-        if x.ndim == 2:
-            # Row i's coordinates start at flat index i*d.
-            keep = keep + np.arange(0, x.size, d)[:, None]
+        keep = (-np.abs(x)).argsort(axis=-1, kind="stable")[:, : spec.k]
+        # Row i's coordinates start at flat index i*d.
+        keep += np.arange(0, x.size, d)[:, None]
         out = np.zeros(x.shape)
         out.reshape(-1)[keep] = x.reshape(-1)[keep]
         return out
 
     # bbit
     norms = row_norms(x)
-    if rng is None and np.any(norms):
-        raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
-    if x.ndim == 1:
-        return _dither(spec, x, norms, rng.random(d)) if norms else np.zeros_like(x)
     out = np.zeros_like(x)
     live = np.flatnonzero(norms)
     if live.size:
+        if rngs is None:
+            raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
         u = np.empty((live.size, d))
         for i, row in zip(live.tolist(), u):
-            rng[i].random(out=row)
+            rngs[i].random(out=row)
         out[live] = _dither(spec, x[live], norms[live, None], u)
     return out
 
 
-def _dither(spec: CompressorSpec, x: np.ndarray, norm, u: np.ndarray) -> np.ndarray:
-    """bbit levels of x (d,) with its norm, or of rows (n, d) with their
-    norms as an (n, 1) column; every norm is nonzero."""
+def _dither(spec: CompressorSpec, x: np.ndarray, norms, u: np.ndarray) -> np.ndarray:
+    """bbit levels of rows (n, d) with their norms as an (n, 1) column and
+    their dither uniforms u (n, d); every norm is nonzero."""
     assert spec.b is not None
     half_levels = 2.0 ** (spec.b - 1)
-    levels = np.floor(half_levels * np.abs(x) / norm + u)
-    return (norm / xi_factor(x.shape[-1], spec.b)) * np.sign(x) * (levels / half_levels)
+    levels = np.floor(half_levels * np.abs(x) / norms + u)
+    return (norms / xi_factor(x.shape[-1], spec.b)) * np.sign(x) * (levels / half_levels)
 
 
 def encode_decode(
     spec: CompressorSpec,
     target: np.ndarray,
     reference: np.ndarray,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Shared decoded estimate: reference + C(target - reference), of one
-    sender's vectors (d,) or of n senders' rows (n, d) at once (see
-    compress for rng).
+    """Shared decoded estimates reference + C(target - reference) of n
+    senders' rows (n, d) at once (see compress for rngs).
 
     The identity kind passes the target through untouched so the decoded
     estimate equals the broadcast vector exactly, with no rounding from
@@ -245,7 +243,7 @@ def encode_decode(
     """
     if spec.kind == IDENTITY:
         return target.copy()
-    return reference + compress(spec, target - reference, rng)
+    return reference + compress(spec, target - reference, rngs)
 
 
 def bit_cost(spec: CompressorSpec, d: int) -> int:

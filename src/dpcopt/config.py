@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from dpcopt.compressors import CompressorSpec, make_spec
-from dpcopt.errors import ConfigInvalid
+from dpcopt.errors import ConfigInvalid, DisconnectedGraph, InvalidEdge
 from dpcopt.noise import NoiseSchedule
 from dpcopt.objectives import MAX_BOX_RADIUS
 from dpcopt.pgtc import PgtcConfig
@@ -178,7 +178,10 @@ def _parse_graph(doc: dict) -> Graph:
         ):
             raise ConfigInvalid(f"graph.edges[{index}]: expected an [i, j] integer pair")
         pairs.append((pair[0], pair[1]))
-    return build_graph(n, pairs)
+    try:
+        return build_graph(n, pairs)
+    except (InvalidEdge, DisconnectedGraph) as exc:
+        raise type(exc)(f"{'graph.n' if n < 2 else 'graph.edges'}: {exc}") from None
 
 
 def _parse_objective(doc: dict) -> ObjectiveConfig:

@@ -24,7 +24,7 @@ import numpy as np
 from dpcopt.compressors import bit_cost, row_dots, row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 from dpcopt.noise import NoiseSchedule, scale_at
-from dpcopt.objectives import as_agent_objectives
+from dpcopt.objectives import AgentObjectives
 
 __all__ = [
     "Trace",
@@ -94,7 +94,7 @@ class Trace:
             self.stacked_iterates[k] = x.reshape(-1)
 
 
-def check_start(x0: np.ndarray, objectives, n: int) -> np.ndarray:
+def check_start(x0: np.ndarray, objectives: AgentObjectives, n: int) -> np.ndarray:
     """x0 as a float64 (n, d) array whose d is the objectives' dimension."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != n:
@@ -102,10 +102,8 @@ def check_start(x0: np.ndarray, objectives, n: int) -> np.ndarray:
             f"x0 has shape {x0.shape}, expected ({n}, d) for this graph"
         )
     d = x0.shape[1]
-    if objectives[0].d != d:
-        raise DimensionMismatch(
-            f"objectives have dimension {objectives[0].d}, x0 has {d}"
-        )
+    if objectives.d != d:
+        raise DimensionMismatch(f"objectives have dimension {objectives.d}, x0 has {d}")
     return x0
 
 
@@ -134,7 +132,6 @@ def run_rounds(
     the state at round H (the reference point of reference_point), and
     final_k records that round.
     """
-    objectives = as_agent_objectives(objectives)
     state = init(cfg, objectives, net, x0, streams)
     n, d = state.x.shape
     per_round_bits = messages_per_agent * n * bit_cost(cfg.compressor, d)

@@ -42,31 +42,23 @@ def scale_at(sched: NoiseSchedule, k: int) -> float:
 
 
 def sample_laplace(
-    theta: float,
-    d: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    theta: float, d: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """d i.i.d. Laplace(theta) coordinates from one generator, or n rows
-    (n, d) from a sequence of n generators, row i drawn from rng[i]; zeros
-    when theta = 0.
+    """n rows (n, d) of i.i.d. Laplace(theta) coordinates from a sequence
+    of n generators, row i drawn from rngs[i]; zeros when theta = 0.
 
-    Each row's uniforms come from its own generator exactly as a
-    single-generator call draws them, written straight into a fresh (n, d)
-    block, and one inverse-CDF transform maps all rows.
+    Each row's d uniforms come from its own generator, written straight
+    into a fresh (n, d) block, and one inverse-CDF transform maps all rows.
     """
     if theta < 0:
         raise ConfigInvalid("noise: scale must be >= 0")
     if d < 1:
         raise ConfigInvalid("noise: dimension must be >= 1")
-    rows = isinstance(rng, Sequence)
     if theta == 0.0:
-        return np.zeros((len(rng), d) if rows else d)
-    if rows:
-        u = np.empty((len(rng), d))
-        for g, row in zip(rng, u):
-            g.random(out=row)
-    else:
-        u = rng.random(d)
+        return np.zeros((len(rngs), d))
+    u = np.empty((len(rngs), d))
+    for g, row in zip(rngs, u):
+        g.random(out=row)
     u -= 0.5
     decay = 1.0 - 2.0 * np.abs(u)
     # u = -0.5 exactly would hit log(0); clamp that measure-zero draw.

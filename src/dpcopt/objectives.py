@@ -12,12 +12,13 @@ Three benchmark families:
   Polyak-Lojasiewicz inequality with constant 1 and has the closed-form
   optimum mean(a_i)
 
-The API is one class per family (LogisticObjective, SinCosObjective,
-QuadraticObjective), each with grad(x) and value_grad(x) on one agent's
-point x (d,) or on a stack (..., d) of points; make_objectives, which
-builds a run's n agents; AgentObjectives, which make_objectives returns
-and whose grad(X) gives all n gradients of an (n, d) X in one call, or
-of a stack (..., n, d) of such points; and mean_value_grad, the network
+The engines, their telemetry and the gradient bound take a run's n
+agents in one form: AgentObjectives, which make_objectives returns, whose
+agents are all exactly one family and whose grad(X) gives all n
+gradients of an (n, d) X, or of a stack (..., n, d) of such points, in
+one call. Each agent is one per-family class (LogisticObjective,
+SinCosObjective, QuadraticObjective) with grad(x) and value_grad(x) on a
+point x (d,) or a stack (..., d); mean_value_grad gives the network
 average's value and gradient at a point (d,) or a stack (..., d).
 
 Every stacked call returns, for each point, the bits of the call on that
@@ -62,7 +63,6 @@ __all__ = [
     "SinCosObjective",
     "QuadraticObjective",
     "AgentObjectives",
-    "as_agent_objectives",
     "generate_dataset",
     "estimate_grad_bound",
     "make_objectives",
@@ -311,10 +311,11 @@ class QuadraticObjective:
         return _checked(x, self.d) - self.anchor
 
 
-def _stacked_grad(items: tuple) -> tuple[Callable | None, int, Callable | None]:
+def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None]:
     """X (..., n, d) -> gradients of the same shape through the kind's
-    shared formula, with the agents' data stacked once here; None unless
-    every agent is exactly one built-in kind with equally shaped data.
+    shared formula, with the agents' data stacked once here. Raises
+    ConfigInvalid unless every agent is exactly one built-in kind with
+    data of one shape.
 
     Also returns the per-agent width of the formula's largest temporary:
     d, or max(m, d) for logistic, whose margins are (..., n, m); and, for
@@ -324,44 +325,48 @@ def _stacked_grad(items: tuple) -> tuple[Callable | None, int, Callable | None]:
     """
     kind = type(items[0])
     d = items[0].d
-    if any(type(obj) is not kind for obj in items):
-        return None, d, None
+    if any(type(obj) is not kind or obj.d != d for obj in items):
+        raise ConfigInvalid("objectives: agents must all be one kind of one dimension d")
     if kind is QuadraticObjective:
         anchors = np.stack([obj.anchor for obj in items])
         return (lambda x: x - anchors), d, None
     if kind is SinCosObjective:
         coeffs = np.array([[obj.m_i] for obj in items])
         return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d, None
-    if kind is LogisticObjective and len({obj.dataset.m for obj in items}) == 1:
-        signed = np.stack([obj.signed for obj in items])
-        reg = np.array([[obj.reg] for obj in items])
-        alpha = np.array([[obj.alpha] for obj in items])
+    if kind is not LogisticObjective:
+        raise ConfigInvalid(f"objectives: {kind.__name__} is not a built-in kind")
+    if len({obj.dataset.m for obj in items}) != 1:
+        raise ConfigInvalid("objectives: logistic agents must share one dataset size m")
+    signed = np.stack([obj.signed for obj in items])
+    reg = np.array([[obj.reg] for obj in items])
+    alpha = np.array([[obj.alpha] for obj in items])
 
-        def reusing(p: int) -> Callable[[np.ndarray], np.ndarray]:
-            z = np.empty((p,) + signed.shape[:-1])
-            kernel = _logistic_buffers(z.shape, d)
-            return lambda x: _logistic_grad(
-                signed, reg, alpha, x, _margins(signed, x, z[: len(x)]),
-                tuple(b[: len(x)] for b in kernel),
-            )
+    def reusing(p: int) -> Callable[[np.ndarray], np.ndarray]:
+        z = np.empty((p,) + signed.shape[:-1])
+        kernel = _logistic_buffers(z.shape, d)
+        return lambda x: _logistic_grad(
+            signed, reg, alpha, x, _margins(signed, x, z[: len(x)]),
+            tuple(b[: len(x)] for b in kernel),
+        )
 
-        return (
-            lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
-        ), max(items[0].dataset.m, d), reusing
-    return None, d, None
+    return (
+        lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
+    ), max(items[0].dataset.m, d), reusing
 
 
 class AgentObjectives(Sequence):
     """The n per-agent objectives of one run, indexable like a list, whose
     grad evaluates all n gradients in one call.
 
+    The agents must all be exactly one built-in kind (no subclass) of one
+    dimension d, and logistic agents must share one m; make_objectives
+    always builds such a set, and any other raises ConfigInvalid here.
+
     grad takes X (n, d), or a stack (..., n, d) of such points, and
     returns the same shape. X[..., i, :] maps to objectives[i].grad of it
     bit for bit: both go through the same per-kind formula, which
     broadcasts over the leading axes, the stacked data being built once
-    here. Agents that are not all exactly one built-in kind (subclasses,
-    logistic agents with different m, other objects with
-    d/grad/value_grad) are evaluated one by one, point by point.
+    here.
 
     point_elements is the size of the largest temporary grad makes per
     (n, d) point, which callers use to size a stack of points.
@@ -391,13 +396,7 @@ class AgentObjectives(Sequence):
         n, d = len(self._items), self.d
         if x.shape[-2:] != (n, d):
             raise DimensionMismatch(f"x has shape {x.shape}, expected (..., {n}, {d})")
-        if self._stacked is not None:
-            return self._stacked(x)
-        points = [
-            np.stack([obj.grad(row) for obj, row in zip(self._items, point)])
-            for point in x.reshape(-1, n, d)
-        ]
-        return np.stack(points).reshape(x.shape)
+        return self._stacked(x)
 
     def _chunk_grad(self, p: int) -> Callable[[np.ndarray], np.ndarray]:
         """grad for stacks (q, n, d) of q <= p points. For logistic agents
@@ -406,16 +405,8 @@ class AgentObjectives(Sequence):
         return self.grad if self._reusing is None else self._reusing(p)
 
 
-def as_agent_objectives(objectives: Sequence) -> AgentObjectives:
-    """objectives itself when it already is an AgentObjectives, else the
-    list wrapped (and its data stacked) once."""
-    if isinstance(objectives, AgentObjectives):
-        return objectives
-    return AgentObjectives(objectives)
-
-
 def estimate_grad_bound(
-    objectives: Sequence, radius: float, trials: int, rng: np.random.Generator
+    objectives: AgentObjectives, radius: float, trials: int, rng: np.random.Generator
 ) -> float:
     """Empirical gradient bound M on the box [-radius, radius]^d.
 
@@ -431,7 +422,6 @@ def estimate_grad_bound(
         raise ConfigInvalid("privacy.box_radius: must be >= 0")
     if radius > MAX_BOX_RADIUS:
         raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
-    objectives = as_agent_objectives(objectives)
     n, d = len(objectives), objectives.d
     step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
     # Every chunk reuses one points buffer and, for logistic agents, one set

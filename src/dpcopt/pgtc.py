@@ -33,7 +33,7 @@ from dpcopt.compressors import BBIT, CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, check_start, run_rounds
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import as_agent_objectives, mean_value_grad
+from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
 
@@ -86,7 +86,7 @@ class PgtcState:
 
 def pgtc_init(
     cfg: PgtcConfig,
-    objectives,
+    objectives: AgentObjectives,
     net: Network,
     x0: np.ndarray,
     streams: StreamFactory,
@@ -96,7 +96,7 @@ def pgtc_init(
     x0 = check_start(x0, objectives, net.n)
     # As in pgtc_step, the finite check is the detector, not numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        grad0 = as_agent_objectives(objectives).grad(x0)
+        grad0 = objectives.grad(x0)
     if not np.isfinite(grad0).all():
         raise NonFiniteState(0, "initial gradient is not finite")
     return PgtcState(
@@ -111,7 +111,7 @@ def pgtc_init(
 def pgtc_step(
     state: PgtcState,
     cfg: PgtcConfig,
-    objectives,
+    objectives: AgentObjectives,
     net: Network,
     streams: StreamFactory,
 ) -> PgtcState:
@@ -145,7 +145,7 @@ def pgtc_step(
     with np.errstate(over="ignore", invalid="ignore"):
         z_next = za + cfg.gamma * (net.mixing @ zhat - zhat)
         z_next[0] -= cfg.eta * state.y
-        grad_next = as_agent_objectives(objectives).grad(z_next[0])
+        grad_next = objectives.grad(z_next[0])
         z_next[1] += grad_next
         z_next[1] -= state.grad_prev
 
@@ -181,7 +181,7 @@ def _emit_row(trace: Trace, state: PgtcState, xbar: np.ndarray) -> None:
 
 def pgtc_run(
     cfg: PgtcConfig,
-    objectives,
+    objectives: AgentObjectives,
     net: Network,
     x0: np.ndarray,
     streams: StreamFactory,

@@ -29,7 +29,7 @@ from dpcopt.compressors import BBIT, CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, check_start, run_rounds
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import as_agent_objectives, mean_value_grad
+from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
 
@@ -76,7 +76,7 @@ class PpdcState:
 
 def ppdc_init(
     cfg: PpdcConfig,
-    objectives,
+    objectives: AgentObjectives,
     net: Network,
     x0: np.ndarray,
     streams: StreamFactory,
@@ -95,7 +95,7 @@ def ppdc_init(
 def ppdc_step(
     state: PpdcState,
     cfg: PpdcConfig,
-    objectives,
+    objectives: AgentObjectives,
     net: Network,
     streams: StreamFactory,
 ) -> PpdcState:
@@ -121,15 +121,13 @@ def ppdc_step(
         noise_v_cumsum = noise_v_cumsum + np.add.reduce(xi_v, axis=0) / n
 
     # One compression draw per sender per round (broadcast semantics).
-    rngs_c = None
-    if spec.kind == BBIT:
-        rngs_c = streams.rows(Tag.COMPRESS, k, n)
+    rngs_c = streams.rows(Tag.COMPRESS, k, n) if spec.kind == BBIT else None
     xhat = encode_decode(spec, xa, state.xc, rngs_c)
 
     # Divergence shows up as overflow here; the finite check below is
     # the official detector, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = as_agent_objectives(objectives).grad(state.x)
+        grads = objectives.grad(state.x)
         mixed = lap @ xhat
         x_next = xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
         v_next = va + cfg.eta * cfg.omega * mixed
@@ -160,7 +158,7 @@ def _emit_row(trace: Trace, state: PpdcState, xbar: np.ndarray) -> None:
 
 def ppdc_run(
     cfg: PpdcConfig,
-    objectives,
+    objectives: AgentObjectives,
     net: Network,
     x0: np.ndarray,
     streams: StreamFactory,

@@ -326,6 +326,8 @@ def _json_number(value: float | None) -> float | str | None:
 
 
 def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
+    out_dir = resolve_output_dir(rc.outputs)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _, objectives = _build_problem(rc)
     rng = stream(
         rc.seed,
@@ -370,8 +372,6 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
             f"scales for epsilon {target_epsilon:g}: s_x = {s_x:.6g}, "
             f"s_{rc.second_family} = {s_second:.6g}"
         )
-    out_dir = resolve_output_dir(rc.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "privacy_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -436,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except DpcoptError as exc:
+    except (DpcoptError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

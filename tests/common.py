@@ -20,7 +20,7 @@ from dpcopt.compressors import BBIT, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, write_trace_csv
 from dpcopt.noise import sample_laplace, scale_at
-from dpcopt.objectives import as_agent_objectives, make_objectives, mean_value_grad
+from dpcopt.objectives import make_objectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Graph, Network, build_graph, build_network
 
@@ -177,7 +177,7 @@ def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> dict:
 
     with np.errstate(over="ignore", invalid="ignore"):
         x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
-        grad_next = as_agent_objectives(objectives).grad(x_next)
+        grad_next = objectives.grad(x_next)
         y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
 
     if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):

@@ -158,7 +158,7 @@ def test_02_compressor_contract_and_error_bound(capfd):
             total = 0.0
             for _ in range(trials):
                 x = rng.standard_normal(10)
-                err = compress(spec, x, rng) - x
+                err = compress(spec, x[None], [rng])[0] - x
                 total += float(err @ err) / float(x @ x)
             ratio = total / trials
             bound = r0 * (1.0 + 3.0 / math.sqrt(trials)) + 1e-12

@@ -19,14 +19,15 @@ from dpcopt.compressors import (
     validate_contraction,
     xi_factor,
 )
-from dpcopt.errors import ConfigInvalid, SpecDimensionMismatch
+from dpcopt.errors import ConfigInvalid, DimensionMismatch, SpecDimensionMismatch
 
 
 class _ZeroDither:
     """Stub random stream forcing dither u = 0 for hand-checked values."""
 
-    def random(self, size):
-        return np.zeros(size)
+    def random(self, out):
+        out[...] = 0.0
+        return out
 
 
 def test_make_spec_defaults():
@@ -69,23 +70,23 @@ def test_make_spec_rejects_invalid(kind, kwargs, error):
 
 def test_identity_is_exact():
     spec = make_spec("identity", 4)
-    x = np.array([1.0, -2.5, 0.0, 3.25])
+    x = np.array([[1.0, -2.5, 0.0, 3.25]])
     assert np.array_equal(compress(spec, x), x)
 
 
 def test_topk_keeps_largest_magnitudes():
     spec = make_spec("topk", 4, k=2)
-    out = compress(spec, np.array([3.0, -5.0, 1.0, 0.0]))
-    assert np.array_equal(out, np.array([3.0, -5.0, 0.0, 0.0]))
+    out = compress(spec, np.array([[3.0, -5.0, 1.0, 0.0]]))
+    assert np.array_equal(out, np.array([[3.0, -5.0, 0.0, 0.0]]))
 
 
 def test_topk_tie_break_lower_index():
     spec = make_spec("topk", 4, k=2)
-    out = compress(spec, np.array([1.0, 2.0, 2.0, 1.0]))
-    assert np.array_equal(out, np.array([0.0, 2.0, 2.0, 0.0]))
+    out = compress(spec, np.array([[1.0, 2.0, 2.0, 1.0]]))
+    assert np.array_equal(out, np.array([[0.0, 2.0, 2.0, 0.0]]))
     spec1 = make_spec("topk", 3, k=1)
-    out1 = compress(spec1, np.array([3.0, 3.0, 3.0]))
-    assert np.array_equal(out1, np.array([3.0, 0.0, 0.0]))
+    out1 = compress(spec1, np.array([[3.0, 3.0, 3.0]]))
+    assert np.array_equal(out1, np.array([[3.0, 0.0, 0.0]]))
 
 
 @st.composite
@@ -111,7 +112,7 @@ def test_topk_keeps_lowest_indices_among_ties_row_by_row(case):
         want = np.zeros(d)
         want[keep] = row[keep]
         assert got.tobytes() == want.tobytes()
-        assert compress(spec, row).tobytes() == want.tobytes()
+        assert compress(spec, row[None]).tobytes() == want.tobytes()
 
 
 def test_topk_nonzeros_match_input_exactly():
@@ -119,7 +120,7 @@ def test_topk_nonzeros_match_input_exactly():
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.standard_normal(10)
-        out = compress(spec, x)
+        out = compress(spec, x[None])[0]
         nz = np.nonzero(out)[0]
         assert len(nz) <= 3
         assert np.array_equal(out[nz], x[nz])
@@ -127,14 +128,14 @@ def test_topk_nonzeros_match_input_exactly():
 
 def test_normsign_handpicked():
     spec = make_spec("normsign", 2)
-    out = compress(spec, np.array([1.0, -2.0]))
-    assert np.array_equal(out, np.array([1.0, -1.0]))
+    out = compress(spec, np.array([[1.0, -2.0]]))
+    assert np.array_equal(out, np.array([[1.0, -1.0]]))
 
 
 def test_normsign_magnitudes_and_sign_zero():
     spec = make_spec("normsign", 5)
     x = np.array([0.5, -3.0, 0.0, 2.0, -0.25])
-    out = compress(spec, x)
+    out = compress(spec, x[None])[0]
     half = 1.5
     assert np.all(np.isin(np.abs(out), [0.0, half]))
     assert out[2] == 0.0
@@ -145,8 +146,8 @@ def test_bbit_forced_dither_hand_value():
     # b=2, x=[3,4]: xi=1.5, norm=5, floor(2*[0.6,0.8]) = [1,1],
     # output (5/1.5)*0.5*[1,1] = [5/3, 5/3]
     spec = make_spec("bbit", 2, b=2)
-    out = compress(spec, np.array([3.0, 4.0]), _ZeroDither())
-    assert np.allclose(out, [5.0 / 3.0, 5.0 / 3.0], atol=1e-15)
+    out = compress(spec, np.array([[3.0, 4.0]]), [_ZeroDither()])
+    assert np.allclose(out, [[5.0 / 3.0, 5.0 / 3.0]], atol=1e-15)
 
 
 def test_bbit_sign_consistency_and_zero():
@@ -155,25 +156,39 @@ def test_bbit_sign_consistency_and_zero():
     for _ in range(50):
         x = rng.standard_normal(10)
         x[rng.integers(0, 10)] = 0.0
-        out = compress(spec, x, rng)
+        out = compress(spec, x[None], [rng])[0]
         assert np.all(out[x == 0.0] == 0.0)
         live = x != 0.0
         assert np.all(out[live] * x[live] >= 0.0)
-    assert np.array_equal(compress(spec, np.zeros(10), rng), np.zeros(10))
+    assert np.array_equal(compress(spec, np.zeros((1, 10)), [rng]), np.zeros((1, 10)))
 
 
 def test_bbit_requires_rng():
     spec = make_spec("bbit", 3, b=2)
     with pytest.raises(ConfigInvalid):
-        compress(spec, np.array([1.0, 2.0, 3.0]))
+        compress(spec, np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_bbit_deterministic_given_stream():
     spec = make_spec("bbit", 8, b=2)
-    x = np.arange(1.0, 9.0)
-    a = compress(spec, x, np.random.default_rng(12))
-    b = compress(spec, x, np.random.default_rng(12))
+    x = np.arange(1.0, 9.0)[None]
+    a = compress(spec, x, [np.random.default_rng(12)])
+    b = compress(spec, x, [np.random.default_rng(12)])
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        make_spec("identity", 3),
+        make_spec("topk", 3, k=1),
+        make_spec("normsign", 3),
+        make_spec("bbit", 3, b=2),
+    ],
+)
+def test_compress_rejects_a_single_vector(spec):
+    with pytest.raises(DimensionMismatch):
+        compress(spec, np.array([1.0, 2.0, 3.0]), [np.random.default_rng(1)])
 
 
 def test_bit_costs():
@@ -200,16 +215,16 @@ def test_bit_cost_never_exceeds_float_payload_plus_header():
 
 def test_encode_decode_identity_short_circuit():
     spec = make_spec("identity", 3)
-    target = np.array([0.1, 0.2, 0.3])
-    reference = np.array([7.0, -1.0, 2.0])
+    target = np.array([[0.1, 0.2, 0.3]])
+    reference = np.array([[7.0, -1.0, 2.0]])
     out = encode_decode(spec, target, reference)
     assert np.array_equal(out, target)
 
 
 def test_encode_decode_offsets_by_reference():
     spec = make_spec("topk", 3, k=3)  # k=d keeps everything
-    target = np.array([1.0, 2.0, 3.0])
-    reference = np.array([0.5, 0.5, 0.5])
+    target = np.array([[1.0, 2.0, 3.0]])
+    reference = np.array([[0.5, 0.5, 0.5]])
     out = encode_decode(spec, target, reference)
     assert np.allclose(out, target, atol=1e-15)
 
@@ -276,7 +291,7 @@ def test_r0_bound_empirical(spec):
     total = 0.0
     for _ in range(trials):
         x = rng.standard_normal(10)
-        err = compress(spec, x, rng) - x
+        err = compress(spec, x[None], [rng])[0] - x
         total += float(err @ err) / float(x @ x)
     slack = 1.0 + 3.0 / np.sqrt(trials)
     assert total / trials <= r0_constant(spec) * slack + 1e-12

@@ -57,7 +57,7 @@ def _explicit_noise(sched, tag, k, n, streams):
     theta = scale_at(sched, k)
     if theta == 0.0:
         return np.zeros((n, D))
-    return np.stack([sample_laplace(theta, D, streams.get(i, tag, k)) for i in range(n)])
+    return np.concatenate([sample_laplace(theta, D, [streams.get(i, tag, k)]) for i in range(n)])
 
 
 def _decode(pairs, k, streams):
@@ -67,7 +67,7 @@ def _decode(pairs, k, streams):
     for j in range(len(pairs[0][0])):
         rng = streams.get(j, Tag.COMPRESS, k)
         for decoded, (target, reference) in zip(out, pairs):
-            decoded[j] = encode_decode(BBIT, target[j], reference[j], rng)
+            decoded[j] = encode_decode(BBIT, target[j:j + 1], reference[j:j + 1], [rng])[0]
     return out
 
 
@@ -147,9 +147,9 @@ def test_noise_free_variable_draws_nothing_and_matches_zero_noise(engine, case, 
         tags.append(tag)
         return rows(self, tag, round_index, n)
 
-    def recording_laplace(theta, d, rng):
+    def recording_laplace(theta, d, rngs):
         thetas.append(theta)
-        return sample_laplace(theta, d, rng)
+        return sample_laplace(theta, d, rngs)
 
     with monkeypatch.context() as patch:
         patch.setattr(StreamFactory, "rows", recording_rows)

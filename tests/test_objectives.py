@@ -582,7 +582,7 @@ def test_zero_sum_coefficients():
 
 def test_estimate_grad_bound_quadratic_box():
     # anchor 0, radius 1, d=2: sup norm over box is sqrt(2) at corners
-    objs = [QuadraticObjective(anchor=np.zeros(2))]
+    objs = AgentObjectives([QuadraticObjective(anchor=np.zeros(2))])
     bound = estimate_grad_bound(objs, radius=1.0, trials=4000, rng=np.random.default_rng(10))
     assert bound <= 1.1 * np.sqrt(2.0) + 1e-12
     assert bound >= 1.1 * 0.9 * np.sqrt(2.0)  # sampling reaches near the corner
@@ -591,21 +591,23 @@ def test_estimate_grad_bound_quadratic_box():
 def test_estimate_grad_bound_logistic_analytic_cap():
     rng = np.random.default_rng(11)
     ds = generate_dataset(30, 4, rng)
-    objs = [LogisticObjective(dataset=ds, lam=0.0, alpha=1.0)]
+    objs = AgentObjectives([LogisticObjective(dataset=ds, lam=0.0, alpha=1.0)])
     bound = estimate_grad_bound(objs, radius=2.0, trials=500, rng=rng)
     cap = 1.1 * float(np.max(np.linalg.norm(ds.features, axis=1)))
     assert bound <= cap + 1e-12
 
 
 def test_estimate_grad_bound_zero_objective():
-    objs = [QuadraticObjective(anchor=np.zeros(3))]
+    objs = AgentObjectives([QuadraticObjective(anchor=np.zeros(3))])
     # radius 0 pins every sample at the anchor, where the gradient is 0
     assert estimate_grad_bound(objs, radius=0.0, trials=10, rng=np.random.default_rng(12)) == 0.0
 
 
 def test_estimate_grad_bound_holds_one_chunk_of_points_at_a_time():
     # All 100,000 points of d = 50 at once would take 40 MB.
-    objs = [QuadraticObjective(anchor=np.zeros(50)), QuadraticObjective(anchor=np.ones(50))]
+    objs = AgentObjectives(
+        [QuadraticObjective(anchor=np.zeros(50)), QuadraticObjective(anchor=np.ones(50))]
+    )
     tracemalloc.start()
     try:
         estimate_grad_bound(objs, radius=1.0, trials=100_000, rng=np.random.default_rng(16))
@@ -616,15 +618,10 @@ def test_estimate_grad_bound_holds_one_chunk_of_points_at_a_time():
 
 
 def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():
-    objs = [QuadraticObjective(anchor=np.zeros(1))]
+    objs = AgentObjectives([QuadraticObjective(anchor=np.zeros(1))])
     too_wide = math.nextafter(MAX_BOX_RADIUS, math.inf)
     with pytest.raises(ConfigInvalid, match="privacy.box_radius"):
         estimate_grad_bound(objs, radius=too_wide, trials=10, rng=np.random.default_rng(13))
-
-
-class _NanGradient(QuadraticObjective):
-    def grad(self, x):
-        return np.full_like(x, np.nan)
 
 
 @pytest.mark.parametrize(
@@ -633,7 +630,8 @@ class _NanGradient(QuadraticObjective):
         LogisticObjective(
             dataset=generate_dataset(5, 3, np.random.default_rng(14)), lam=1e308, alpha=1.0
         ),
-        _NanGradient(anchor=np.zeros(3)),
+        # Every gradient x - anchor is NaN.
+        QuadraticObjective(anchor=np.full(3, np.nan)),
     ],
     ids=["overflow", "nan"],
 )
@@ -641,7 +639,9 @@ def test_estimate_grad_bound_rejects_a_non_finite_norm(objective):
     # Raised under filterwarnings = error, so no overflow warning leaks;
     # a NaN norm must not be skipped as max(worst, nan) would.
     with pytest.raises(DpcoptError, match="not finite") as caught:
-        estimate_grad_bound([objective], radius=1.0, trials=20, rng=np.random.default_rng(15))
+        estimate_grad_bound(
+            AgentObjectives([objective]), radius=1.0, trials=20, rng=np.random.default_rng(15)
+        )
     assert not isinstance(caught.value, ConfigInvalid)
 
 

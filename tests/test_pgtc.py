@@ -132,20 +132,20 @@ def test_single_step_matches_hand_rolled_update():
     n, d, k = 6, 10, 0
     w = net.mixing
     theta = scale_at(TABLE_NOISE, k)
-    xi_x = np.stack(
-        [sample_laplace(theta, d, streams.get(i, Tag.NOISE_X, k)) for i in range(n)]
+    xi_x = np.concatenate(
+        [sample_laplace(theta, d, [streams.get(i, Tag.NOISE_X, k)]) for i in range(n)]
     )
-    xi_y = np.stack(
-        [sample_laplace(theta, d, streams.get(i, Tag.NOISE_Y, k)) for i in range(n)]
+    xi_y = np.concatenate(
+        [sample_laplace(theta, d, [streams.get(i, Tag.NOISE_Y, k)]) for i in range(n)]
     )
     xa = state.x + xi_x
     ya = state.y + xi_y
     xhat = np.empty((n, d))
     yhat = np.empty((n, d))
     for j in range(n):
-        rng = streams.get(j, Tag.COMPRESS, k)
-        xhat[j] = encode_decode(spec, xa[j], state.xc[j], rng)
-        yhat[j] = encode_decode(spec, ya[j], state.yc[j], rng)
+        rng = [streams.get(j, Tag.COMPRESS, k)]
+        xhat[j] = encode_decode(spec, xa[j:j + 1], state.xc[j:j + 1], rng)[0]
+        yhat[j] = encode_decode(spec, ya[j:j + 1], state.yc[j:j + 1], rng)[0]
     x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
     grad_next = np.stack([objectives[i].grad(x_next[i]) for i in range(n)])
     y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev

@@ -101,16 +101,17 @@ def test_single_step_matches_hand_rolled_update():
     n, d, k = 6, 10, 0
     lap = net.laplacian
     theta = scale_at(TABLE_NOISE, k)
-    xi_x = np.stack(
-        [sample_laplace(theta, d, streams.get(i, Tag.NOISE_X, k)) for i in range(n)]
+    xi_x = np.concatenate(
+        [sample_laplace(theta, d, [streams.get(i, Tag.NOISE_X, k)]) for i in range(n)]
     )
-    xi_v = np.stack(
-        [sample_laplace(theta, d, streams.get(i, Tag.NOISE_V, k)) for i in range(n)]
+    xi_v = np.concatenate(
+        [sample_laplace(theta, d, [streams.get(i, Tag.NOISE_V, k)]) for i in range(n)]
     )
     xa = state.x + xi_x
     xhat = np.empty((n, d))
     for j in range(n):
-        xhat[j] = encode_decode(spec, xa[j], state.xc[j], streams.get(j, Tag.COMPRESS, k))
+        rng = [streams.get(j, Tag.COMPRESS, k)]
+        xhat[j] = encode_decode(spec, xa[j:j + 1], state.xc[j:j + 1], rng)[0]
     grads = np.stack([objectives[i].grad(state.x[i]) for i in range(n)])
     mixed = lap @ xhat
     x_next = xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)

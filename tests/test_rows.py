@@ -5,8 +5,8 @@ one encode per round (pgtc stacks its x and y rows), one Laplace
 transform. The
 contraction gate compresses its trials, and the gradient bound
 evaluates its points, in chunks of rows. Each test compares that call
-with a loop over rows of the single-agent call, by the bytes of the
-result.
+with a loop of one-row calls, or of per-agent gradients, by the bytes of
+the result.
 """
 
 from __future__ import annotations
@@ -26,13 +26,16 @@ from dpcopt.compressors import (
     row_norms,
     validate_contraction,
 )
-from dpcopt.errors import DimensionMismatch
+from dpcopt.errors import ConfigInvalid, DimensionMismatch
 from dpcopt.noise import sample_laplace
 from dpcopt.objectives import (
     BOUND_CHUNK_ELEMENTS,
     AgentObjectives,
+    LogisticObjective,
     QuadraticObjective,
+    SinCosObjective,
     estimate_grad_bound,
+    generate_dataset,
     make_objectives,
 )
 from dpcopt.rng import StreamFactory, Tag
@@ -69,8 +72,8 @@ def test_compress_rows_equal_per_row_loop(kind, params, d):
     spec = make_spec(kind, d, **params)
     x = _rows_with_ties(8, d, seed=d)
     rows = compress(spec, x, _generators(8, 5))
-    loop = np.stack(
-        [compress(spec, xi, g) for xi, g in zip(x, _generators(8, 5))]
+    loop = np.concatenate(
+        [compress(spec, xi[None], [g]) for xi, g in zip(x, _generators(8, 5))]
     )
     assert rows.shape == x.shape
     assert rows.tobytes() == loop.tobytes()
@@ -106,10 +109,10 @@ def test_bbit_zero_row_draws_nothing_and_a_second_encode_lines_up():
 
     want_x, want_y = [], []
     for i, g in enumerate(_generators(n, 41)):
-        want_x.append(encode_decode(spec, xa[i], xc[i], g))
-        want_y.append(encode_decode(spec, ya[i], yc[i], g))
-    assert xhat.tobytes() == np.stack(want_x).tobytes()
-    assert yhat.tobytes() == np.stack(want_y).tobytes()
+        want_x.append(encode_decode(spec, xa[i:i + 1], xc[i:i + 1], [g]))
+        want_y.append(encode_decode(spec, ya[i:i + 1], yc[i:i + 1], [g]))
+    assert xhat.tobytes() == np.concatenate(want_x).tobytes()
+    assert yhat.tobytes() == np.concatenate(want_y).tobytes()
     assert xhat[3].tobytes() == xc[3].tobytes()
 
     # The stacked pgtc call: x rows, then y rows, in one (2n, d) encode
@@ -150,7 +153,7 @@ def _per_trial_ratio(spec, d, trials, rng):
         sq = float(x @ x)
         if sq == 0.0:
             continue
-        err = compress(spec, x, rng) / spec.r - x
+        err = compress(spec, x[None], [rng])[0] / spec.r - x
         total += float(err @ err) / sq
     return total / trials
 
@@ -194,17 +197,44 @@ def test_stacked_gradient_equals_per_agent_grad(kind, n, d, params):
 
 
 class _Shifted(QuadraticObjective):
-    # Not exactly a built-in kind, so AgentObjectives evaluates it alone.
+    # Not exactly a built-in kind: the stacked formula would bypass its grad.
     def grad(self, x):
         return super().grad(x) + 1.0
 
 
-def _mixed_agents(n: int, d: int) -> AgentObjectives:
-    """n agents that no stacked formula covers: plain and subclassed
-    quadratics, alternating."""
-    anchors = np.random.default_rng(50).standard_normal((n, d))
-    kinds = (QuadraticObjective, _Shifted)
-    return AgentObjectives(kinds[i % 2](anchor=a) for i, a in enumerate(anchors))
+@pytest.mark.parametrize(
+    "agents",
+    [
+        pytest.param(
+            lambda: [QuadraticObjective(anchor=np.zeros(3)), SinCosObjective(m_i=1.0, dim=3)],
+            id="mixed-kinds",
+        ),
+        pytest.param(
+            lambda: [QuadraticObjective(anchor=np.zeros(3)), _Shifted(anchor=np.ones(3))],
+            id="subclass",
+        ),
+        pytest.param(
+            lambda: [_Shifted(anchor=np.zeros(3)), _Shifted(anchor=np.ones(3))],
+            id="subclass-only",
+        ),
+        pytest.param(
+            lambda: [
+                LogisticObjective(
+                    dataset=generate_dataset(m, 3, np.random.default_rng(m)), lam=1e-3, alpha=1.0
+                )
+                for m in (5, 7)
+            ],
+            id="logistic-unequal-m",
+        ),
+        pytest.param(
+            lambda: [SinCosObjective(m_i=1.0, dim=3), SinCosObjective(m_i=-1.0, dim=4)],
+            id="unequal-d",
+        ),
+    ],
+)
+def test_agent_objectives_reject_agents_without_one_stacked_formula(agents):
+    with pytest.raises(ConfigInvalid):
+        AgentObjectives(agents())
 
 
 def _grad_contract_cases():
@@ -215,7 +245,6 @@ def _grad_contract_cases():
             ),
             id=f"{kind}-{n}-{d}",
         )
-    yield pytest.param(lambda: _mixed_agents(5, 7), id="mixed-5-7")
 
 
 @pytest.mark.parametrize("build", _grad_contract_cases())
@@ -237,19 +266,12 @@ def test_grad_over_leading_axes_equals_one_call_per_point(build):
             objs.grad(np.zeros(shape))
 
 
-def test_agent_objectives_fall_back_to_each_agents_grad():
-    # A subclass may override grad; the stacked formula must not bypass it.
-    objs = AgentObjectives([_Shifted(anchor=np.zeros(3)), _Shifted(anchor=np.ones(3))])
-    x = np.arange(6.0).reshape(2, 3)
-    assert objs.grad(x).tolist() == [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]
-
-
 def test_laplace_rows_equal_per_row_draws():
     streams = StreamFactory(master_seed=44)
     gens = [streams.get(i, Tag.NOISE_X, 9) for i in range(12)]
     rows = sample_laplace(0.7, 25, gens)
     again = [streams.get(i, Tag.NOISE_X, 9) for i in range(12)]
-    loop = np.stack([sample_laplace(0.7, 25, g) for g in again])
+    loop = np.concatenate([sample_laplace(0.7, 25, [g]) for g in again])
     assert rows.tobytes() == loop.tobytes()
     assert sample_laplace(0.0, 25, gens).tobytes() == np.zeros((12, 25)).tobytes()
 
@@ -285,8 +307,6 @@ def test_grad_bound_equals_per_agent_loop(kind, n, d, params):
     objs = make_objectives(kind, n, d, StreamFactory(master_seed=45), **params)
     got = estimate_grad_bound(objs, 2.0, 50, np.random.default_rng(46))
     assert got == _per_agent_bound(objs, 2.0, 50, np.random.default_rng(46))
-    # A plain list of agents gives the same bound.
-    assert got == estimate_grad_bound(list(objs), 2.0, 50, np.random.default_rng(46))
 
 
 def _edges(step: int) -> list[int]:
@@ -315,7 +335,11 @@ EDGE_AGENTS = [
         100 * 100,
         id="quadratic-100-100",
     ),
-    pytest.param(lambda: _mixed_agents(4, 300), 4 * 300, id="mixed-4-300"),
+    pytest.param(
+        lambda: make_objectives("quadratic", 4, 300, StreamFactory(master_seed=52)),
+        4 * 300,
+        id="quadratic-4-300",
+    ),
 ]
 
 

@@ -230,12 +230,22 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
         ("privacy.box_radius", 1e308, "privacy.box_radius: must be at most"),
         ("objective.alpha", -1.0, "objective.alpha: must be >= 0"),
         ("objective.alpha", -4.0, "objective.alpha: must be >= 0"),
+        ("graph.edges", [[0, 1], [1, 2], [2, 2]], "graph.edges: self-loop at node 2"),
+        ("graph.edges", [[0, 1], [1, 0], [1, 2]], "graph.edges: duplicate edge (0, 1)"),
+        ("graph.edges", [[0, 1], [1, 2], [0, 9]], "graph.edges: edge (0,9) outside range(0, 3)"),
+        ("graph.n", 7, "graph.edges: graph on 7 nodes is not connected"),
+        ("graph.n", 1, "graph.n: need at least 2 nodes, got n=1"),
+        ("compressor.k", 11, "compressor.k: top-k with k=11 exceeds d=4"),
     ],
-    ids=["b=65", "b=2000", "eta=10**400", "box_radius=1e308", "alpha=-1", "alpha=-4"],
+    ids=[
+        "b=65", "b=2000", "eta=10**400", "box_radius=1e308", "alpha=-1", "alpha=-4",
+        "self-loop", "duplicate-edge", "edge-out-of-range", "disconnected", "n=1", "k=11",
+    ],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
     doc, command = _doc_with(tmp_path, "pgtc", field, value)
-    doc["compressor"] = {"kind": "bbit", "b": value if field == "compressor.b" else 2}
+    if field != "compressor.k":
+        doc["compressor"] = {"kind": "bbit", "b": value if field == "compressor.b" else 2}
     config = str(write_doc(tmp_path, doc))
     for cmd in sorted({command, "privacy"}):
         assert main([cmd, config]) == EXIT_CONFIG_ERROR
@@ -445,6 +455,24 @@ def test_privacy_reports_unbounded_budget_for_long_horizons(tmp_path, capsys):
     report = json.loads((out / "privacy_report.json").read_text(encoding="utf-8"))
     assert report["epsilon"] == "inf"
     assert report["required_s_x"] == "inf" and report["required_s_y"] == "inf"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "privacy"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_outputs_that_cannot_be_a_directory_exit_1(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    # privacy must find out before it spends the bound's work.
+    monkeypatch.setattr(
+        "dpcopt.runner.estimate_grad_bound", lambda *args: pytest.fail("bound computed")
+    )
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    doc = make_doc(blocker / "out" if under else blocker)
+    doc["sweep"] = {"parameter": "eta", "values": [0.1], "repeats": 1}
+    assert main([command, str(write_doc(tmp_path, doc))]) == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert "run failed:" in err and "Traceback" not in err
 
 
 def test_validate_compressor_pass(tmp_path, capsys):
