@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class CompressorSpec:
         elif self.k is not None:
             raise ConfigInvalid(f"compressor.k: not a parameter of {self.kind}")
         if self.kind == BBIT:
+            # Above FLOAT_BITS a coordinate costs more than the identity's double.
             if self.b is None or not 1 <= self.b <= FLOAT_BITS:
                 raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
         elif self.b is not None:
@@ -121,33 +122,24 @@ def make_spec(
     """
     if d < 1:
         raise ConfigInvalid("objective.d: dimension must be >= 1")
+    spec = CompressorSpec(kind=kind, k=k, b=b)
     if kind == TOPK:
-        if k is None:
-            raise ConfigInvalid("compressor.k: required for topk")
         if k > d:
             raise SpecDimensionMismatch(f"compressor.k: top-k with k={k} exceeds d={d}")
-        default_r, default_phi = 1.0, k / d
+        default_phi = k / d
     elif kind == BBIT:
-        # Above FLOAT_BITS a coordinate costs more than the identity's double.
-        if b is None or not 1 <= b <= FLOAT_BITS:
-            raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
         # Once d/4^(b-1) is at most half an ulp of 1 (b >= 29 at d = 4),
         # xi rounds to 1, and phi = 1 would claim an exact compressor: a gate
         # threshold of 0 that the quantizer's tiny error cannot meet. The
         # largest double below 1 only weakens that claim.
-        default_r = 1.0
         default_phi = min(1.0 / xi_factor(d, b), math.nextafter(1.0, 0.0))
     elif kind == NORMSIGN:
-        default_r, default_phi = 1.0, 1.0 / (4.0 * d)
-    elif kind == IDENTITY:
-        default_r, default_phi = 1.0, 1.0
+        default_phi = 1.0 / (4.0 * d)
     else:
-        raise ConfigInvalid(f"compressor.kind: unknown kind {kind!r}")
-    return CompressorSpec(
-        kind=kind,
-        k=k,
-        b=b,
-        r=default_r if r is None else float(r),
+        default_phi = 1.0
+    return replace(
+        spec,
+        r=spec.r if r is None else float(r),
         phi=default_phi if phi is None else float(phi),
     )
 

@@ -63,49 +63,60 @@ def _where(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _require_keys(doc: dict, path: str, required: tuple, optional: tuple) -> None:
-    unknown = sorted(set(doc) - set(required) - set(optional))
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _read(doc, path: str, fields: dict) -> dict:
+    """The object doc at path, read through fields: each allowed key maps
+    to (reader, default), and a reader takes the value and its dotted path.
+    An absent key takes its default unless that is REQUIRED."""
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{path}: expected an object")
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ConfigInvalid(f"{_where(path, unknown[0])}: unknown key")
-    for key in required:
-        if key not in doc:
+    for key, (_, default) in fields.items():
+        if default is REQUIRED and key not in doc:
             raise ConfigInvalid(f"{_where(path, key)}: required")
+    return {
+        key: reader(doc[key], _where(path, key)) if key in doc else default
+        for key, (reader, default) in fields.items()
+    }
 
 
-def _as_int(doc: dict, path: str, key: str) -> int:
-    value = doc[key]
+def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(f"{_where(path, key)}: expected an integer")
+        raise ConfigInvalid(f"{where}: expected an integer")
     return value
 
 
-def _finite(value: int | float, where: str) -> float:
+def _float(value, where: str) -> float:
     """value as a float; NaN, Infinity and integers beyond the float range
     (all of which Python's json accepts) are invalid."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{where}: expected a number")
     if not abs(value) <= sys.float_info.max:
         raise ConfigInvalid(f"{where}: expected a finite number")
     return float(value)
 
 
-def _as_float(doc: dict, path: str, key: str) -> float:
-    value = doc[key]
-    where = _where(path, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{where}: expected a number")
-    return _finite(value, where)
+def _of_type(json_type: type, name: str):
+    def read(value, where: str):
+        if not isinstance(value, json_type):
+            raise ConfigInvalid(f"{where}: expected {name}")
+        return value
+
+    return read
 
 
-def _as_bool(doc: dict, path: str, key: str) -> bool:
-    value = doc[key]
-    if not isinstance(value, bool):
-        raise ConfigInvalid(f"{_where(path, key)}: expected a boolean")
-    return value
+_bool = _of_type(bool, "a boolean")
+_str = _of_type(str, "a string")
+_list = _of_type(list, "a list")
 
 
-def _as_str(doc: dict, path: str, key: str) -> str:
-    value = doc[key]
-    if not isinstance(value, str):
-        raise ConfigInvalid(f"{_where(path, key)}: expected a string")
+def _object(value, where: str):
+    """A section whose keys depend on another field: its own _read checks
+    it once that field is known."""
     return value
 
 
@@ -163,14 +174,11 @@ class RunConfig:
         return ALGORITHMS[self.algorithm].second_family
 
 
-def _parse_graph(doc: dict) -> Graph:
-    _require_keys(doc, "graph", ("n", "edges"), ())
-    n = _as_int(doc, "graph", "n")
-    edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise ConfigInvalid("graph.edges: expected a list of [i, j] pairs")
+def _parse_graph(doc, path: str) -> Graph:
+    fields = _read(doc, path, {"n": (_int, REQUIRED), "edges": (_list, REQUIRED)})
+    n = fields["n"]
     pairs = []
-    for index, pair in enumerate(edges):
+    for index, pair in enumerate(fields["edges"]):
         if (
             not isinstance(pair, list)
             or len(pair) != 2
@@ -184,199 +192,138 @@ def _parse_graph(doc: dict) -> Graph:
         raise type(exc)(f"{'graph.n' if n < 2 else 'graph.edges'}: {exc}") from None
 
 
-def _parse_objective(doc: dict) -> ObjectiveConfig:
-    _require_keys(doc, "objective", ("kind", "d"), ("m", "lambda", "alpha"))
-    kind = _as_str(doc, "objective", "kind")
-    d = _as_int(doc, "objective", "d")
-    if d < 1:
+def _parse_objective(doc, path: str) -> ObjectiveConfig:
+    fields = _read(doc, path, {
+        "kind": (_str, REQUIRED), "d": (_int, REQUIRED),
+        "m": (_int, None), "lambda": (_float, None), "alpha": (_float, None),
+    })
+    kind = fields["kind"]
+    if fields["d"] < 1:
         raise ConfigInvalid("objective.d: must be >= 1")
     if kind == "logistic":
         for key in ("m", "lambda", "alpha"):
-            if key not in doc:
+            if fields[key] is None:
                 raise ConfigInvalid(f"objective.{key}: required for logistic")
-        m = _as_int(doc, "objective", "m")
-        if m < 1:
+        if fields["m"] < 1:
             raise ConfigInvalid("objective.m: must be >= 1")
-        alpha = _as_float(doc, "objective", "alpha")
-        if alpha < 0:
+        if fields["alpha"] < 0:
             # The regulariser lambda alpha x^2 / (1 + alpha x^2) has a pole
             # at |x_s| = 1/sqrt(-alpha).
             raise ConfigInvalid("objective.alpha: must be >= 0")
-        return ObjectiveConfig(
-            kind=kind,
-            d=d,
-            m=m,
-            lam=_as_float(doc, "objective", "lambda"),
-            alpha=alpha,
-        )
-    if kind in ("sincos", "quadratic"):
+    elif kind in ("sincos", "quadratic"):
         for key in ("m", "lambda", "alpha"):
-            if key in doc:
+            if fields[key] is not None:
                 raise ConfigInvalid(f"objective.{key}: not a parameter of {kind}")
-        return ObjectiveConfig(kind=kind, d=d)
-    raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
+    else:
+        raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
+    fields["lam"] = fields.pop("lambda")
+    return ObjectiveConfig(**fields)
 
 
-def _parse_compressor(doc: dict, d: int) -> CompressorSpec:
-    _require_keys(doc, "compressor", ("kind",), ("k", "b", "r", "phi"))
-    kind = _as_str(doc, "compressor", "kind")
-    k = _as_int(doc, "compressor", "k") if "k" in doc else None
-    b = _as_int(doc, "compressor", "b") if "b" in doc else None
-    r = _as_float(doc, "compressor", "r") if "r" in doc else None
-    phi = _as_float(doc, "compressor", "phi") if "phi" in doc else None
-    return make_spec(kind, d, k=k, b=b, r=r, phi=phi)
-
-
-def _parse_schedule(doc: dict, path: str) -> NoiseSchedule:
-    _require_keys(doc, path, ("s", "q"), ("enabled",))
-    enabled = _as_bool(doc, path, "enabled") if "enabled" in doc else True
-    s = _as_float(doc, path, "s")
-    q = _as_float(doc, path, "q")
-    if s < 0:
+def _parse_schedule(doc, path: str) -> NoiseSchedule:
+    fields = _read(doc, path, {
+        "s": (_float, REQUIRED), "q": (_float, REQUIRED), "enabled": (_bool, True),
+    })
+    if fields["s"] < 0:
         raise ConfigInvalid(f"{path}.s: must be >= 0")
-    if not (0.0 < q < 1.0):
+    if not (0.0 < fields["q"] < 1.0):
         raise ConfigInvalid(f"{path}.q: must lie in (0, 1)")
-    return NoiseSchedule(s=s, q=q, enabled=enabled)
+    return NoiseSchedule(**fields)
 
 
-def _parse_noise(doc: dict, algorithm: str) -> tuple[NoiseSchedule, NoiseSchedule]:
-    second = ALGORITHMS[algorithm].second_family
-    _require_keys(doc, "noise", ("x", second), ())
-    if not isinstance(doc["x"], dict) or not isinstance(doc[second], dict):
-        raise ConfigInvalid("noise: each family must be an object")
-    return _parse_schedule(doc["x"], "noise.x"), _parse_schedule(
-        doc[second], f"noise.{second}"
-    )
-
-
-def _parse_gains(doc: dict, algorithm: str) -> dict:
-    names = ALGORITHMS[algorithm].gains
-    _require_keys(doc, "gains", names, ())
-    return {
-        "alpha_y": None,
-        "omega": None,
-        **{key: _as_float(doc, "gains", key) for key in names},
-    }
-
-
-def _parse_sweep(doc: dict) -> SweepConfig:
-    _require_keys(doc, "sweep", ("parameter", "values", "repeats"), ())
-    parameter = _as_str(doc, "sweep", "parameter")
+def _parse_sweep(doc, path: str) -> SweepConfig:
+    fields = _read(doc, path, {
+        "parameter": (_str, REQUIRED),
+        "values": (_list, REQUIRED),
+        "repeats": (_int, REQUIRED),
+    })
+    parameter = fields["parameter"]
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
-    values = doc["values"]
-    if not isinstance(values, list) or not values:
+    if not fields["values"]:
         raise ConfigInvalid("sweep.values: expected a nonempty list of numbers")
-    parsed = []
-    for index, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigInvalid(f"sweep.values[{index}]: expected a number")
-        value = _finite(value, f"sweep.values[{index}]")
+    values = []
+    for index, value in enumerate(fields["values"]):
+        value = _float(value, f"sweep.values[{index}]")
         if parameter in ("q",) and not (0.0 < value < 1.0):
             raise ConfigInvalid(f"sweep.values[{index}]: q must lie in (0, 1)")
         if parameter in ("s", "eta") and value <= 0:
             raise ConfigInvalid(f"sweep.values[{index}]: must be positive")
-        parsed.append(value)
-    repeats = _as_int(doc, "sweep", "repeats")
-    if repeats < 1:
+        values.append(value)
+    if fields["repeats"] < 1:
         raise ConfigInvalid("sweep.repeats: must be >= 1")
-    return SweepConfig(parameter=parameter, values=tuple(parsed), repeats=repeats)
+    return SweepConfig(parameter=parameter, values=tuple(values), repeats=fields["repeats"])
 
 
-def _parse_reference(doc: dict) -> ReferenceConfig:
-    _require_keys(doc, "reference", ("horizon_multiplier",), ())
-    multiplier = _as_int(doc, "reference", "horizon_multiplier")
-    if multiplier < 10:
+def _parse_reference(doc, path: str) -> ReferenceConfig:
+    fields = _read(doc, path, {"horizon_multiplier": (_int, REQUIRED)})
+    if fields["horizon_multiplier"] < 10:
         raise ConfigInvalid("reference.horizon_multiplier: must be >= 10")
-    return ReferenceConfig(horizon_multiplier=multiplier)
+    return ReferenceConfig(**fields)
 
 
-def _parse_privacy(doc: dict) -> PrivacyConfig:
-    _require_keys(doc, "privacy", (), ("box_radius", "trials", "split"))
-    radius = (
-        _as_float(doc, "privacy", "box_radius")
-        if "box_radius" in doc
-        else DEFAULT_BOX_RADIUS
-    )
-    trials = (
-        _as_int(doc, "privacy", "trials") if "trials" in doc else DEFAULT_PRIVACY_TRIALS
-    )
-    split = _as_float(doc, "privacy", "split") if "split" in doc else DEFAULT_SPLIT
-    if radius <= 0:
+def _parse_privacy(doc, path: str) -> PrivacyConfig:
+    fields = _read(doc, path, {
+        "box_radius": (_float, DEFAULT_BOX_RADIUS),
+        "trials": (_int, DEFAULT_PRIVACY_TRIALS),
+        "split": (_float, DEFAULT_SPLIT),
+    })
+    if fields["box_radius"] <= 0:
         raise ConfigInvalid("privacy.box_radius: must be positive")
-    if radius > MAX_BOX_RADIUS:
+    if fields["box_radius"] > MAX_BOX_RADIUS:
         raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
-    if trials < 1:
+    if fields["trials"] < 1:
         raise ConfigInvalid("privacy.trials: must be >= 1")
-    if not (0.0 < split < 1.0):
+    if not (0.0 < fields["split"] < 1.0):
         raise ConfigInvalid("privacy.split: must lie in (0, 1)")
-    return PrivacyConfig(box_radius=radius, trials=trials, split=split)
+    return PrivacyConfig(**fields)
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigInvalid("config: expected a JSON object")
-    _require_keys(
-        doc,
-        "",
-        (
-            "algorithm",
-            "graph",
-            "objective",
-            "compressor",
-            "noise",
-            "gains",
-            "iterations",
-            "seed",
-            "outputs",
-        ),
-        ("reference", "sweep", "privacy", "contraction_trials"),
-    )
-    algorithm = _as_str(doc, "", "algorithm")
+    top = _read(doc, "", {
+        "algorithm": (_str, REQUIRED),
+        "graph": (_parse_graph, REQUIRED),
+        "objective": (_parse_objective, REQUIRED),
+        "compressor": (_object, REQUIRED),
+        "noise": (_object, REQUIRED),
+        "gains": (_object, REQUIRED),
+        "iterations": (_int, REQUIRED),
+        "seed": (_int, REQUIRED),
+        "outputs": (_str, REQUIRED),
+        "reference": (_parse_reference, None),
+        "sweep": (_parse_sweep, None),
+        "privacy": (_parse_privacy, PrivacyConfig()),
+        "contraction_trials": (_int, DEFAULT_CONTRACTION_TRIALS),
+    })
+    algorithm = top.pop("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigInvalid(f"algorithm: must be one of {tuple(ALGORITHMS)}")
-    for key in ("graph", "objective", "compressor", "noise", "gains"):
-        if not isinstance(doc[key], dict):
-            raise ConfigInvalid(f"{key}: expected an object")
-    graph = _parse_graph(doc["graph"])
-    objective = _parse_objective(doc["objective"])
-    compressor = _parse_compressor(doc["compressor"], objective.d)
-    noise_x, noise_second = _parse_noise(doc["noise"], algorithm)
-    gains = _parse_gains(doc["gains"], algorithm)
-    iterations = _as_int(doc, "", "iterations")
-    if iterations < 1:
-        raise ConfigInvalid("iterations: must be >= 1")
-    seed = _as_int(doc, "", "seed")
-    if not (0 <= seed <= _MAX_SEED):
+    names = ALGORITHMS[algorithm]
+    compressor = _read(top.pop("compressor"), "compressor", {
+        "kind": (_str, REQUIRED), "k": (_int, None), "b": (_int, None),
+        "r": (_float, None), "phi": (_float, None),
+    })
+    second = names.second_family
+    noise = _read(top.pop("noise"), "noise", {
+        "x": (_parse_schedule, REQUIRED), second: (_parse_schedule, REQUIRED),
+    })
+    gains = _read(top.pop("gains"), "gains", {key: (_float, REQUIRED) for key in names.gains})
+    if not (0 <= top["seed"] <= _MAX_SEED):
         raise ConfigInvalid("seed: must fit in an unsigned 63-bit integer")
-    outputs = _as_str(doc, "", "outputs")
-    if not outputs:
+    if not top["outputs"]:
         raise ConfigInvalid("outputs: must be a nonempty path")
-    reference = _parse_reference(doc["reference"]) if "reference" in doc else None
-    sweep = _parse_sweep(doc["sweep"]) if "sweep" in doc else None
-    privacy = _parse_privacy(doc["privacy"]) if "privacy" in doc else PrivacyConfig()
-    if "contraction_trials" in doc:
-        contraction_trials = _as_int(doc, "", "contraction_trials")
-        if contraction_trials < 1000:
-            raise ConfigInvalid("contraction_trials: must be >= 1000")
-    else:
-        contraction_trials = DEFAULT_CONTRACTION_TRIALS
+    if top["contraction_trials"] < 1000:
+        raise ConfigInvalid("contraction_trials: must be >= 1000")
     rc = RunConfig(
         algorithm=algorithm,
-        graph=graph,
-        objective=objective,
-        compressor=compressor,
-        noise_x=noise_x,
-        noise_second=noise_second,
-        iterations=iterations,
-        seed=seed,
-        outputs=outputs,
-        reference=reference,
-        sweep=sweep,
-        privacy=privacy,
-        contraction_trials=contraction_trials,
-        **gains,
+        compressor=make_spec(d=top["objective"].d, **compressor),
+        noise_x=noise["x"],
+        noise_second=noise[second],
+        **{"alpha_y": None, "omega": None, **gains},
+        **top,
     )
     build_engine_config(rc)  # surface gain/compressor violations now
     return rc
@@ -427,24 +374,22 @@ def build_engine_config(rc: RunConfig) -> PgtcConfig | PpdcConfig:
     )
 
 
+def _record(record) -> dict:
+    """A record's fields as a config section: unset (None) fields are
+    left out, and lam is written as lambda."""
+    return {
+        "lambda" if key == "lam" else key: value
+        for key, value in asdict(record).items()
+        if value is not None
+    }
+
+
 def to_document(rc: RunConfig) -> dict:
     """Serialize back to a config document that parses to the same run.
 
     All defaults are materialized so the document alone pins the
     experiment.
     """
-    compressor: dict = {"kind": rc.compressor.kind}
-    if rc.compressor.k is not None:
-        compressor["k"] = rc.compressor.k
-    if rc.compressor.b is not None:
-        compressor["b"] = rc.compressor.b
-    compressor["r"] = rc.compressor.r
-    compressor["phi"] = rc.compressor.phi
-    objective: dict = {"kind": rc.objective.kind, "d": rc.objective.d}
-    if rc.objective.kind == "logistic":
-        objective["m"] = rc.objective.m
-        objective["lambda"] = rc.objective.lam
-        objective["alpha"] = rc.objective.alpha
     gains = {key: getattr(rc, key) for key in ALGORITHMS[rc.algorithm].gains}
     noise = {"x": asdict(rc.noise_x), rc.second_family: asdict(rc.noise_second)}
     doc = {
@@ -453,8 +398,8 @@ def to_document(rc: RunConfig) -> dict:
             "n": rc.graph.n,
             "edges": [[i, j] for i, j in sorted(rc.graph.edges)],
         },
-        "objective": objective,
-        "compressor": compressor,
+        "objective": _record(rc.objective),
+        "compressor": _record(rc.compressor),
         "noise": noise,
         "gains": gains,
         "iterations": rc.iterations,

@@ -1,5 +1,6 @@
-"""Shared builders for engine-level tests, a connected-graph strategy and
-a noisy-run strategy built on it, a finite-difference oracle, the loop
+"""Shared builders for engine-level tests, a connected-graph strategy, a
+noisy-run strategy and a valid-config-document strategy built on it, a
+finite-difference oracle, the loop
 form of the Metropolis weights, the written trace's columns, the
 round-by-round gradient-norm formula that the blocked fill must
 reproduce, the two-variable pgtc round that the stacked step must
@@ -70,6 +71,64 @@ def noisy_runs(draw):
         draw(st.sampled_from(["logistic", "sincos", "quadratic"])),
         draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1)),
     )
+
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+
+
+@st.composite
+def config_documents(draw) -> dict:
+    """A config document that parse_config accepts: either engine, each
+    objective kind, each compressor with a valid k or b, enabled and
+    disabled noise schedules, and any of the optional sections."""
+    algorithm = draw(st.sampled_from(["pgtc", "ppdc"]))
+    g = draw(connected_graphs(max_n=6))
+    d = draw(st.integers(1, 8))
+    objective = {"kind": draw(st.sampled_from(["logistic", "sincos", "quadratic"])), "d": d}
+    if objective["kind"] == "logistic":
+        objective.update(m=draw(st.integers(1, 50)), alpha=draw(st.floats(0.0, 10.0)))
+        objective["lambda"] = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["identity", "topk", "bbit", "normsign"]))
+    param = {"topk": {"k": st.integers(1, d)}, "bbit": {"b": st.integers(1, 64)}}.get(kind, {})
+    # 1/r >= 1 keeps every alpha drawn from (0, 1) below the engines' 1/r.
+    constants = {} if kind == "identity" else {"r": st.floats(0.5, 1.0), "phi": OPEN_UNIT}
+    compressor = st.fixed_dictionaries({"kind": st.just(kind), **param}, optional=constants)
+    schedule = st.fixed_dictionaries(
+        {"s": st.floats(0.0, 1e3), "q": OPEN_UNIT}, optional={"enabled": st.booleans()}
+    )
+    second = "y" if algorithm == "pgtc" else "v"
+    gains = {"eta": POSITIVE, "alpha_x": OPEN_UNIT}
+    if algorithm == "pgtc":
+        gains.update(gamma=st.floats(0.0, 1.0, exclude_min=True), alpha_y=OPEN_UNIT)
+    else:
+        gains.update(gamma=POSITIVE, omega=POSITIVE)
+    parameter = draw(st.sampled_from(["q", "s", "eta"]))
+    values = st.lists(OPEN_UNIT if parameter == "q" else POSITIVE, min_size=1, max_size=3)
+    sweep = {"parameter": st.just(parameter), "values": values, "repeats": st.integers(1, 5)}
+    privacy = {
+        "box_radius": st.floats(0.0, 1e3, exclude_min=True),
+        "trials": st.integers(1, 10**4),
+        "split": OPEN_UNIT,
+    }
+    required = {
+        "algorithm": st.just(algorithm),
+        "graph": st.just({"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}),
+        "objective": st.just(objective),
+        "compressor": compressor,
+        "noise": st.fixed_dictionaries({"x": schedule, second: schedule}),
+        "gains": st.fixed_dictionaries(gains),
+        "iterations": st.integers(1, 10**6),
+        "seed": st.integers(0, 2**63 - 1),
+        "outputs": st.text(min_size=1, max_size=8),
+    }
+    optional = {
+        "reference": st.fixed_dictionaries({"horizon_multiplier": st.integers(10, 1000)}),
+        "sweep": st.fixed_dictionaries(sweep),
+        "privacy": st.fixed_dictionaries({}, optional=privacy),
+        "contraction_trials": st.integers(1000, 10**6),
+    }
+    return draw(st.fixed_dictionaries(required, optional=optional))
 
 
 def drawn_run(case):

@@ -3,9 +3,13 @@ substitution."""
 
 import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from common import config_documents
 from dpcopt.config import (
     PrivacyConfig,
     apply_sweep_value,
@@ -81,6 +85,12 @@ def test_engine_config_resolution():
         (lambda d: d["noise"].pop("y"), "noise.y: required"),
         (lambda d: d["gains"].pop("alpha_y"), "gains.alpha_y: required"),
         (lambda d: d["graph"].pop("edges"), "graph.edges: required"),
+        (lambda d: d.update(privacy=None), "privacy: expected an object"),
+        (lambda d: d.update(privacy=[]), "privacy: expected an object"),
+        (lambda d: d.update(privacy=""), "privacy: expected an object"),
+        (lambda d: d.update(reference=5), "reference: expected an object"),
+        (lambda d: d.update(sweep=[]), "sweep: expected an object"),
+        (lambda d: d["noise"].update(x=[]), "noise.x: expected an object"),
     ],
 )
 def test_unknown_and_missing_keys(mutate, message):
@@ -212,6 +222,56 @@ def test_to_document_round_trip():
         assert again == rc
         assert to_document(again) == materialized
         assert config_digest(materialized) == config_digest(to_document(again))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_documents())
+def test_every_valid_document_round_trips(doc):
+    rc = parse_config(doc)
+    materialized = to_document(rc)
+    again = parse_config(json.loads(json.dumps(materialized)))
+    assert again == rc
+    assert to_document(again) == materialized
+    assert config_digest(to_document(again)) == config_digest(materialized)
+
+
+# One value of each JSON type. A field is given one of another type, so a
+# section is given a non-object.
+JSON_VALUES = [None, True, 7, "x", [], {}]
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _key_paths(doc, path=()):
+    """The path of every key in doc, the keys of nested objects included."""
+    for key, value in doc.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents(), st.data())
+def test_one_bad_field_is_named_by_its_path(doc, data):
+    path = data.draw(st.sampled_from(list(_key_paths(doc))))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    key = path[-1]
+    fault = data.draw(st.sampled_from(["unknown sibling", "wrong type", "nan"]))
+    if fault == "unknown sibling":
+        owner["unknown_key"] = owner.pop(key)
+        path = path[:-1] + ("unknown_key",)
+    elif fault == "wrong type":
+        others = [v for v in JSON_VALUES if _json_type(v) != _json_type(owner[key])]
+        owner[key] = data.draw(st.sampled_from(others))
+    else:
+        owner[key] = math.nan
+    with pytest.raises(DpcoptError) as caught:
+        parse_config(doc)
+    assert str(caught.value).startswith(".".join(path) + ":")
 
 
 def test_digest_is_canonical():

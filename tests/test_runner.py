@@ -165,6 +165,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_null_privacy_section_exits_2_without_a_traceback(tmp_path, capsys):
+    cfg = str(write_doc(tmp_path, make_doc(tmp_path / "out", privacy=None)))
+    for command in ("run", "privacy"):
+        assert main([command, cfg]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error: privacy: expected an object" in err
+        assert "Traceback" not in err
+
+
 def test_huge_graph_n_exits_2_without_a_traversal(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Graph, "_connected", lambda self: pytest.fail("traversed"))
     doc = make_doc(tmp_path / "out", graph={"n": 2**40, "edges": [[0, 1]]})
