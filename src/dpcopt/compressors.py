@@ -121,7 +121,7 @@ def make_spec(
     are then subject to the validate_contraction gate.
     """
     if d < 1:
-        raise ConfigInvalid("objective.d: dimension must be >= 1")
+        raise ConfigInvalid("objective.d: must be >= 1")
     spec = CompressorSpec(kind=kind, k=k, b=b)
     if kind == TOPK:
         if k > d:

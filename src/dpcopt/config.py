@@ -198,8 +198,6 @@ def _parse_objective(doc, path: str) -> ObjectiveConfig:
         "m": (_int, None), "lambda": (_float, None), "alpha": (_float, None),
     })
     kind = fields["kind"]
-    if fields["d"] < 1:
-        raise ConfigInvalid("objective.d: must be >= 1")
     if kind == "logistic":
         for key in ("m", "lambda", "alpha"):
             if fields[key] is None:
@@ -224,11 +222,10 @@ def _parse_schedule(doc, path: str) -> NoiseSchedule:
     fields = _read(doc, path, {
         "s": (_float, REQUIRED), "q": (_float, REQUIRED), "enabled": (_bool, True),
     })
-    if fields["s"] < 0:
-        raise ConfigInvalid(f"{path}.s: must be >= 0")
-    if not (0.0 < fields["q"] < 1.0):
-        raise ConfigInvalid(f"{path}.q: must lie in (0, 1)")
-    return NoiseSchedule(**fields)
+    try:
+        return NoiseSchedule(**fields)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}.{exc}") from None
 
 
 def _parse_sweep(doc, path: str) -> SweepConfig:
@@ -315,6 +312,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigInvalid("seed: must fit in an unsigned 63-bit integer")
     if not top["outputs"]:
         raise ConfigInvalid("outputs: must be a nonempty path")
+    if "\0" in top["outputs"]:
+        raise ConfigInvalid("outputs: must not contain a NUL character")
     if top["contraction_trials"] < 1000:
         raise ConfigInvalid("contraction_trials: must be >= 1000")
     rc = RunConfig(

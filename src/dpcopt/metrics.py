@@ -1,5 +1,5 @@
-"""The round driver both engines share, per-round telemetry,
-residual/accuracy metrics and the trace CSV schema.
+"""The round and round driver both engines share (noisy_round, run_rounds),
+per-round telemetry, residual/accuracy metrics and the trace CSV schema.
 
 A Trace holds one row per round counter k = 0..K. Row k describes the
 state after k synchronous rounds: consensus error ||x_k - xbar_k||^2
@@ -18,15 +18,20 @@ call, each row the bits of a call on its mean iterate alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from dpcopt.compressors import bit_cost, row_dots, row_norms
+from dpcopt.compressors import BBIT, CompressorSpec, bit_cost, row_dots, row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 from dpcopt.noise import NoiseSchedule, scale_at
 from dpcopt.objectives import AgentObjectives
+from dpcopt.rng import Tag
 
 __all__ = [
+    "RoundState",
+    "check_gains",
+    "noisy_round",
     "Trace",
     "check_start",
     "run_rounds",
@@ -92,6 +97,75 @@ class Trace:
         self.residual[k] = residual
         if self.stacked_iterates is not None:
             self.stacked_iterates[k] = x.reshape(-1)
+
+
+@dataclass
+class RoundState:
+    """An engine's two variables z (2, n, d) after k rounds, references zc
+    of the len(zc) rows it sends, and the second row's summed mean noise."""
+
+    z: np.ndarray
+    zc: np.ndarray
+    noise_cumsum: np.ndarray
+    k: int
+
+    x = property(lambda self: self.z[0])
+    xc = property(lambda self: self.zc[0])
+
+
+def check_gains(eta: float, alphas: dict, spec: CompressorSpec, iterations: int) -> None:
+    """The config rules both engines share."""
+    if not (eta > 0):
+        raise ConfigInvalid("gains.eta: must be positive")
+    for name, alpha in alphas.items():
+        if not (0 < alpha < 1.0 / spec.r):
+            raise ConfigInvalid(f"gains.{name}: must lie in (0, 1/r)")
+    if iterations < 1:
+        raise ConfigInvalid("iterations: must be >= 1")
+
+
+@lru_cache
+def _gain_columns(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (1 - alpha, alpha) columns, built once per run's gains."""
+    alpha = np.array(alphas)[:, None, None]
+    keep = 1.0 - alpha
+    alpha.flags.writeable = keep.flags.writeable = False
+    return keep, alpha
+
+
+def noisy_round(state, spec, noise, alphas, update, streams, sample, codec, diverged: str):
+    """One round of either engine around its linear update; returns the next
+    state, of state's type. Each row of z gets Laplace noise from sample at
+    its (schedule, tag) in noise, none at scale 0; the second row's mean
+    noise joins noise_cumsum. codec encodes the first len(alphas) rows against
+    zc once per sender (a bbit sender's stream serves its rows in order).
+    update(za, zhat) overwrites za, the round's one fresh block, with the
+    next z, which must be finite, and returns the fields state's type adds.
+    Each reference moves to (1 - alpha) zc + alpha zhat, the compressed
+    gossip of CHOCO-SGD (Koloskova, Stich and Jaggi, ICML 2019). Engines
+    pass sample and codec from their module globals on each call, so
+    wrappers set on those names (bench/tracer.py) see every call."""
+    z, zc, k = state.z, state.zc, state.k
+    _, n, d = z.shape
+    za, noise_cumsum = z.copy(), state.noise_cumsum
+    for row, (schedule, tag) in enumerate(noise):
+        theta = scale_at(schedule, k)
+        if theta > 0.0:
+            xi = sample(theta, d, streams.rows(tag, k, n))
+            za[row] += xi
+            if row:
+                # What xi.mean(axis=0) computes, without its Python wrapper.
+                noise_cumsum = noise_cumsum + np.add.reduce(xi, axis=0) / n
+    sent = len(alphas)
+    rngs = streams.rows(Tag.COMPRESS, k, n) * sent if spec.kind == BBIT else None
+    zhat = codec(spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs).reshape(zc.shape)
+    # Divergence shows up as overflow; the finite check is the detector.
+    with np.errstate(over="ignore", invalid="ignore"):
+        carry = update(za, zhat)
+    if not np.isfinite(za).all():
+        raise NonFiniteState(k, diverged)
+    keep, alpha = _gain_columns(alphas)
+    return type(state)(za, keep * zc + alpha * zhat, noise_cumsum, k + 1, *carry)
 
 
 def check_start(x0: np.ndarray, objectives: AgentObjectives, n: int) -> np.ndarray:

@@ -26,10 +26,11 @@ class NoiseSchedule:
     enabled: bool = True
 
     def __post_init__(self) -> None:
+        # Field-relative messages; the config parser prefixes the path.
         if self.s < 0:
-            raise ConfigInvalid("noise.s: base scale must be >= 0")
+            raise ConfigInvalid("s: must be >= 0")
         if not (0.0 < self.q < 1.0):
-            raise ConfigInvalid("noise.q: decay rate must lie in (0, 1)")
+            raise ConfigInvalid("q: must lie in (0, 1)")
 
 
 def scale_at(sched: NoiseSchedule, k: int) -> float:

@@ -15,8 +15,8 @@ One round, for every agent i simultaneously:
 5. y_{i,k+1} = y^a_i + gamma * sum_j w_ij (yhat_j - yhat_i)
    + grad f_i(x_{i,k+1}) - grad f_i(x_{i,k}).
 
-x and y share steps 1-4, so the state stacks them as one (2, n, d) block
-z = (x, y), and x^c, y^c as zc: one call per step, bit-equal to two.
+x and y share steps 1, 2 and 4 (metrics.noisy_round) as one (2, n, d)
+block z = (x, y), and x^c, y^c as zc: one call per step, bit-equal to two.
 
 Because W is doubly stochastic, the mean of y tracks the mean local
 gradient plus all injected y-noise; the engine carries that cumulative
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcopt.compressors import BBIT, CompressorSpec, encode_decode
+from dpcopt.compressors import CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
-from dpcopt.metrics import Trace, check_start, run_rounds
-from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
+from dpcopt.metrics import RoundState, Trace, check_gains, check_start, noisy_round, run_rounds
+from dpcopt.noise import NoiseSchedule, sample_laplace
 from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
@@ -55,33 +55,22 @@ class PgtcConfig:
     iterations: int
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0):
-            raise ConfigInvalid("gains.eta: must be positive")
+        alphas = {"alpha_x": self.alpha_x, "alpha_y": self.alpha_y}
+        check_gains(self.eta, alphas, self.compressor, self.iterations)
         if not (0 < self.gamma <= 1):
             raise ConfigInvalid("gains.gamma: must lie in (0, 1]")
-        limit = 1.0 / self.compressor.r
-        if not (0 < self.alpha_x < limit):
-            raise ConfigInvalid("gains.alpha_x: must lie in (0, 1/r)")
-        if not (0 < self.alpha_y < limit):
-            raise ConfigInvalid("gains.alpha_y: must lie in (0, 1/r)")
-        if self.iterations < 1:
-            raise ConfigInvalid("iterations: must be >= 1")
 
 
 @dataclass
-class PgtcState:
-    """(2, n, d) blocks z = (x, y) and zc = (x^c, y^c) after k rounds."""
+class PgtcState(RoundState):
+    """z = (x, y) and zc = (x^c, y^c) after k rounds, both sent; grad_prev
+    holds the local gradients at x."""
 
-    z: np.ndarray
-    zc: np.ndarray
     grad_prev: np.ndarray
-    noise_y_cumsum: np.ndarray
-    k: int
 
-    x = property(lambda self: self.z[0])
     y = property(lambda self: self.z[1])
-    xc = property(lambda self: self.zc[0])
     yc = property(lambda self: self.zc[1])
+    noise_y_cumsum = property(lambda self: self.noise_cumsum)
 
 
 def pgtc_init(
@@ -102,9 +91,9 @@ def pgtc_init(
     return PgtcState(
         z=np.stack([x0, grad0]),
         zc=np.zeros((2,) + x0.shape),
-        grad_prev=grad0,
-        noise_y_cumsum=np.zeros(x0.shape[1]),
+        noise_cumsum=np.zeros(x0.shape[1]),
         k=0,
+        grad_prev=grad0,
     )
 
 
@@ -116,49 +105,20 @@ def pgtc_step(
     streams: StreamFactory,
 ) -> PgtcState:
     """Advance one synchronous round. Pure: returns a fresh state."""
-    _, n, d = state.z.shape
-    k = state.k
 
-    # A round whose scale is 0 (schedule disabled, or s*q^k underflowed)
-    # adds no noise to that variable and draws none.
-    theta_x = scale_at(cfg.noise_x, k)
-    theta_y = scale_at(cfg.noise_y, k)
-    za = state.z.copy() if theta_x > 0.0 or theta_y > 0.0 else state.z
-    if theta_x > 0.0:
-        za[0] += sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
-    noise_y_cumsum = state.noise_y_cumsum
-    if theta_y > 0.0:
-        xi_y = sample_laplace(theta_y, d, streams.rows(Tag.NOISE_Y, k, n))
-        za[1] += xi_y
-        # What xi_y.mean(axis=0) computes, without its Python wrapper.
-        noise_y_cumsum = noise_y_cumsum + np.add.reduce(xi_y, axis=0) / n
+    def update(z, zhat):
+        # Steps 3 and 5 in place: both rows mix alike, then eta and gradients.
+        z += cfg.gamma * (net.mixing @ zhat - zhat)
+        z[0] -= cfg.eta * state.y
+        grad = objectives.grad(z[0])
+        z[1] += grad
+        z[1] -= state.grad_prev
+        return (grad,)
 
-    # One compression draw per sender per round, so all receivers decode the
-    # same zhat. The x rows come first: a sender's stream serves x, then y.
-    spec = cfg.compressor
-    rngs_c = streams.rows(Tag.COMPRESS, k, n) * 2 if spec.kind == BBIT else None
-    zhat = encode_decode(spec, za.reshape(-1, d), state.zc.reshape(-1, d), rngs_c)
-    zhat = zhat.reshape(2, n, d)
-
-    # Divergence shows up as overflow here; the finite check below is
-    # the official detector, so numpy's warning is silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_next = za + cfg.gamma * (net.mixing @ zhat - zhat)
-        z_next[0] -= cfg.eta * state.y
-        grad_next = objectives.grad(z_next[0])
-        z_next[1] += grad_next
-        z_next[1] -= state.grad_prev
-
-    if not np.isfinite(z_next).all():
-        raise NonFiniteState(k, "gradient-tracking update diverged")
-
-    alpha = np.array([cfg.alpha_x, cfg.alpha_y])[:, None, None]
-    return PgtcState(
-        z=z_next,
-        zc=(1.0 - alpha) * state.zc + alpha * zhat,
-        grad_prev=grad_next,
-        noise_y_cumsum=noise_y_cumsum,
-        k=k + 1,
+    return noisy_round(
+        state, cfg.compressor, ((cfg.noise_x, Tag.NOISE_X), (cfg.noise_y, Tag.NOISE_Y)),
+        (cfg.alpha_x, cfg.alpha_y), update, streams, sample_laplace, encode_decode,
+        "gradient-tracking update diverged",
     )
 
 
@@ -169,7 +129,7 @@ def tracking_residual(state: PgtcState) -> float:
     gap = (
         np.add.reduce(state.y, axis=0) / n
         - np.add.reduce(state.grad_prev, axis=0) / n
-        - state.noise_y_cumsum
+        - state.noise_cumsum
     )
     return float(np.max(np.abs(gap)))
 

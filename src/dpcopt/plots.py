@@ -2,7 +2,7 @@
 
 CSV is the authoritative output of a run; these charts exist so a run
 directory can be eyeballed without further tooling. One polyline, two
-axes, optional log scaling. No dependency beyond the stdlib.
+axes, an optional log y axis. No dependency beyond the stdlib.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _fmt_tick(value: float, log: bool) -> str:
+def _fmt_tick(value: float, log: bool = False) -> str:
     if log:
         return f"1e{value:.1f}"
     if value != 0 and (abs(value) >= 1e4 or abs(value) < 1e-2):
@@ -49,21 +49,17 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    log_x: bool = False,
     log_y: bool = False,
 ) -> str:
     """Render one line as a standalone SVG document.
 
-    Points with non-positive coordinates on a log axis are dropped
-    (residuals can hit exact zero on noise-free runs).
+    Points with a non-positive y on a log y axis are dropped (residuals
+    can hit exact zero on noise-free runs).
     """
     pairs = [
         (x, y)
         for x, y in zip(xs, ys)
-        if math.isfinite(x)
-        and math.isfinite(y)
-        and (not log_x or x > 0)
-        and (not log_y or y > 0)
+        if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)
     ]
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -80,7 +76,7 @@ def line_chart(
         'fill="none" stroke="black"/>',
     ]
     if pairs:
-        tx = _transform([p[0] for p in pairs], log_x)
+        tx = [p[0] for p in pairs]
         ty = _transform([p[1] for p in pairs], log_y)
         x_lo, x_hi = min(tx), max(tx)
         y_lo, y_hi = min(ty), max(ty)
@@ -101,7 +97,7 @@ def line_chart(
             )
             parts.append(
                 f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 18}" '
-                f'text-anchor="middle" {_STYLE}>{_fmt_tick(tick, log_x)}</text>'
+                f'text-anchor="middle" {_STYLE}>{_fmt_tick(tick)}</text>'
             )
         for tick in _ticks(y_lo, y_hi):
             y = py(tick)

@@ -12,11 +12,12 @@ One round, for every agent i simultaneously:
 4. v_{i,k+1} = v_i + xi_v + eta * omega * sum_j L_ij xhat_j;
 5. reference update x^c <- (1-alpha_x) x^c + alpha_x xhat.
 
-Laplacian rows sum to zero, so the dual average is exactly the running
-mean of injected v-noise; the engine carries that sum so the identity
-can be checked to 1e-9 every round. The v-noise keeps the dual state
-private even though v is never transmitted; disabling it (noise.v
-enabled=false) is an ablation that forfeits the privacy guarantee.
+Steps 1, 2 and 5 are metrics.noisy_round on the (2, n, d) block z = (x, v),
+of which only x is sent. Laplacian rows sum to zero, so the dual average
+is exactly the running mean of injected v-noise; the engine carries that
+sum so the identity can be checked to 1e-9 every round. The v-noise keeps
+the dual state private even though v is never transmitted; disabling it
+(noise.v enabled=false) is an ablation that forfeits the privacy guarantee.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcopt.compressors import BBIT, CompressorSpec, encode_decode
-from dpcopt.errors import ConfigInvalid, NonFiniteState
-from dpcopt.metrics import Trace, check_start, run_rounds
-from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
+from dpcopt.compressors import CompressorSpec, encode_decode
+from dpcopt.errors import ConfigInvalid
+from dpcopt.metrics import RoundState, Trace, check_gains, check_start, noisy_round, run_rounds
+from dpcopt.noise import NoiseSchedule, sample_laplace
 from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
@@ -51,27 +52,19 @@ class PpdcConfig:
     iterations: int
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0):
-            raise ConfigInvalid("gains.eta: must be positive")
+        check_gains(self.eta, {"alpha_x": self.alpha_x}, self.compressor, self.iterations)
         if not (self.gamma > 0):
             raise ConfigInvalid("gains.gamma: must be positive")
         if not (self.omega > 0):
             raise ConfigInvalid("gains.omega: must be positive")
-        if not (0 < self.alpha_x < 1.0 / self.compressor.r):
-            raise ConfigInvalid("gains.alpha_x: must lie in (0, 1/r)")
-        if self.iterations < 1:
-            raise ConfigInvalid("iterations: must be >= 1")
 
 
 @dataclass
-class PpdcState:
-    """Stacked (n, d) state of all agents after k rounds."""
+class PpdcState(RoundState):
+    """z = (x, v) and zc = (x^c,) after k rounds; only x is sent."""
 
-    x: np.ndarray
-    v: np.ndarray
-    xc: np.ndarray
-    noise_v_cumsum: np.ndarray
-    k: int
+    v = property(lambda self: self.z[1])
+    noise_v_cumsum = property(lambda self: self.noise_cumsum)
 
 
 def ppdc_init(
@@ -84,10 +77,9 @@ def ppdc_init(
     """Initial state: dual variables and compression references zeroed."""
     x0 = check_start(x0, objectives, net.n)
     return PpdcState(
-        x=x0.copy(),
-        v=np.zeros_like(x0),
-        xc=np.zeros_like(x0),
-        noise_v_cumsum=np.zeros(x0.shape[1]),
+        z=np.stack([x0, np.zeros_like(x0)]),
+        zc=np.zeros((1,) + x0.shape),
+        noise_cumsum=np.zeros(x0.shape[1]),
         k=0,
     )
 
@@ -100,54 +92,25 @@ def ppdc_step(
     streams: StreamFactory,
 ) -> PpdcState:
     """Advance one synchronous round. Pure: returns a fresh state."""
-    n, d = state.x.shape
-    lap = net.laplacian
-    spec = cfg.compressor
-    k = state.k
 
-    # A round whose scale is 0 (schedule disabled, or s*q^k underflowed)
-    # adds no noise to that variable and draws none.
-    theta_x = scale_at(cfg.noise_x, k)
-    theta_v = scale_at(cfg.noise_v, k)
-    xa = state.x
-    if theta_x > 0.0:
-        xa = xa + sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
-    va = state.v
-    noise_v_cumsum = state.noise_v_cumsum
-    if theta_v > 0.0:
-        xi_v = sample_laplace(theta_v, d, streams.rows(Tag.NOISE_V, k, n))
-        va = va + xi_v
-        # What xi_v.mean(axis=0) computes, without its Python wrapper.
-        noise_v_cumsum = noise_v_cumsum + np.add.reduce(xi_v, axis=0) / n
+    def update(z, xhat):
+        # Steps 3 and 4 in place, from the incoming x and v.
+        mixed = net.laplacian @ xhat[0]
+        z[0] -= cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + objectives.grad(state.x))
+        z[1] += cfg.eta * cfg.omega * mixed
+        return ()
 
-    # One compression draw per sender per round (broadcast semantics).
-    rngs_c = streams.rows(Tag.COMPRESS, k, n) if spec.kind == BBIT else None
-    xhat = encode_decode(spec, xa, state.xc, rngs_c)
-
-    # Divergence shows up as overflow here; the finite check below is
-    # the official detector, so numpy's warning is silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads = objectives.grad(state.x)
-        mixed = lap @ xhat
-        x_next = xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
-        v_next = va + cfg.eta * cfg.omega * mixed
-
-    if not (np.isfinite(x_next).all() and np.isfinite(v_next).all()):
-        raise NonFiniteState(k, "primal-dual update diverged")
-
-    return PpdcState(
-        x=x_next,
-        v=v_next,
-        xc=(1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
-        noise_v_cumsum=noise_v_cumsum,
-        k=k + 1,
+    return noisy_round(
+        state, cfg.compressor, ((cfg.noise_x, Tag.NOISE_X), (cfg.noise_v, Tag.NOISE_V)),
+        (cfg.alpha_x,), update, streams, sample_laplace, encode_decode,
+        "primal-dual update diverged",
     )
 
 
 def dual_average_residual(state: PpdcState) -> float:
     """Infinity norm of mean(v) minus the accumulated mean v-noise;
     zero in exact arithmetic because Laplacian columns sum to zero."""
-    gap = np.add.reduce(state.v, axis=0) / len(state.v) - state.noise_v_cumsum
+    gap = np.add.reduce(state.v, axis=0) / len(state.v) - state.noise_cumsum
     return float(np.max(np.abs(gap)))
 
 

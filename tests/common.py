@@ -120,7 +120,7 @@ def config_documents(draw) -> dict:
         "gains": st.fixed_dictionaries(gains),
         "iterations": st.integers(1, 10**6),
         "seed": st.integers(0, 2**63 - 1),
-        "outputs": st.text(min_size=1, max_size=8),
+        "outputs": st.text(st.characters(exclude_characters="\0"), min_size=1, max_size=8),
     }
     optional = {
         "reference": st.fixed_dictionaries({"horizon_multiplier": st.integers(10, 1000)}),

@@ -140,6 +140,7 @@ def test_ppdc_rejects_y_noise_family():
         lambda d: d["compressor"].update(kind="sketch"),
         lambda d: d["compressor"].pop("k"),
         lambda d: d.update(contraction_trials=999),
+        lambda d: d.update(outputs="nul\0out"),
     ],
 )
 def test_invalid_field_values(mutate):

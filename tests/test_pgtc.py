@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -156,6 +157,35 @@ def test_single_step_matches_hand_rolled_update():
     assert np.array_equal(stepped.yc, 0.5 * state.yc + 0.5 * yhat)
     assert np.array_equal(stepped.grad_prev, grad_next)
     assert np.array_equal(stepped.noise_y_cumsum, xi_y.mean(axis=0))
+
+
+def test_bbit_step_with_zero_difference_rows_equals_the_two_variable_round():
+    # Sender 1's x^a - x^c row and sender 3's y^a - y^c row are exactly
+    # zero, so neither draws from its compression stream. The step's one
+    # encode, with each sender's stream listed once per sent row, must then
+    # line up with an x-encode followed by a y-encode on the same streams.
+    spec = make_spec("bbit", 10, b=3)
+    noisy = _config(compressor=spec, noise_x=TABLE_NOISE, noise_y=TABLE_NOISE)
+    net, streams, objectives, x0 = build_problem("logistic", seed=6, m=20, lam=1e-3, alpha=1.0)
+    state = pgtc_init(noisy, objectives, net, x0, streams)
+    for _ in range(2):
+        state = pgtc_step(state, noisy, objectives, net, streams)
+    zc = state.zc.copy()
+    zc[0, 1] = state.z[0, 1]
+    zc[1, 3] = state.z[1, 3]
+    state = dataclasses.replace(state, zc=zc)
+    # Noise-free, so the noisy broadcast z^a is z itself.
+    cfg = dataclasses.replace(noisy, noise_x=QUIET, noise_y=QUIET)
+
+    want = pgtc_step_two_calls(state, cfg, objectives, net, streams)
+    got = pgtc_step(state, cfg, objectives, net, streams)
+
+    assert got.k == want.pop("k")
+    for name, value in want.items():
+        assert getattr(got, name).tobytes() == value.tobytes(), name
+    # A zero difference decodes to the reference itself.
+    assert got.xc[1].tobytes() == zc[0, 1].tobytes()
+    assert got.yc[3].tobytes() == zc[1, 3].tobytes()
 
 
 def test_round_streams_build_one_generator_per_agent_and_tag(monkeypatch):

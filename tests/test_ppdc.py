@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,6 +122,44 @@ def test_single_step_matches_hand_rolled_update():
     assert np.array_equal(stepped.v, v_next)
     assert np.array_equal(stepped.xc, 0.8 * state.xc + 0.2 * xhat)
     assert np.array_equal(stepped.noise_v_cumsum, xi_v.mean(axis=0))
+
+
+def test_bbit_step_with_a_zero_difference_row_matches_hand_rolled_update():
+    # Sender 2's x^a - x^c row is exactly zero, so its encode draws nothing
+    # and decodes to its reference; every other sender draws from its own
+    # compression stream as a per-sender encode would.
+    spec = make_spec("bbit", 10, b=2)
+    cfg = _config(compressor=spec, noise_x=TABLE_NOISE, noise_v=TABLE_NOISE)
+    net, streams, objectives, x0 = build_problem("quadratic", seed=26)
+    state = ppdc_init(cfg, objectives, net, x0, streams)
+    for _ in range(2):
+        state = ppdc_step(state, cfg, objectives, net, streams)
+    zc = state.zc.copy()
+    zc[0, 2] = state.x[2]
+    state = dataclasses.replace(state, zc=zc)
+    # No x-noise, so x^a is x itself; v keeps its noise.
+    cfg = dataclasses.replace(cfg, noise_x=QUIET)
+    stepped = ppdc_step(state, cfg, objectives, net, streams)
+
+    n, d, k = 6, 10, state.k
+    xi_v = np.concatenate(
+        [sample_laplace(scale_at(TABLE_NOISE, k), d, [streams.get(i, Tag.NOISE_V, k)])
+         for i in range(n)]
+    )
+    xhat = np.empty((n, d))
+    for j in range(n):
+        rng = [streams.get(j, Tag.COMPRESS, k)]
+        xhat[j] = encode_decode(spec, state.x[j:j + 1], state.xc[j:j + 1], rng)[0]
+    grads = np.stack([objectives[i].grad(state.x[i]) for i in range(n)])
+    mixed = net.laplacian @ xhat
+    x_next = state.x - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
+    v_next = state.v + xi_v + cfg.eta * cfg.omega * mixed
+
+    assert xhat[2].tobytes() == state.xc[2].tobytes()
+    assert stepped.x.tobytes() == x_next.tobytes()
+    assert stepped.v.tobytes() == v_next.tobytes()
+    assert stepped.xc.tobytes() == (0.8 * state.xc + 0.2 * xhat).tobytes()
+    assert np.array_equal(stepped.noise_v_cumsum, state.noise_v_cumsum + xi_v.mean(axis=0))
 
 
 def test_noise_free_dual_sum_stays_zero():

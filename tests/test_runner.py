@@ -174,6 +174,16 @@ def test_null_privacy_section_exits_2_without_a_traceback(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_outputs_with_a_nul_character_exits_2_without_a_traceback(tmp_path, capsys):
+    doc = make_doc("nul\0out", sweep={"parameter": "eta", "values": [0.1], "repeats": 1})
+    cfg = str(write_doc(tmp_path, doc))
+    for command in ("run", "sweep", "privacy"):
+        assert main([command, cfg]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error: outputs: must not contain a NUL character" in err
+        assert "Traceback" not in err
+
+
 def test_huge_graph_n_exits_2_without_a_traversal(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Graph, "_connected", lambda self: pytest.fail("traversed"))
     doc = make_doc(tmp_path / "out", graph={"n": 2**40, "edges": [[0, 1]]})
@@ -245,10 +255,14 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
         ("graph.n", 7, "graph.edges: graph on 7 nodes is not connected"),
         ("graph.n", 1, "graph.n: need at least 2 nodes, got n=1"),
         ("compressor.k", 11, "compressor.k: top-k with k=11 exceeds d=4"),
+        ("noise.x.s", -0.1, "noise.x.s: must be >= 0"),
+        ("noise.y.q", 1.0, "noise.y.q: must lie in (0, 1)"),
+        ("objective.d", 0, "objective.d: must be >= 1"),
     ],
     ids=[
         "b=65", "b=2000", "eta=10**400", "box_radius=1e308", "alpha=-1", "alpha=-4",
         "self-loop", "duplicate-edge", "edge-out-of-range", "disconnected", "n=1", "k=11",
+        "s=-0.1", "q=1", "d=0",
     ],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
