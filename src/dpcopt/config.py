@@ -1,9 +1,11 @@
-"""Run configuration: strict JSON parsing, resolution to engine configs,
-and serialization back to a replayable document.
+"""Run configuration: strict JSON parsing into a RunConfig, which holds
+the engine config it runs with, and serialization back to a replayable
+document.
 
 The config is a single UTF-8 JSON object. Unknown keys anywhere are
 errors (catches typos before they silently change an experiment), and
 every validation failure names the offending field with a dotted path.
+Each record checks its own fields; the record a sweep value lands in checks it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from dpcopt.compressors import CompressorSpec, make_spec
+from dpcopt.compressors import make_spec
 from dpcopt.errors import ConfigInvalid, DisconnectedGraph, InvalidEdge
 from dpcopt.noise import NoiseSchedule
 from dpcopt.objectives import MAX_BOX_RADIUS
@@ -38,14 +40,15 @@ __all__ = [
 ]
 
 
-class AlgorithmNames(NamedTuple):
+class Algorithm(NamedTuple):
+    engine: type  # the engine config class
     gains: tuple[str, ...]  # the gains a config must give, in parse order
-    second_family: str  # the second noised variable: y or v
+    second_family: str  # the second noised variable, engine field noise_<family>
 
 
 ALGORITHMS = {
-    "pgtc": AlgorithmNames(("eta", "gamma", "alpha_x", "alpha_y"), "y"),
-    "ppdc": AlgorithmNames(("eta", "gamma", "alpha_x", "omega"), "v"),
+    "pgtc": Algorithm(PgtcConfig, ("eta", "gamma", "alpha_x", "alpha_y"), "y"),
+    "ppdc": Algorithm(PpdcConfig, ("eta", "gamma", "alpha_x", "omega"), "v"),
 }
 
 SWEEP_PARAMETERS = ("q", "s", "eta")
@@ -153,15 +156,7 @@ class RunConfig:
     algorithm: str
     graph: Graph
     objective: ObjectiveConfig
-    compressor: CompressorSpec
-    noise_x: NoiseSchedule
-    noise_second: NoiseSchedule
-    eta: float
-    gamma: float
-    alpha_x: float
-    alpha_y: float | None
-    omega: float | None
-    iterations: int
+    engine: PgtcConfig | PpdcConfig
     seed: int
     outputs: str
     reference: ReferenceConfig | None = None
@@ -169,9 +164,11 @@ class RunConfig:
     privacy: PrivacyConfig = PrivacyConfig()
     contraction_trials: int = DEFAULT_CONTRACTION_TRIALS
 
-    @property
-    def second_family(self) -> str:
-        return ALGORITHMS[self.algorithm].second_family
+    # bench/setup_probe.py reads these two.
+    compressor = property(lambda self: self.engine.compressor)
+    iterations = property(lambda self: self.engine.iterations)
+    second_family = property(lambda self: ALGORITHMS[self.algorithm].second_family)
+    noise_second = property(lambda self: getattr(self.engine, f"noise_{self.second_family}"))
 
 
 def _parse_graph(doc, path: str) -> Graph:
@@ -239,17 +236,10 @@ def _parse_sweep(doc, path: str) -> SweepConfig:
         raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
     if not fields["values"]:
         raise ConfigInvalid("sweep.values: expected a nonempty list of numbers")
-    values = []
-    for index, value in enumerate(fields["values"]):
-        value = _float(value, f"sweep.values[{index}]")
-        if parameter in ("q",) and not (0.0 < value < 1.0):
-            raise ConfigInvalid(f"sweep.values[{index}]: q must lie in (0, 1)")
-        if parameter in ("s", "eta") and value <= 0:
-            raise ConfigInvalid(f"sweep.values[{index}]: must be positive")
-        values.append(value)
+    values = tuple(_float(v, f"sweep.values[{i}]") for i, v in enumerate(fields["values"]))
     if fields["repeats"] < 1:
         raise ConfigInvalid("sweep.repeats: must be >= 1")
-    return SweepConfig(parameter=parameter, values=tuple(values), repeats=fields["repeats"])
+    return SweepConfig(parameter=parameter, values=values, repeats=fields["repeats"])
 
 
 def _parse_reference(doc, path: str) -> ReferenceConfig:
@@ -295,19 +285,19 @@ def parse_config(doc: dict) -> RunConfig:
         "privacy": (_parse_privacy, PrivacyConfig()),
         "contraction_trials": (_int, DEFAULT_CONTRACTION_TRIALS),
     })
-    algorithm = top.pop("algorithm")
+    algorithm = top["algorithm"]
     if algorithm not in ALGORITHMS:
         raise ConfigInvalid(f"algorithm: must be one of {tuple(ALGORITHMS)}")
-    names = ALGORITHMS[algorithm]
+    entry = ALGORITHMS[algorithm]
     compressor = _read(top.pop("compressor"), "compressor", {
         "kind": (_str, REQUIRED), "k": (_int, None), "b": (_int, None),
         "r": (_float, None), "phi": (_float, None),
     })
-    second = names.second_family
+    second = entry.second_family
     noise = _read(top.pop("noise"), "noise", {
         "x": (_parse_schedule, REQUIRED), second: (_parse_schedule, REQUIRED),
     })
-    gains = _read(top.pop("gains"), "gains", {key: (_float, REQUIRED) for key in names.gains})
+    gains = _read(top.pop("gains"), "gains", {key: (_float, REQUIRED) for key in entry.gains})
     if not (0 <= top["seed"] <= _MAX_SEED):
         raise ConfigInvalid("seed: must fit in an unsigned 63-bit integer")
     if not top["outputs"]:
@@ -316,15 +306,19 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigInvalid("outputs: must not contain a NUL character")
     if top["contraction_trials"] < 1000:
         raise ConfigInvalid("contraction_trials: must be >= 1000")
-    rc = RunConfig(
-        algorithm=algorithm,
+    engine = entry.engine(
         compressor=make_spec(d=top["objective"].d, **compressor),
         noise_x=noise["x"],
-        noise_second=noise[second],
-        **{"alpha_y": None, "omega": None, **gains},
-        **top,
+        **{f"noise_{second}": noise[second]},
+        iterations=top.pop("iterations"),
+        **gains,
     )
-    build_engine_config(rc)  # surface gain/compressor violations now
+    rc = RunConfig(engine=engine, **top)
+    for index, value in enumerate(rc.sweep.values if rc.sweep else ()):
+        try:
+            apply_sweep_value(rc, rc.sweep.parameter, value)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"sweep.values[{index}]: {exc}") from None
     return rc
 
 
@@ -347,30 +341,8 @@ def load_config(path) -> RunConfig:
 
 
 def build_engine_config(rc: RunConfig) -> PgtcConfig | PpdcConfig:
-    """Resolve the RunConfig into the matching engine config."""
-    if rc.algorithm == "pgtc":
-        assert rc.alpha_y is not None
-        return PgtcConfig(
-            eta=rc.eta,
-            gamma=rc.gamma,
-            alpha_x=rc.alpha_x,
-            alpha_y=rc.alpha_y,
-            compressor=rc.compressor,
-            noise_x=rc.noise_x,
-            noise_y=rc.noise_second,
-            iterations=rc.iterations,
-        )
-    assert rc.omega is not None
-    return PpdcConfig(
-        eta=rc.eta,
-        gamma=rc.gamma,
-        omega=rc.omega,
-        alpha_x=rc.alpha_x,
-        compressor=rc.compressor,
-        noise_x=rc.noise_x,
-        noise_v=rc.noise_second,
-        iterations=rc.iterations,
-    )
+    """The engine config rc runs with (bench/tracer.py wraps this name)."""
+    return rc.engine
 
 
 def _record(record) -> dict:
@@ -389,8 +361,9 @@ def to_document(rc: RunConfig) -> dict:
     All defaults are materialized so the document alone pins the
     experiment.
     """
-    gains = {key: getattr(rc, key) for key in ALGORITHMS[rc.algorithm].gains}
-    noise = {"x": asdict(rc.noise_x), rc.second_family: asdict(rc.noise_second)}
+    engine = rc.engine
+    gains = {key: getattr(engine, key) for key in ALGORITHMS[rc.algorithm].gains}
+    noise = {"x": asdict(engine.noise_x), rc.second_family: asdict(rc.noise_second)}
     doc = {
         "algorithm": rc.algorithm,
         "graph": {
@@ -398,10 +371,10 @@ def to_document(rc: RunConfig) -> dict:
             "edges": [[i, j] for i, j in sorted(rc.graph.edges)],
         },
         "objective": _record(rc.objective),
-        "compressor": _record(rc.compressor),
+        "compressor": _record(engine.compressor),
         "noise": noise,
         "gains": gains,
-        "iterations": rc.iterations,
+        "iterations": engine.iterations,
         "seed": rc.seed,
         "outputs": rc.outputs,
         "privacy": asdict(rc.privacy),
@@ -410,11 +383,7 @@ def to_document(rc: RunConfig) -> dict:
     if rc.reference is not None:
         doc["reference"] = asdict(rc.reference)
     if rc.sweep is not None:
-        doc["sweep"] = {
-            "parameter": rc.sweep.parameter,
-            "values": list(rc.sweep.values),
-            "repeats": rc.sweep.repeats,
-        }
+        doc["sweep"] = {**asdict(rc.sweep), "values": list(rc.sweep.values)}
     return doc
 
 
@@ -425,17 +394,20 @@ def config_digest(doc: dict) -> str:
 
 
 def apply_sweep_value(rc: RunConfig, parameter: str, value: float) -> RunConfig:
-    """New RunConfig with one swept parameter substituted.
+    """New RunConfig with one swept parameter substituted; the records it
+    lands in check it.
 
     q and s apply to both noise families (the experiment protocol uses a
     single shared noise setting); eta replaces the step size.
     """
+    engine = rc.engine
     if parameter in ("q", "s"):
-        return replace(
-            rc,
-            noise_x=replace(rc.noise_x, **{parameter: value}),
-            noise_second=replace(rc.noise_second, **{parameter: value}),
-        )
-    if parameter == "eta":
-        return replace(rc, eta=value)
-    raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
+        fields = (f"noise_{family}" for family in ("x", rc.second_family))
+        engine = replace(engine, **{
+            field: replace(getattr(engine, field), **{parameter: value}) for field in fields
+        })
+    elif parameter == "eta":
+        engine = replace(engine, eta=value)
+    else:
+        raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
+    return replace(rc, engine=engine)

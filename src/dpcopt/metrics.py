@@ -158,9 +158,10 @@ def noisy_round(state, spec, noise, alphas, update, streams, sample, codec, dive
                 noise_cumsum = noise_cumsum + np.add.reduce(xi, axis=0) / n
     sent = len(alphas)
     rngs = streams.rows(Tag.COMPRESS, k, n) * sent if spec.kind == BBIT else None
-    zhat = codec(spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs).reshape(zc.shape)
-    # Divergence shows up as overflow; the finite check is the detector.
+    # Divergence shows up as overflow, in the codec's norms and dither or in
+    # the update; the finite check is the detector.
     with np.errstate(over="ignore", invalid="ignore"):
+        zhat = codec(spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs).reshape(zc.shape)
         carry = update(za, zhat)
     if not np.isfinite(za).all():
         raise NonFiniteState(k, diverged)

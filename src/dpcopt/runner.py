@@ -31,7 +31,7 @@ from dpcopt.compressors import ContractionReport, validate_contraction
 from dpcopt.config import (
     RunConfig,
     apply_sweep_value,
-    build_engine_config,
+    build_engine_config,  # noqa: F401 -- bench/tracer.py wraps it at this name
     config_digest,
     load_config,
     to_document,
@@ -107,12 +107,11 @@ def check_contraction(rc: RunConfig) -> ContractionReport:
         rc.seed,
         StreamKey(run_id=VALIDATION_RUN_ID, agent_id=0, tag=Tag.COMPRESS, round_index=0),
     )
-    report = validate_contraction(
-        rc.compressor, rc.objective.d, rc.contraction_trials, rng
-    )
+    spec = rc.engine.compressor
+    report = validate_contraction(spec, rc.objective.d, rc.contraction_trials, rng)
     if not report.passes:
         raise ContractionValidationFailed(
-            f"compressor {rc.compressor.kind!r}: empirical ratio "
+            f"compressor {spec.kind!r}: empirical ratio "
             f"{report.empirical_ratio:.6g} exceeds {report.threshold:.6g} "
             f"over {rc.contraction_trials} trials"
         )
@@ -129,14 +128,13 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
     streams, objectives = _build_problem(rc)
     gate = check_contraction(rc)
     x0 = _initial_iterate(rc, streams)
-    engine_cfg = build_engine_config(rc)
     reference_horizon = 0
     if rc.reference is not None:
-        reference_horizon = rc.reference.horizon_multiplier * rc.iterations
+        reference_horizon = rc.reference.horizon_multiplier * rc.engine.iterations
     # One pass: rows for rounds 0..K, then the same trajectory continues
     # to the reference horizon, whose final state is x_inf.
     trace = _run_function(rc.algorithm)(
-        engine_cfg, objectives, net, x0, streams,
+        rc.engine, objectives, net, x0, streams,
         record_iterates=rc.reference is not None,
         horizon=reference_horizon,
     )
@@ -336,20 +334,21 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
     bound = estimate_grad_bound(
         objectives, rc.privacy.box_radius, rc.privacy.trials, rng
     )
+    engine = rc.engine
     params = PrivacyParams(
-        rc.algorithm, rc.objective.d, bound, rc.iterations, rc.eta, rc.noise_x.q,
-        omega=rc.omega,
+        rc.algorithm, rc.objective.d, bound, engine.iterations, engine.eta, engine.noise_x.q,
+        omega=getattr(engine, "omega", None),  # pgtc has no omega
     )
-    epsilon = budget_for_run(params, rc.noise_x, rc.noise_second)
+    epsilon = budget_for_run(params, engine.noise_x, rc.noise_second)
     report: dict = {
         "algorithm": rc.algorithm,
-        "iterations": rc.iterations,
+        "iterations": engine.iterations,
         "grad_bound": bound,
         "grad_bound_box_radius": rc.privacy.box_radius,
         "epsilon": _json_number(epsilon),
     }
     lines = [
-        f"algorithm: {rc.algorithm}  rounds: {rc.iterations}  "
+        f"algorithm: {rc.algorithm}  rounds: {engine.iterations}  "
         f"grad bound (box radius {rc.privacy.box_radius:g}): {bound:.6g}",
     ]
     if epsilon is None:
@@ -382,7 +381,7 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
 def cmd_validate_compressor(rc: RunConfig) -> int:
     report = check_contraction(rc)
     print(
-        f"compressor {rc.compressor.kind!r} (d={rc.objective.d}): empirical ratio "
+        f"compressor {rc.engine.compressor.kind!r} (d={rc.objective.d}): empirical ratio "
         f"{report.empirical_ratio:.6g} <= {report.threshold:.6g} "
         f"over {rc.contraction_trials} trials: PASS"
     )

@@ -104,7 +104,9 @@ def config_documents(draw) -> dict:
     else:
         gains.update(gamma=POSITIVE, omega=POSITIVE)
     parameter = draw(st.sampled_from(["q", "s", "eta"]))
-    values = st.lists(OPEN_UNIT if parameter == "q" else POSITIVE, min_size=1, max_size=3)
+    # Each value passes the rule of the field it replaces: s may be 0.
+    value = {"q": OPEN_UNIT, "s": st.floats(0.0, 1e6), "eta": POSITIVE}[parameter]
+    values = st.lists(value, min_size=1, max_size=3)
     sweep = {"parameter": st.just(parameter), "values": values, "repeats": st.integers(1, 5)}
     privacy = {
         "box_radius": st.floats(0.0, 1e3, exclude_min=True),

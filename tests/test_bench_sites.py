@@ -60,12 +60,22 @@ def test_tracer_installs_on_every_site():
     assert done.returncode == 0, done.stderr
 
 
-def test_setup_probe_runs_on_the_paper_config():
-    done = _run(["bench/setup_probe.py", "configs/pgtc_topk_logistic.json"])
+@pytest.mark.parametrize(
+    "config,runs,tx_bits",
+    [
+        ("pgtc_topk_logistic", 1, 1_632_000),
+        ("ppdc_topk_logistic", 1, 816_000),
+        ("pgtc_q_sweep", 30, 9_792_000),
+    ],
+    ids=["pgtc_topk_logistic", "ppdc_topk_logistic", "pgtc_q_sweep"],
+)
+def test_setup_probe_runs_on_the_paper_config(config, runs, tx_bits):
+    # The probe reads RunConfig attributes and applies every sweep value.
+    done = _run(["bench/setup_probe.py", f"configs/{config}.json"])
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["runs"] == 1
-    assert report["tx_bits"] == 1_632_000
+    assert report["runs"] == runs
+    assert report["tx_bits"] == tx_bits
 
 
 # Spans each traced command must record at least once; {a} is the engine.

@@ -22,6 +22,7 @@ from dpcopt.config import (
 from dpcopt.errors import ConfigInvalid, DpcoptError, SpecDimensionMismatch
 from dpcopt.pgtc import PgtcConfig
 from dpcopt.ppdc import PpdcConfig
+from dpcopt.runner import execute_run
 
 
 def base_doc(algorithm="pgtc"):
@@ -55,8 +56,8 @@ def test_parse_minimal_pgtc():
     assert rc.objective.kind == "quadratic"
     assert rc.compressor.kind == "topk" and rc.compressor.k == 2
     assert rc.compressor.phi == 0.5  # k/d default
-    assert rc.noise_x.enabled and rc.noise_x.s == 0.1
-    assert rc.alpha_y == 0.5 and rc.omega is None
+    assert rc.engine.noise_x.enabled and rc.engine.noise_x.s == 0.1
+    assert isinstance(rc.engine, PgtcConfig) and rc.engine.alpha_y == 0.5
     assert rc.privacy == PrivacyConfig()
     assert rc.reference is None and rc.sweep is None
     assert rc.contraction_trials == 2000
@@ -65,7 +66,7 @@ def test_parse_minimal_pgtc():
 def test_parse_minimal_ppdc():
     rc = parse_config(base_doc("ppdc"))
     assert rc.second_family == "v"
-    assert rc.omega == 5.0 and rc.alpha_y is None
+    assert rc.engine.omega == 5.0 and rc.engine.noise_v.s == 0.1
     assert isinstance(build_engine_config(rc), PpdcConfig)
 
 
@@ -187,13 +188,24 @@ def test_sweep_parsing_and_validation():
         {"parameter": "gamma", "values": [0.1], "repeats": 1},
         {"parameter": "q", "values": [], "repeats": 1},
         {"parameter": "q", "values": [1.5], "repeats": 1},
-        {"parameter": "s", "values": [0.0], "repeats": 1},
+        {"parameter": "s", "values": [-1.0], "repeats": 1},
         {"parameter": "q", "values": [0.5], "repeats": 0},
         {"parameter": "q", "values": [0.5, True], "repeats": 1},
     ):
         doc["sweep"] = bad
         with pytest.raises(ConfigInvalid):
             parse_config(doc)
+    # s = 0 is a valid noise scale, so a sweep takes it too, and its cells
+    # run as if both noise families were disabled.
+    doc["sweep"] = {"parameter": "s", "values": [0.0], "repeats": 1}
+    cell = apply_sweep_value(parse_config(doc), "s", 0.0)
+    quiet = base_doc()
+    for schedule in quiet["noise"].values():
+        schedule["enabled"] = False
+    swept, _, _ = execute_run(cell)
+    noiseless, _, _ = execute_run(parse_config(quiet))
+    for column in ("consensus_err", "grad_norm_mean", "residual"):
+        assert getattr(swept, column).tobytes() == getattr(noiseless, column).tobytes()
 
 
 def test_reference_and_privacy_blocks():
@@ -331,13 +343,13 @@ def test_load_config_errors(tmp_path):
 
 def test_apply_sweep_value():
     rc = parse_config(base_doc())
-    swept = apply_sweep_value(rc, "q", 0.9)
-    assert swept.noise_x.q == 0.9 and swept.noise_second.q == 0.9
-    assert swept.noise_x.s == rc.noise_x.s
-    swept = apply_sweep_value(rc, "s", 7.0)
-    assert swept.noise_x.s == 7.0 and swept.noise_second.s == 7.0
-    assert swept.noise_x.q == rc.noise_x.q
-    swept = apply_sweep_value(rc, "eta", 0.05)
-    assert swept.eta == 0.05 and swept.noise_x == rc.noise_x
+    swept = apply_sweep_value(rc, "q", 0.9).engine
+    assert swept.noise_x.q == 0.9 and swept.noise_y.q == 0.9
+    assert swept.noise_x.s == rc.engine.noise_x.s
+    swept = apply_sweep_value(rc, "s", 7.0).engine
+    assert swept.noise_x.s == 7.0 and swept.noise_y.s == 7.0
+    assert swept.noise_x.q == rc.engine.noise_x.q
+    swept = apply_sweep_value(rc, "eta", 0.05).engine
+    assert swept.eta == 0.05 and swept.noise_x == rc.engine.noise_x
     with pytest.raises(ConfigInvalid):
         apply_sweep_value(rc, "gamma", 0.3)

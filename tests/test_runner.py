@@ -1,6 +1,7 @@
 """CLI tests: exit codes, output files, replay fidelity, sweeps, and
 the privacy report."""
 
+import io
 import json
 import math
 import os
@@ -8,12 +9,17 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpcopt
+from common import config_documents
 from dpcopt.compressors import xi_factor
 from dpcopt.config import config_digest, load_config
 from dpcopt.metrics import CSV_HEADER
@@ -231,6 +237,10 @@ def _doc_with(tmp_path, algorithm, field, value):
     return doc, "privacy" if field.startswith("privacy.") else "run"
 
 
+def _sweep(parameter, value):
+    return {"parameter": parameter, "values": [value], "repeats": 1}
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("algorithm,field", FLOAT_FIELDS, ids=[f for _, f in FLOAT_FIELDS])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
@@ -258,11 +268,15 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, algorithm, field, value):
         ("noise.x.s", -0.1, "noise.x.s: must be >= 0"),
         ("noise.y.q", 1.0, "noise.y.q: must lie in (0, 1)"),
         ("objective.d", 0, "objective.d: must be >= 1"),
+        # A sweep value must pass the rule of the field it replaces.
+        ("sweep", _sweep("q", 1.5), "sweep.values[0]: q: must lie in (0, 1)"),
+        ("sweep", _sweep("s", -1.0), "sweep.values[0]: s: must be >= 0"),
+        ("sweep", _sweep("eta", 0.0), "sweep.values[0]: gains.eta: must be positive"),
     ],
     ids=[
         "b=65", "b=2000", "eta=10**400", "box_radius=1e308", "alpha=-1", "alpha=-4",
         "self-loop", "duplicate-edge", "edge-out-of-range", "disconnected", "n=1", "k=11",
-        "s=-0.1", "q=1", "d=0",
+        "s=-0.1", "q=1", "d=0", "sweep-q=1.5", "sweep-s=-1", "sweep-eta=0",
     ],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, field, value, message):
@@ -530,6 +544,28 @@ def test_overflowing_gradient_ends_run_without_warnings(tmp_path, algorithm):
     assert "Warning" not in done.stderr
 
 
+def test_diverging_bbit_run_ends_without_warnings(tmp_path):
+    # On the way to divergence the quantizer's norms and dither overflow;
+    # they run under the update's errstate, so the finite check ends the
+    # run and no numpy warning leaks.
+    doc = make_doc(
+        tmp_path / "out",
+        graph={"n": 2, "edges": [[0, 1]]},
+        objective={"kind": "sincos", "d": 1},
+        compressor={"kind": "bbit", "b": 1},
+        noise={"x": {"s": 0, "q": 0.5}, "y": {"s": 0, "q": 0.5}},
+        gains={"eta": 14, "gamma": 1, "alpha_x": 0.5, "alpha_y": 0.5},
+        iterations=11,
+        seed=0,
+        reference={"horizon_multiplier": 10},
+    )
+    done = _cli("run", str(write_doc(tmp_path, doc)))
+    assert done.returncode == EXIT_RUN_FAILURE
+    assert done.stderr == (
+        "run failed: non-finite state at round 108: gradient-tracking update diverged\n"
+    )
+
+
 def test_non_finite_grad_bound_fails_without_report_or_warnings(tmp_path):
     doc = make_doc(tmp_path / "out", objective=HUGE_LAMBDA)
     done = _cli("privacy", str(write_doc(tmp_path, doc)))
@@ -560,3 +596,32 @@ def test_python_dash_m_runs_the_cli_without_warnings(tmp_path, module):
     assert done.returncode == EXIT_OK, done.stderr
     assert "PASS" in done.stdout
     assert "Warning" not in done.stderr
+
+
+@settings(max_examples=50, deadline=None)
+@given(config_documents(), st.integers(1, 20))
+def test_every_valid_document_runs_and_replays(doc, iterations):
+    # Any document the parser accepts, kept small: run exits 0 or 1 with a
+    # one-line message, never a traceback or a numpy warning (warnings are
+    # errors here), and a run that exits 0 replays from its metadata.json
+    # to the same trace bytes.
+    doc.pop("sweep", None)
+    if "reference" in doc:
+        doc["reference"] = {"horizon_multiplier": 10}
+    doc.update(iterations=iterations, contraction_trials=1000)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        doc["outputs"] = str(out)
+        config = write_doc(Path(tmp), doc)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(["run", str(config)])
+        assert code in (EXIT_OK, EXIT_RUN_FAILURE), err.getvalue()
+        if code == EXIT_RUN_FAILURE:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith(("run failed: ", "invariant check failed: "))
+            return
+        trace = (out / "trace.csv").read_bytes()
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", str(out / "metadata.json")]) == EXIT_OK
+        assert (out / "trace.csv").read_bytes() == trace
