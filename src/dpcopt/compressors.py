@@ -87,8 +87,10 @@ class CompressorSpec:
                 raise ConfigInvalid(f"compressor.b: bbit needs 1 <= b <= {FLOAT_BITS}")
         elif self.b is not None:
             raise ConfigInvalid(f"compressor.b: not a parameter of {self.kind}")
-        if self.kind == IDENTITY and (self.r != 1.0 or self.phi != 1.0):
-            raise ConfigInvalid("compressor: identity is fixed at r=1, phi=1")
+        if self.kind == IDENTITY:
+            for name in ("r", "phi"):
+                if getattr(self, name) != 1.0:
+                    raise ConfigInvalid(f"compressor.{name}: identity is fixed at {name}=1")
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,7 @@ def compress(
     spec: CompressorSpec,
     x: np.ndarray,
     rngs: Sequence[np.random.Generator] | None = None,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Decoded compressor output of each row of an (n, d) array of
     senders; bit_cost(spec, d) gives the payload bits of one row.
@@ -173,6 +176,11 @@ def compress(
     the bbit kind consumes rngs, a sequence of n generators of which row i
     draws its d dither uniforms from rngs[i]; a row that is exactly zero
     draws nothing.
+
+    The result is written into out, a C-contiguous (n, d) block, and the
+    kinds' temporaries (magnitudes, dither uniforms) into scratch, an
+    (n, d) block, when they are given; fresh blocks stand in otherwise,
+    with the same bits. Neither may be x.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -180,44 +188,69 @@ def compress(
     d = x.shape[1]
     if spec.kind == TOPK and spec.k is not None and spec.k > d:
         raise SpecDimensionMismatch(f"top-k with k={spec.k} exceeds d={d}")
+    if out is None:
+        out = np.empty(x.shape)
 
     if spec.kind == IDENTITY:
-        return x.copy()
+        np.copyto(out, x)
+        return out
 
     if spec.kind == NORMSIGN:
-        amax = np.abs(x).max(axis=-1, keepdims=True)
-        return (amax / 2.0) * np.sign(x)
+        amax = np.abs(x, out=scratch).max(axis=-1, keepdims=True)
+        # (amax / 2) * sign(x), with the sign written first.
+        np.sign(x, out=out)
+        out *= amax / 2.0
+        return out
 
     if spec.kind == TOPK:
         # Stable sort on -|x| keeps the lower index first among ties.
-        keep = (-np.abs(x)).argsort(axis=-1, kind="stable")[:, : spec.k]
+        magnitude = np.abs(x, out=scratch)
+        keep = np.negative(magnitude, out=magnitude).argsort(axis=-1, kind="stable")[:, : spec.k]
         # Row i's coordinates start at flat index i*d.
         keep += np.arange(0, x.size, d)[:, None]
-        out = np.zeros(x.shape)
+        out.fill(0.0)
         out.reshape(-1)[keep] = x.reshape(-1)[keep]
         return out
 
     # bbit
     norms = row_norms(x)
-    out = np.zeros_like(x)
     live = np.flatnonzero(norms)
-    if live.size:
-        if rngs is None:
-            raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
-        u = np.empty((live.size, d))
-        for i, row in zip(live.tolist(), u):
-            rngs[i].random(out=row)
-        out[live] = _dither(spec, x[live], norms[live, None], u)
-    return out
+    if live.size < len(x):
+        # Zero rows draw nothing and stay zero; the live rows are gathered.
+        out.fill(0.0)
+        if live.size:
+            live_rngs = None if rngs is None else [rngs[i] for i in live.tolist()]
+            out[live] = compress(spec, x[live], live_rngs)
+        return out
+    if rngs is None:
+        raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
+    u = np.empty(x.shape) if scratch is None else scratch
+    for g, row in zip(rngs, u):
+        g.random(out=row)
+    return _dither(spec, x, norms[:, None], u, out)
 
 
-def _dither(spec: CompressorSpec, x: np.ndarray, norms, u: np.ndarray) -> np.ndarray:
+def _dither(
+    spec: CompressorSpec, x: np.ndarray, norms, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """bbit levels of rows (n, d) with their norms as an (n, 1) column and
-    their dither uniforms u (n, d); every norm is nonzero."""
+    their dither uniforms u (n, d); every norm is nonzero.
+
+    Computes (norms / xi) * sign(x) * (floor(2^(b-1) |x| / norms + u) / 2^(b-1))
+    factor by factor into out (a fresh block when None), overwriting u;
+    products are taken in either operand order, which keeps every bit."""
     assert spec.b is not None
     half_levels = 2.0 ** (spec.b - 1)
-    levels = np.floor(half_levels * np.abs(x) / norms + u)
-    return (norms / xi_factor(x.shape[-1], spec.b)) * np.sign(x) * (levels / half_levels)
+    levels = np.abs(x, out=out)
+    levels *= half_levels
+    levels /= norms
+    levels += u
+    np.floor(levels, out=levels)
+    levels /= half_levels
+    sign = np.sign(x, out=u)
+    sign *= norms / xi_factor(x.shape[-1], spec.b)
+    levels *= sign
+    return levels
 
 
 def encode_decode(
@@ -225,6 +258,7 @@ def encode_decode(
     target: np.ndarray,
     reference: np.ndarray,
     rngs: Sequence[np.random.Generator] | None = None,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shared decoded estimates reference + C(target - reference) of n
     senders' rows (n, d) at once (see compress for rngs).
@@ -232,10 +266,19 @@ def encode_decode(
     The identity kind passes the target through untouched so the decoded
     estimate equals the broadcast vector exactly, with no rounding from
     the subtract/add pair.
+
+    The result is written into out, a C-contiguous (n, d) block, when it
+    is given; scratch, a pair of (n, d) blocks, then holds the difference
+    and compress's temporaries. Fresh blocks stand in for either when None,
+    with the same bits.
     """
     if spec.kind == IDENTITY:
-        return target.copy()
-    return reference + compress(spec, target - reference, rngs)
+        return compress(spec, target, out=out)
+    diff, work = (None, None) if scratch is None else scratch
+    diff = np.subtract(target, reference, out=diff)
+    out = compress(spec, diff, rngs, out, work)
+    out += reference
+    return out
 
 
 def bit_cost(spec: CompressorSpec, d: int) -> int:

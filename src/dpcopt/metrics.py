@@ -30,6 +30,7 @@ from dpcopt.rng import Tag
 
 __all__ = [
     "RoundState",
+    "RoundWorkspace",
     "check_gains",
     "noisy_round",
     "Trace",
@@ -57,9 +58,10 @@ IDENTITY_RESIDUAL_TOL = 1e-9
 RESIDUAL_CHUNK_ELEMENTS = 1 << 13
 
 # The gradient-norm column is filled from blocks of mean iterates whose
-# largest gradient temporary holds about this many elements (as the
-# privacy bound's chunks do; see objectives.BOUND_CHUNK_ELEMENTS).
-GRAD_NORM_CHUNK_ELEMENTS = 1 << 16
+# largest gradient temporary holds about this many elements. mean_grad
+# evaluates agent by agent, each call on the whole block, so that temporary
+# is (block, per-agent width): 64 KiB, under glibc's 128 KiB mmap threshold.
+GRAD_NORM_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass
@@ -113,6 +115,29 @@ class RoundState:
     xc = property(lambda self: self.zc[0])
 
 
+class RoundWorkspace:
+    """The spare blocks the rounds of one run write into, so that a round
+    allocates no state-sized block of its own; built from any state of it.
+
+    z and zc receive the next state's variables and references, zhat the
+    decoded estimates, and codec, two (sent * n, d) blocks, the codec's
+    difference and temporaries. Before the codec runs, the first n rows of
+    those blocks are noise: the Laplace block and its scratch. After each
+    round z and zc take over the incoming state's blocks, so the round after
+    next overwrites that state: a caller that passes a workspace steps only
+    from the state the last round returned, and keeps only that one.
+    """
+
+    def __init__(self, state: RoundState) -> None:
+        sent, n, d = state.zc.shape
+        self.z = np.empty_like(state.z)
+        self.zc = np.empty_like(state.zc)
+        self.zhat = np.empty_like(state.zc)
+        spare = np.empty((2, sent * n, d))
+        self.codec = tuple(spare)
+        self.noise = tuple(spare[:, :n])
+
+
 def check_gains(eta: float, alphas: dict, spec: CompressorSpec, iterations: int) -> None:
     """The config rules both engines share."""
     if not (eta > 0):
@@ -133,25 +158,36 @@ def _gain_columns(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
     return keep, alpha
 
 
-def noisy_round(state, spec, noise, alphas, update, streams, sample, codec, diverged: str):
+def noisy_round(
+    state, spec, noise, alphas, update, streams, sample, codec, diverged: str,
+    workspace: RoundWorkspace | None = None,
+):
     """One round of either engine around its linear update; returns the next
     state, of state's type. Each row of z gets Laplace noise from sample at
     its (schedule, tag) in noise, none at scale 0; the second row's mean
     noise joins noise_cumsum. codec encodes the first len(alphas) rows against
     zc once per sender (a bbit sender's stream serves its rows in order).
-    update(za, zhat) overwrites za, the round's one fresh block, with the
-    next z, which must be finite, and returns the fields state's type adds.
-    Each reference moves to (1 - alpha) zc + alpha zhat, the compressed
-    gossip of CHOCO-SGD (Koloskova, Stich and Jaggi, ICML 2019). Engines
-    pass sample and codec from their module globals on each call, so
-    wrappers set on those names (bench/tracer.py) see every call."""
+    update(za, zhat) overwrites za, the noisy z, with the next z, which must
+    be finite, and returns the fields state's type adds. Each reference
+    moves to (1 - alpha) zc + alpha zhat, the compressed gossip of CHOCO-SGD
+    (Koloskova, Stich and Jaggi, ICML 2019). Engines pass sample and codec
+    from their module globals on each call, so wrappers set on those names
+    (bench/tracer.py) see every call.
+
+    Every block the round writes is workspace's (see RoundWorkspace), a
+    fresh one when None: the round never writes state, and without a
+    workspace it is pure. Either way it takes the same operations in the
+    same order, so the next state has the same bits."""
+    ws = RoundWorkspace(state) if workspace is None else workspace
     z, zc, k = state.z, state.zc, state.k
     _, n, d = z.shape
-    za, noise_cumsum = z.copy(), state.noise_cumsum
+    za, noise_cumsum = ws.z, state.noise_cumsum
+    np.copyto(za, z)
+    laplace, scratch = ws.noise
     for row, (schedule, tag) in enumerate(noise):
         theta = scale_at(schedule, k)
         if theta > 0.0:
-            xi = sample(theta, d, streams.rows(tag, k, n))
+            xi = sample(theta, d, streams.rows(tag, k, n), out=laplace, scratch=scratch)
             za[row] += xi
             if row:
                 # What xi.mean(axis=0) computes, without its Python wrapper.
@@ -161,12 +197,20 @@ def noisy_round(state, spec, noise, alphas, update, streams, sample, codec, dive
     # Divergence shows up as overflow, in the codec's norms and dither or in
     # the update; the finite check is the detector.
     with np.errstate(over="ignore", invalid="ignore"):
-        zhat = codec(spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs).reshape(zc.shape)
+        zhat = codec(
+            spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs,
+            out=ws.zhat.reshape(-1, d), scratch=ws.codec,
+        ).reshape(zc.shape)
         carry = update(za, zhat)
     if not np.isfinite(za).all():
         raise NonFiniteState(k, diverged)
     keep, alpha = _gain_columns(alphas)
-    return type(state)(za, keep * zc + alpha * zhat, noise_cumsum, k + 1, *carry)
+    # keep * zc + alpha * zhat; the update is done with zhat.
+    zc_next = np.multiply(keep, zc, out=ws.zc)
+    zhat *= alpha
+    zc_next += zhat
+    ws.z, ws.zc = z, zc
+    return type(state)(za, zc_next, noise_cumsum, k + 1, *carry)
 
 
 def check_start(x0: np.ndarray, objectives: AgentObjectives, n: int) -> np.ndarray:
@@ -190,13 +234,15 @@ def run_rounds(
     trace (row k=0 included).
 
     init(cfg, objectives, net, x0, streams) builds the round-0 state,
-    step(state, cfg, objectives, net, streams) returns the next one, and
-    emit(trace, state, xbar) records its row and writes the mean iterate
-    into xbar (d,). mean_grad(objectives, xbars), with the signature of
+    step(state, cfg, objectives, net, streams, workspace) returns the next
+    one, writing it into the run's one RoundWorkspace, and emit(trace,
+    state, xbar) records its row and writes the mean iterate into xbar
+    (d,). mean_grad(objectives, xbars), with the signature of
     objectives.mean_value_grad, takes a block of those mean iterates at
-    once (max(1, GRAD_NORM_CHUNK_ELEMENTS // point_elements) rows), and
-    the norms of its gradients fill the block's gradient-norm rows, each
-    with the bits of a call on its mean iterate alone. Each agent sends
+    once (max(1, GRAD_NORM_CHUNK_ELEMENTS // objectives.agent_elements)
+    rows), and the norms of its
+    gradients fill the block's gradient-norm rows, each with the bits of a
+    call on its mean iterate alone. Each agent sends
     messages_per_agent compressed vectors per round; noise_second is the
     schedule of the engine's second noised variable (y or v). Engines
     pass the four functions from their module globals on each call, so
@@ -208,6 +254,7 @@ def run_rounds(
     final_k records that round.
     """
     state = init(cfg, objectives, net, x0, streams)
+    workspace = RoundWorkspace(state)
     n, d = state.x.shape
     per_round_bits = messages_per_agent * n * bit_cost(cfg.compressor, d)
     rows = cfg.iterations + 1
@@ -217,11 +264,11 @@ def run_rounds(
     # Mean iterates wait in a buffer of one block of rows. Each full block,
     # and the partial last one, gets its gradient norms from one stacked
     # mean_grad call, so memory stays O(block * d) however long the run.
-    block = max(1, GRAD_NORM_CHUNK_ELEMENTS // objectives.point_elements)
+    block = max(1, GRAD_NORM_CHUNK_ELEMENTS // objectives.agent_elements)
     xbars = np.empty((min(block, rows), d))
     for k in range(rows):
         if k:
-            state = step(state, cfg, objectives, net, streams)
+            state = step(state, cfg, objectives, net, streams, workspace)
         emit(trace, state, xbars[k % block])
         if k % block == block - 1 or k == cfg.iterations:
             start = k - k % block
@@ -231,7 +278,7 @@ def run_rounds(
                 _, gbar = mean_grad(objectives, xbars[:k + 1 - start])
                 trace.grad_norm_mean[start:k + 1] = row_norms(gbar)
     for _ in range(cfg.iterations, horizon):
-        state = step(state, cfg, objectives, net, streams)
+        state = step(state, cfg, objectives, net, streams, workspace)
     trace.final_k = state.k
     trace.final_stacked = state.x.reshape(-1).copy()
     return trace

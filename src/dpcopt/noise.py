@@ -43,25 +43,37 @@ def scale_at(sched: NoiseSchedule, k: int) -> float:
 
 
 def sample_laplace(
-    theta: float, d: int, rngs: Sequence[np.random.Generator]
+    theta: float, d: int, rngs: Sequence[np.random.Generator],
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """n rows (n, d) of i.i.d. Laplace(theta) coordinates from a sequence
     of n generators, row i drawn from rngs[i]; zeros when theta = 0.
 
     Each row's d uniforms come from its own generator, written straight
-    into a fresh (n, d) block, and one inverse-CDF transform maps all rows.
+    into the (n, d) result block, and one inverse-CDF transform maps all
+    rows. The result is written into out and the transform's temporary
+    into scratch, two distinct (n, d) blocks, when they are given, and
+    into fresh blocks otherwise; the bits are the same either way.
     """
     if theta < 0:
         raise ConfigInvalid("noise: scale must be >= 0")
     if d < 1:
         raise ConfigInvalid("noise: dimension must be >= 1")
+    u = np.empty((len(rngs), d)) if out is None else out
     if theta == 0.0:
-        return np.zeros((len(rngs), d))
-    u = np.empty((len(rngs), d))
+        u.fill(0.0)
+        return u
     for g, row in zip(rngs, u):
         g.random(out=row)
     u -= 0.5
-    decay = 1.0 - 2.0 * np.abs(u)
+    decay = np.abs(u, out=scratch)
+    decay *= 2.0
+    np.subtract(1.0, decay, out=decay)
     # u = -0.5 exactly would hit log(0); clamp that measure-zero draw.
     np.maximum(decay, np.finfo(np.float64).tiny, out=decay)
-    return -theta * np.sign(u) * np.log(decay)
+    np.log(decay, out=decay)
+    # -theta * sign(u) * log(decay), factor by factor, in u's block.
+    np.sign(u, out=u)
+    u *= -theta
+    u *= decay
+    return u

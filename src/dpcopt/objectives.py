@@ -369,7 +369,9 @@ class AgentObjectives(Sequence):
     here.
 
     point_elements is the size of the largest temporary grad makes per
-    (n, d) point, which callers use to size a stack of points.
+    (n, d) point, which callers use to size a stack of points;
+    agent_elements is its per-agent share (d, or max(m, d) for logistic),
+    the largest temporary of one agent's value_grad per point.
     """
 
     def __init__(self, objectives: Sequence) -> None:
@@ -377,6 +379,7 @@ class AgentObjectives(Sequence):
         if not self._items:
             raise ConfigInvalid("objectives: need at least one agent")
         self._stacked, width, self._reusing = _stacked_grad(self._items)
+        self.agent_elements = width
         self.point_elements = len(self._items) * width
 
     def __len__(self) -> int:

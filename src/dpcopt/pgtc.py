@@ -31,7 +31,9 @@ import numpy as np
 
 from dpcopt.compressors import CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
-from dpcopt.metrics import RoundState, Trace, check_gains, check_start, noisy_round, run_rounds
+from dpcopt.metrics import (
+    RoundState, RoundWorkspace, Trace, check_gains, check_start, noisy_round, run_rounds,
+)
 from dpcopt.noise import NoiseSchedule, sample_laplace
 from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
@@ -103,8 +105,11 @@ def pgtc_step(
     objectives: AgentObjectives,
     net: Network,
     streams: StreamFactory,
+    workspace: RoundWorkspace | None = None,
 ) -> PgtcState:
-    """Advance one synchronous round. Pure: returns a fresh state."""
+    """Advance one synchronous round and return the next state, written
+    into workspace (see metrics.RoundWorkspace). The incoming state is
+    never written; without a workspace the step is pure."""
 
     def update(z, zhat):
         # Steps 3 and 5 in place: both rows mix alike, then eta and gradients.
@@ -118,7 +123,7 @@ def pgtc_step(
     return noisy_round(
         state, cfg.compressor, ((cfg.noise_x, Tag.NOISE_X), (cfg.noise_y, Tag.NOISE_Y)),
         (cfg.alpha_x, cfg.alpha_y), update, streams, sample_laplace, encode_decode,
-        "gradient-tracking update diverged",
+        "gradient-tracking update diverged", workspace,
     )
 
 

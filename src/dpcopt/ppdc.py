@@ -28,7 +28,9 @@ import numpy as np
 
 from dpcopt.compressors import CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid
-from dpcopt.metrics import RoundState, Trace, check_gains, check_start, noisy_round, run_rounds
+from dpcopt.metrics import (
+    RoundState, RoundWorkspace, Trace, check_gains, check_start, noisy_round, run_rounds,
+)
 from dpcopt.noise import NoiseSchedule, sample_laplace
 from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
@@ -90,8 +92,11 @@ def ppdc_step(
     objectives: AgentObjectives,
     net: Network,
     streams: StreamFactory,
+    workspace: RoundWorkspace | None = None,
 ) -> PpdcState:
-    """Advance one synchronous round. Pure: returns a fresh state."""
+    """Advance one synchronous round and return the next state, written
+    into workspace (see metrics.RoundWorkspace). The incoming state is
+    never written; without a workspace the step is pure."""
 
     def update(z, xhat):
         # Steps 3 and 4 in place, from the incoming x and v.
@@ -103,7 +108,7 @@ def ppdc_step(
     return noisy_round(
         state, cfg.compressor, ((cfg.noise_x, Tag.NOISE_X), (cfg.noise_v, Tag.NOISE_V)),
         (cfg.alpha_x,), update, streams, sample_laplace, encode_decode,
-        "primal-dual update diverged",
+        "primal-dual update diverged", workspace,
     )
 
 

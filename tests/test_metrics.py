@@ -331,7 +331,7 @@ def test_grad_norm_column_equals_the_per_round_formula(engine, case, rows_per_bl
     spec, net, streams, objectives, x0 = drawn_run(case)
     with pytest.MonkeyPatch.context() as patch:
         if rows_per_block is not None:
-            elements = rows_per_block * objectives.point_elements
+            elements = rows_per_block * objectives.agent_elements
             patch.setattr(metrics, "GRAD_NORM_CHUNK_ELEMENTS", elements)
         trace = run(make_cfg(spec, case[6]), objectives, net, x0, streams, record_iterates=True)
     want = grad_norms_per_round(objectives, trace)
@@ -381,7 +381,9 @@ def test_grad_norm_column_is_filled_one_block_of_rows_per_call(engine, monkeypat
     make_cfg, run = ENGINES[engine]
     module = importlib.import_module(f"dpcopt.{engine}")
     net, streams, objectives, x0 = build_problem("logistic", seed=3, m=20, lam=1e-3, alpha=1.0)
-    monkeypatch.setattr(metrics, "GRAD_NORM_CHUNK_ELEMENTS", 4 * objectives.point_elements)
+    monkeypatch.setattr(
+        metrics, "GRAD_NORM_CHUNK_ELEMENTS", 4 * objectives.agent_elements
+    )
     steps = []
     blocks = []
     step, mean_value_grad = getattr(module, f"{engine}_step"), module.mean_value_grad

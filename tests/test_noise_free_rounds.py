@@ -147,9 +147,9 @@ def test_noise_free_variable_draws_nothing_and_matches_zero_noise(engine, case, 
         tags.append(tag)
         return rows(self, tag, round_index, n)
 
-    def recording_laplace(theta, d, rngs):
+    def recording_laplace(theta, d, rngs, **buffers):
         thetas.append(theta)
-        return sample_laplace(theta, d, rngs)
+        return sample_laplace(theta, d, rngs, **buffers)
 
     with monkeypatch.context() as patch:
         patch.setattr(StreamFactory, "rows", recording_rows)

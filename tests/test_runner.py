@@ -23,6 +23,7 @@ from common import config_documents
 from dpcopt.compressors import xi_factor
 from dpcopt.config import config_digest, load_config
 from dpcopt.metrics import CSV_HEADER
+from dpcopt.objectives import MAX_BOX_RADIUS
 from dpcopt.rng import derive_seed
 from dpcopt.runner import (
     EXIT_CONFIG_ERROR,
@@ -625,3 +626,87 @@ def test_every_valid_document_runs_and_replays(doc, iterations):
         with redirect_stdout(io.StringIO()):
             assert main(["run", str(out / "metadata.json")]) == EXIT_OK
         assert (out / "trace.csv").read_bytes() == trace
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _out_of_range_fields(doc: dict) -> dict:
+    """Each numeric field of a valid document, by its dotted path, with
+    its key path in the document and a strategy of values its rule
+    rejects (a missing optional section is created by the mutation)."""
+    at_most_zero = _finite(max_value=0.0)
+    outside_open_unit = st.one_of(at_most_zero, _finite(min_value=1.0))
+    negative = _finite(max_value=0.0, exclude_max=True)
+    second = "y" if doc["algorithm"] == "pgtc" else "v"
+    compressor = doc["compressor"]
+    kind = compressor["kind"]
+    fields = {
+        "iterations": st.integers(max_value=0),
+        "seed": st.one_of(st.integers(max_value=-1), st.integers(min_value=2**63)),
+        "contraction_trials": st.integers(max_value=999),
+        "objective.d": st.integers(max_value=0),
+        "gains.eta": at_most_zero,
+        "privacy.box_radius": st.one_of(
+            at_most_zero, _finite(min_value=MAX_BOX_RADIUS, exclude_min=True)
+        ),
+        "privacy.trials": st.integers(max_value=0),
+        "privacy.split": outside_open_unit,
+        "reference.horizon_multiplier": st.integers(max_value=9),
+    }
+    for family in ("x", second):
+        fields[f"noise.{family}.q"] = outside_open_unit
+        fields[f"noise.{family}.s"] = negative
+    # Each alpha against 1/r, the bound of the compressor's r.
+    alpha = st.one_of(at_most_zero, _finite(min_value=1.0 / compressor.get("r", 1.0)))
+    fields["gains.alpha_x"] = alpha
+    if doc["algorithm"] == "pgtc":
+        fields["gains.alpha_y"] = alpha
+        fields["gains.gamma"] = st.one_of(at_most_zero, _finite(min_value=1.0, exclude_min=True))
+    else:
+        fields["gains.gamma"] = fields["gains.omega"] = at_most_zero
+    if doc["objective"]["kind"] == "logistic":
+        fields["objective.m"] = st.integers(max_value=0)
+        fields["objective.alpha"] = negative
+    if kind == "topk":
+        d = doc["objective"]["d"]
+        fields["compressor.k"] = st.one_of(st.integers(max_value=0), st.integers(min_value=d + 1))
+    if kind == "bbit":
+        fields["compressor.b"] = st.one_of(st.integers(max_value=0), st.integers(min_value=65))
+    if kind == "identity":
+        fields["compressor.r"] = fields["compressor.phi"] = _finite().filter(lambda v: v != 1.0)
+    else:
+        fields["compressor.r"] = at_most_zero
+        fields["compressor.phi"] = st.one_of(at_most_zero, _finite(min_value=1.0, exclude_min=True))
+    keyed = {path: (tuple(path.split(".")), values) for path, values in fields.items()}
+    if "sweep" in doc:
+        parameter = doc["sweep"]["parameter"]
+        keyed["sweep.repeats"] = (("sweep", "repeats"), st.integers(max_value=0))
+        value = {"q": outside_open_unit, "s": negative, "eta": at_most_zero}[parameter]
+        keyed["sweep.values[0]"] = (("sweep", "values", 0), value)
+    return keyed
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_documents(), st.data())
+def test_every_out_of_range_field_exits_2_naming_its_path(doc, data):
+    # ROADMAP item 10: one numeric field of a valid document set outside
+    # its rule; run exits 2 with one stderr line that starts with its path.
+    fields = _out_of_range_fields(doc)
+    path = data.draw(st.sampled_from(sorted(fields)), label="field")
+    keys, values = fields[path]
+    owner = doc
+    for key in keys[:-1]:
+        owner = owner.setdefault(key, {})
+    owner[keys[-1]] = data.draw(values, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["outputs"] = str(Path(tmp) / "out")
+        config = write_doc(Path(tmp), doc)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main(["run", str(config)])
+        assert not (Path(tmp) / "out").exists()
+    lines = err.getvalue().splitlines()
+    assert code == EXIT_CONFIG_ERROR, lines
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"config error: {path}: "), lines
