@@ -17,7 +17,7 @@ call, each row the bits of a call on its mean iterate alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -86,6 +86,8 @@ class Trace:
     # the last row's k, or the longer horizon the engine was asked to run.
     final_stacked: np.ndarray | None = None
     final_k: int = 0
+    # record's (n, d) scratch, allocated at the first row.
+    spread: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.residual)
@@ -94,8 +96,18 @@ class Trace:
         """Fill the consensus error and residual of row k for the (n, d)
         iterate x with mean xbar, and keep x as history row k if history
         is kept. run_rounds fills the gradient-norm column."""
+        if self.spread is None:
+            self.spread = np.empty_like(x)
+        # ((x - xbar) ** 2).sum() without its two temporaries: the same
+        # values in the same C layout, so the same sum. xbar is spread over
+        # the rows first, as a subtraction that broadcasts it allocates a
+        # 64 KiB ufunc buffer.
+        spread = self.spread
+        np.copyto(spread, xbar)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.consensus_err[k] = ((x - xbar) ** 2).sum()
+            np.subtract(x, spread, out=spread)
+            np.square(spread, out=spread)
+            self.consensus_err[k] = spread.sum()
         self.residual[k] = residual
         if self.stacked_iterates is not None:
             self.stacked_iterates[k] = x.reshape(-1)

@@ -57,6 +57,12 @@ SATURATED_MARGIN = 746.0
 # gradient temporary holds about this many elements.
 BOUND_CHUNK_ELEMENTS = 1 << 16
 
+# OpenBLAS runs a GEMM of at most 2^18 multiply-adds on the calling thread
+# and hands a larger one to its worker threads. Waking them cost 8-30 ms a
+# call on a 2-vCPU host whose second core was busy, against 25 us for a
+# (26, 100) x (100, 100) product, so the bound's screen stays below it.
+SCREEN_GEMM_MACS = 1 << 18
+
 __all__ = [
     "Dataset",
     "LogisticObjective",
@@ -311,7 +317,7 @@ class QuadraticObjective:
         return _checked(x, self.d) - self.anchor
 
 
-def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None]:
+def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None, np.ndarray | None]:
     """X (..., n, d) -> gradients of the same shape through the kind's
     shared formula, with the agents' data stacked once here. Raises
     ConfigInvalid unless every agent is exactly one built-in kind with
@@ -321,7 +327,8 @@ def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None]:
     d, or max(m, d) for logistic, whose margins are (..., n, m); and, for
     logistic agents, a function of p that returns the formula on stacks
     (q, n, d) of q <= p points with one set of buffers reused by every
-    call, else None.
+    call, else None; and, for quadratic agents, their stacked anchors
+    (n, d), else None.
     """
     kind = type(items[0])
     d = items[0].d
@@ -329,10 +336,10 @@ def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None]:
         raise ConfigInvalid("objectives: agents must all be one kind of one dimension d")
     if kind is QuadraticObjective:
         anchors = np.stack([obj.anchor for obj in items])
-        return (lambda x: x - anchors), d, None
+        return (lambda x: x - anchors), d, None, anchors
     if kind is SinCosObjective:
         coeffs = np.array([[obj.m_i] for obj in items])
-        return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d, None
+        return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d, None, None
     if kind is not LogisticObjective:
         raise ConfigInvalid(f"objectives: {kind.__name__} is not a built-in kind")
     if len({obj.dataset.m for obj in items}) != 1:
@@ -351,7 +358,7 @@ def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None]:
 
     return (
         lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
-    ), max(items[0].dataset.m, d), reusing
+    ), max(items[0].dataset.m, d), reusing, None
 
 
 class AgentObjectives(Sequence):
@@ -372,13 +379,16 @@ class AgentObjectives(Sequence):
     (n, d) point, which callers use to size a stack of points;
     agent_elements is its per-agent share (d, or max(m, d) for logistic),
     the largest temporary of one agent's value_grad per point.
+
+    anchors holds quadratic agents' anchors as one (n, d) block, which
+    estimate_grad_bound screens with; it is None for the other kinds.
     """
 
     def __init__(self, objectives: Sequence) -> None:
         self._items = tuple(objectives)
         if not self._items:
             raise ConfigInvalid("objectives: need at least one agent")
-        self._stacked, width, self._reusing = _stacked_grad(self._items)
+        self._stacked, width, self._reusing, self.anchors = _stacked_grad(self._items)
         self.agent_elements = width
         self.point_elements = len(self._items) * width
 
@@ -408,6 +418,98 @@ class AgentObjectives(Sequence):
         return self.grad if self._reusing is None else self._reusing(p)
 
 
+def _exhaustive_maxima(objectives: AgentObjectives) -> Callable[[np.ndarray], list]:
+    """points (q, d) -> the largest gradient norm over all agents of each
+    block of points, every gradient through the kind's stacked formula.
+
+    A block's stacked gradients hold about BOUND_CHUNK_ELEMENTS elements
+    (or one point's, if more). Every block reuses, for logistic agents, one
+    set of kernel buffers: fresh block-sized temporaries would each be
+    faulted in again, as often as the heap layout happens to demand.
+    """
+    n, d = len(objectives), objectives.d
+    step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
+    grad = objectives._chunk_grad(step)
+
+    def maxima(points: np.ndarray) -> list:
+        # Each point at every agent: a read-only view, no copy.
+        blocks = (points[start:start + step] for start in range(0, len(points), step))
+        return [
+            row_norms(grad(np.broadcast_to(block[:, None, :], (len(block), n, d)))).max()
+            for block in blocks
+        ]
+
+    return maxima
+
+
+def _screened_maxima(objectives: AgentObjectives, step: int) -> Callable[[np.ndarray], list]:
+    """For quadratic agents, points (q, d) with q <= step -> maxima whose
+    largest is the largest of the exhaustive path's norms, bit for bit.
+
+    The gradient at p is p - a_i, and ||p - a_i||^2 = ||p||^2 - 2 p.a_i +
+    ||a_i||^2 for all pairs comes from a (q, d) x (d, n) GEMM. With
+    u = 2^-53 and g = (d + 2) u / (1 - (d + 2) u), both that screen and the
+    exhaustive path's fl(p - a_i) dot product lie within
+    g (||p|| + ||a_i||)^2 of the exact square, so within E / 2 of each
+    other, where E = 4 g (max ||p|| + max ||a||)^2 keeps a factor 2 for the
+    computed norms. A pair more than E below the top screened value thus
+    cannot hold the exhaustive maximum, and only pairs within 2 E of it go
+    through the exhaustive formula, fl(p - a_i) and row_norms. E also
+    carries 4 (d + 2) smallest normals for rounding below the normal range,
+    flushed or not.
+
+    A screen that is not finite (NaN anchors, or squares that overflow)
+    or whose largest square could overflow sends its points down the
+    exhaustive path, which reports the same non-finite norms.
+    """
+    anchors = objectives.anchors
+    n, d = anchors.shape
+    exhaustive = _exhaustive_maxima(objectives)
+    anchor_sq = row_dots(anchors)
+    anchor_reach = math.sqrt(anchor_sq.max())
+    # E = rel * reach + floor, reach being a chunk's (max ||p|| + max ||a||)^2.
+    unit = np.finfo(np.float64).eps / 2
+    rel = 4.0 * (d + 2) * unit / (1.0 - (d + 2) * unit)
+    floor = 4.0 * (d + 2) * np.finfo(np.float64).tiny
+    # Each batch of candidates (pairs, d) stays within one chunk's elements.
+    pairs = max(1, BOUND_CHUNK_ELEMENTS // d)
+    screens = np.empty((step, n))
+    masks = np.empty((step, n), dtype=bool)
+    # Near-square tiles of the screen, which BLAS computes fastest at a
+    # fixed count of multiply-adds.
+    cols = min(n, max(1, math.isqrt(SCREEN_GEMM_MACS // d)))
+    rows = max(1, SCREEN_GEMM_MACS // (d * cols))
+
+    def maxima(points: np.ndarray) -> list:
+        screen = screens[: len(points)]
+        for r in range(0, len(points), rows):
+            for c in range(0, n, cols):
+                np.matmul(
+                    points[r:r + rows], anchors[c:c + cols].T,
+                    out=screen[r:r + rows, c:c + cols],
+                )
+        point_sq = row_dots(points)
+        screen *= -2.0
+        screen += point_sq[:, None]
+        screen += anchor_sq
+        top = float(screen.max())
+        reach = math.sqrt(point_sq.max()) + anchor_reach
+        reach *= reach
+        # 2 reach bounds every exhaustive square, so none of them overflows.
+        if not (math.isfinite(top) and math.isfinite(2.0 * reach)):
+            return exhaustive(points)
+        window = top - 2.0 * (rel * reach + floor)
+        mask = np.greater_equal(screen, window, out=masks[: len(points)])
+        # flatnonzero is much faster than a 2-d nonzero on a sparse mask.
+        at, agent = np.divmod(np.flatnonzero(mask), n)
+        return [
+            row_norms(points[at[i:i + pairs]] - anchors[agent[i:i + pairs]]).max()
+            for i in range(0, len(at), pairs)
+        ]
+
+    return maxima
+
+
 def estimate_grad_bound(
     objectives: AgentObjectives, radius: float, trials: int, rng: np.random.Generator
 ) -> float:
@@ -418,6 +520,14 @@ def estimate_grad_bound(
     global bound, which does not exist for the benchmark objectives;
     report it together with the box radius. A gradient norm or bound
     that is not finite raises DpcoptError.
+
+    The points are drawn and evaluated chunk by chunk, so memory stays at
+    one chunk of about BOUND_CHUNK_ELEMENTS elements. For quadratic agents
+    one GEMM per chunk screens every (point, agent) pair and only the
+    pairs that can hold the chunk's largest norm are evaluated (see
+    _screened_maxima); the other kinds evaluate every pair. Either way the
+    bound equals, bit for bit, 1.1x the largest norm of the per-point,
+    per-agent gradients.
     """
     if trials < 1:
         raise ConfigInvalid("privacy.trials: need at least 1 sample")
@@ -426,18 +536,18 @@ def estimate_grad_bound(
     if radius > MAX_BOX_RADIUS:
         raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
     n, d = len(objectives), objectives.d
-    step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
-    # Every chunk reuses one points buffer and, for logistic agents, one set
-    # of kernel buffers: fresh chunk-sized temporaries would each be faulted
-    # in again, as often as the heap layout happens to demand.
-    grad = objectives._chunk_grad(step)
-    buffer = np.empty((step, d))
-    # Each point at every agent: a read-only view, no copy.
-    stack = np.broadcast_to(buffer[:, None, :], (step, n, d))
     worst = []
     # An overflowing gradient is reported below rather than as numpy's
     # warning; max keeps a NaN norm, which the builtin max() would skip.
     with np.errstate(over="ignore", invalid="ignore"):
+        if objectives.anchors is None:
+            step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
+            maxima = _exhaustive_maxima(objectives)
+        else:
+            # The widest blocks of a screened chunk are its points and screen.
+            step = max(1, BOUND_CHUNK_ELEMENTS // max(n, d))
+            maxima = _screened_maxima(objectives, step)
+        buffer = np.empty((step, d))
         for start in range(0, trials, step):
             rows = min(step, trials - start)
             # Consecutive draws give the values of one draw of all points,
@@ -446,7 +556,7 @@ def estimate_grad_bound(
             points = rng.random(out=buffer[:rows])
             points *= radius - -radius
             points += -radius
-            worst.append(row_norms(grad(stack[:rows])).max())
+            worst.extend(maxima(points))
     bound = 1.1 * float(np.max(worst))
     if not math.isfinite(bound):
         raise DpcoptError(
@@ -482,20 +592,17 @@ def make_objectives(
 ) -> AgentObjectives:
     """Construct the per-agent objectives of one run.
 
-    Per-agent data comes from the agent's own data stream; the shared
-    zero-sum coefficients come from a single stream at round index 1 so
-    they are drawn jointly.
+    Per-agent data comes from the agent's own data stream, drawn through
+    the pooled StreamFactory.rows generators; the shared zero-sum
+    coefficients come from a single stream at round index 1 so they are
+    drawn jointly.
     """
     if kind == "logistic":
         if m is None or lam is None or alpha is None:
             raise ConfigInvalid("objective: logistic needs m, lambda, alpha")
         return AgentObjectives(
-            LogisticObjective(
-                dataset=generate_dataset(m, d, streams.get(i, Tag.DATA, 0)),
-                lam=lam,
-                alpha=alpha,
-            )
-            for i in range(n)
+            LogisticObjective(dataset=generate_dataset(m, d, g), lam=lam, alpha=alpha)
+            for g in streams.rows(Tag.DATA, 0, n)
         )
     if kind == "sincos":
         coeffs = draw_zero_sum_coefficients(n, streams.get(0, Tag.DATA, 1))
@@ -504,8 +611,7 @@ def make_objectives(
         )
     if kind == "quadratic":
         return AgentObjectives(
-            QuadraticObjective(anchor=streams.get(i, Tag.DATA, 0).standard_normal(d))
-            for i in range(n)
+            QuadraticObjective(anchor=g.standard_normal(d)) for g in streams.rows(Tag.DATA, 0, n)
         )
     raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
 

@@ -6,14 +6,15 @@ independent Philox generators, so draw order never couples agents,
 variables, or rounds, and any run replays bit-identically from its seed.
 
 ``stream`` and ``StreamFactory.get`` always build a fresh generator. The
-engines' per-round streams come from ``StreamFactory.rows`` instead: one
-pooled generator per (agent, tag), reset to its key at each call, which
-draws exactly what a fresh generator draws without the cost of building
-one. ``rows`` hashes the (domain, seed, run id) prefix of the key message
-once and extends a copy of that hash per agent, so each key is the digest
-``_philox_key`` gives, and it resets every generator from one state dict
-that it reuses for the whole call. A pooled generator stays valid until
-the next ``rows`` call for the same tag.
+engines' per-round streams, the agents' data and their initial iterates
+come from ``StreamFactory.rows`` instead: one pooled generator per (agent,
+tag), reset to its key at each call, which draws exactly what a fresh
+generator draws without the cost of building one. ``rows`` hashes the
+(domain, seed, run id) prefix of the key message once and extends a copy
+of that hash per agent, so each key is the digest ``_philox_key`` gives,
+and it resets every generator from one state dict that it reuses for the
+whole call. A pooled generator stays valid until the next ``rows`` call
+for the same tag.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ _STREAM_DOMAIN = b"dpcopt.stream.v1"
 _SWEEP_DOMAIN = b"dpcopt.sweep.v1"
 
 _ZEROS = (0, 0, 0, 0)
+# Seeds the generators a rows pool is filled with. rows sets each one's
+# whole state before use, so any seed serves; a fixed one spares the OS
+# entropy an unseeded Philox reads, which made a first rows call at n = 100
+# slower than 100 get calls.
+_POOL_SEED = np.random.SeedSequence(0)
 # The key message is _STREAM_DOMAIN + <qq (seed, run id) + <qqq (agent, tag,
 # round); the digest's first 16 bytes are the key's (low, high) words.
 _PREFIX = struct.Struct("<qq")
@@ -105,7 +111,7 @@ class StreamFactory:
         """
         pool = self._pool.setdefault(tag, [])
         while len(pool) < n:
-            pool.append(np.random.Generator(np.random.Philox()))
+            pool.append(np.random.Generator(np.random.Philox(_POOL_SEED)))
         generators = pool[:n]
         prefix = hashlib.sha256(
             _STREAM_DOMAIN + _PREFIX.pack(self.master_seed, self.run_id)

@@ -97,9 +97,10 @@ def _build_problem(rc: RunConfig):
 
 def _initial_iterate(rc: RunConfig, streams: StreamFactory) -> np.ndarray:
     """Each agent starts uniform in [0, 1)^d from its own init stream."""
-    return np.stack(
-        [streams.get(i, Tag.INIT, 0).random(rc.objective.d) for i in range(rc.graph.n)]
-    )
+    x0 = np.empty((rc.graph.n, rc.objective.d))
+    for g, row in zip(streams.rows(Tag.INIT, 0, rc.graph.n), x0):
+        g.random(out=row)
+    return x0
 
 
 def check_contraction(rc: RunConfig) -> ContractionReport:

@@ -3,7 +3,8 @@ noisy-run strategy and a valid-config-document strategy built on it, a
 finite-difference oracle, the loop
 form of the Metropolis weights, the written trace's columns, the
 round-by-round gradient-norm formula that the blocked fill must
-reproduce, the two-variable pgtc round that the stacked step must
+reproduce, the exhaustive quadratic gradient bound that the screened one
+must reproduce, the two-variable pgtc round that the stacked step must
 reproduce, and the plain logistic formulas that the saturation cut must
 reproduce."""
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dpcopt import objectives as objectives_module
-from dpcopt.compressors import BBIT, encode_decode, make_spec
+from dpcopt.compressors import BBIT, encode_decode, make_spec, row_norms
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import Trace, write_trace_csv
 from dpcopt.noise import sample_laplace, scale_at
@@ -182,6 +183,21 @@ def grad_norms_per_round(objectives, trace: Trace) -> np.ndarray:
             _, gbar = mean_value_grad(objectives, xbar)
             norms[k] = np.linalg.norm(gbar)
     return norms
+
+
+def exhaustive_quadratic_bound(
+    anchors: np.ndarray, radius: float, trials: int, rng: np.random.Generator
+) -> float:
+    """The gradient bound of quadratic agents with these (n, d) anchors by
+    the exhaustive path: the same draws as estimate_grad_bound, every
+    gradient p - a_i by a broadcast subtraction, row_norms, their largest
+    (a NaN kept) and 1.1x. Not finite where estimate_grad_bound raises."""
+    points = rng.random((trials, anchors.shape[1]))
+    points *= radius - -radius
+    points += -radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = [row_norms(point - anchors).max() for point in points]
+    return 1.1 * float(np.max(worst))
 
 
 def build_problem(kind: str, seed: int, d: int = 10, **kwargs):

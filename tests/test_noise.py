@@ -12,12 +12,16 @@ from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.rng import StreamKey, Tag, stream
 
 
-class _HalfDither:
-    """Stub stream whose uniforms are exactly 0, putting u at -1/2 (the
-    inverse-CDF singularity)."""
+class _FixedUniforms:
+    """Stub stream whose uniforms are the given values, repeated along
+    the row: 0.0 puts u at -1/2 (the inverse-CDF singularity), 0.5 puts
+    u at +0.0."""
+
+    def __init__(self, *values: float) -> None:
+        self.values = np.array(values)
 
     def random(self, out):
-        out[...] = 0.0
+        out[...] = np.resize(self.values, out.shape)
         return out
 
 
@@ -87,7 +91,7 @@ def test_sampler_determinism():
 def test_singular_uniform_stays_finite():
     # u = -1/2 hits log(0) in the raw inverse CDF; the clamp keeps the
     # sample finite (huge but representable)
-    xs = sample_laplace(1.0, 4, [_HalfDither()])
+    xs = sample_laplace(1.0, 4, [_FixedUniforms(0.0)])
     assert np.all(np.isfinite(xs))
 
 
@@ -99,3 +103,17 @@ def test_sampler_matches_inverse_cdf_form():
     expected = -2.5 * np.sign(u) * np.log(1.0 - 2.0 * np.abs(u))
     got = sample_laplace(2.5, 10, [stream(31, key)])[0]
     assert np.allclose(got, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300])
+def test_sampler_edges_equal_the_sign_form(theta):
+    # r = 0.5 gives u = +0.0, whose sample is -theta * 0 * log(1) = -0.0;
+    # r = 0.0 gives u = -1/2, whose log is clamped at the smallest normal.
+    edges = (0.5, 0.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.25, 1 - 2**-53)
+    got = sample_laplace(theta, 6, [_FixedUniforms(*edges), _FixedUniforms(0.5)])
+    u = np.array([edges, [0.5] * 6]) - 0.5
+    decay = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
+    want = np.sign(u) * -theta * np.log(decay)
+    assert got.tobytes() == want.tobytes()
+    assert math.copysign(1.0, got[0, 0]) == -1.0 and got[0, 0] == 0.0
+    assert got[0, 1] == theta * math.log(np.finfo(np.float64).tiny)

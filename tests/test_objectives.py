@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from common import (
+    exhaustive_quadratic_bound,
     finite_diff_grad,
     plain_logistic_formulas,
     plain_logistic_grad,
@@ -23,8 +24,10 @@ from dpcopt import objectives
 from dpcopt.compressors import row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, DpcoptError
 from dpcopt.objectives import (
+    BOUND_CHUNK_ELEMENTS,
     MAX_BOX_RADIUS,
     SATURATED_MARGIN,
+    SCREEN_GEMM_MACS,
     AgentObjectives,
     Dataset,
     LogisticObjective,
@@ -615,6 +618,89 @@ def test_estimate_grad_bound_holds_one_chunk_of_points_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+# Radii from the zero box to ones whose squares are subnormal, underflow
+# or overflow.
+BOUND_RADII = [0.0, 1e-300, 1e-160, 1e-3, 1.0, 7.5, 1e6, 1e150, 1e155, MAX_BOX_RADIUS]
+
+
+@st.composite
+def quadratic_anchors(draw) -> np.ndarray:
+    """(n, d) anchors: n in 1..8 or 100, d in 1..120, Gaussian at a drawn
+    scale, and in some draws duplicated, mirrored through the origin, or
+    each a few ulps per coordinate from the first (exact and near ties
+    between agents), or holding one NaN."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 100]), label="n")
+    d = draw(st.integers(1, 120), label="d")
+    scale = draw(st.sampled_from([0.0, 1e-300, 1e-160, 1.0, 7.5, 1e150, 1e155]), label="scale")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="anchor seed"))
+    anchors = rng.standard_normal((n, d)) * scale
+    layouts = ["plain", "duplicated", "mirrored", "ulps apart", "nan"]
+    layout = draw(st.sampled_from(layouts), label="layout")
+    if layout == "duplicated":
+        anchors[1::2] = anchors[: n // 2]
+    elif layout == "mirrored":
+        anchors[1::2] = -anchors[: n // 2]
+    elif layout == "ulps apart":
+        anchors = anchors[0] + anchors[0] * rng.integers(-4, 5, (n, d)) * 2.0**-52
+    elif layout == "nan":
+        anchors[rng.integers(n), rng.integers(d)] = np.nan
+    return anchors
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    quadratic_anchors(),
+    st.sampled_from(BOUND_RADII),
+    st.sampled_from([100, 2_000, BOUND_CHUNK_ELEMENTS]),
+    st.sampled_from([4_096, SCREEN_GEMM_MACS]),
+    st.data(),
+)
+def test_screened_quadratic_bound_equals_the_exhaustive_one(
+    anchors, radius, chunk_elements, gemm_macs, data
+):
+    # Smaller chunks and GEMM tiles than the shipped ones put several
+    # chunks, tiles and candidate batches in one small case.
+    n, d = anchors.shape
+    step = max(1, chunk_elements // max(n, d))
+    trials = data.draw(st.integers(1, min(3 * step + 1, 700)), label="trials")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="point seed")
+    objs = AgentObjectives([QuadraticObjective(anchor=a) for a in anchors])
+    want = exhaustive_quadratic_bound(anchors, radius, trials, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objectives, "BOUND_CHUNK_ELEMENTS", chunk_elements)
+        patch.setattr(objectives, "SCREEN_GEMM_MACS", gemm_macs)
+        if not math.isfinite(want):
+            with pytest.raises(DpcoptError, match="not finite"):
+                estimate_grad_bound(objs, radius, trials, np.random.default_rng(seed))
+            return
+        got = estimate_grad_bound(objs, radius, trials, np.random.default_rng(seed))
+    assert got.hex() == want.hex()
+
+
+def _near_tie_anchors(layout: str, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    if layout == "ulps apart":
+        base = rng.standard_normal(d)
+        return base + base * rng.integers(-4, 5, (n, d)) * 2.0**-52
+    # Squares of about 1e-322 keep a few bits, and E's relative part is 0.
+    return rng.standard_normal((n, d)) * 1e-161
+
+
+@pytest.mark.parametrize("layout,radius", [("ulps apart", 1.0), ("subnormal", 1e-161)])
+@pytest.mark.parametrize("n,d", [(100, 40), (8, 120), (100, 120), (8, 10)])
+def test_screened_bound_keeps_its_bits_on_near_ties(layout, radius, n, d):
+    # Agents a few ulps apart have norms that tie to within the screen's
+    # rounding, and subnormal squares round on a coarse absolute grid, so
+    # the screen's top pair is often not the one with the largest norm. A
+    # screen that re-evaluated only its top pair fails the first layout,
+    # and one without E's absolute term fails the second.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        anchors = _near_tie_anchors(layout, n, d, rng)
+        objs = AgentObjectives([QuadraticObjective(anchor=a) for a in anchors])
+        want = exhaustive_quadratic_bound(anchors, radius, 20, np.random.default_rng(seed))
+        assert estimate_grad_bound(objs, radius, 20, np.random.default_rng(seed)) == want
 
 
 def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():

@@ -15,7 +15,7 @@ from common import config_documents
 from dpcopt.compressors import make_spec
 from dpcopt.config import parse_config
 from dpcopt.errors import NonFiniteState
-from dpcopt.metrics import RoundWorkspace
+from dpcopt.metrics import RoundWorkspace, Trace
 from dpcopt.noise import NoiseSchedule
 from dpcopt.objectives import make_objectives
 from dpcopt.pgtc import PgtcConfig
@@ -108,10 +108,16 @@ GUARD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("algorithm", sorted(GUARD_CONFIGS))
-def test_a_steady_state_round_allocates_only_its_update_blocks(algorithm):
-    # 100 agents on a ring with chords, d = 100, bbit b = 4: the shape of
-    # the scale benchmark. numpy reports its data buffers to tracemalloc.
+# A steady-state _emit_row's peak, in the same blocks: its (d,) means and
+# the residual's small temporaries, once the trace's (n, d) scratch exists.
+# Before that scratch the consensus error's two temporaries peaked at 2.01.
+EMIT_ROW_PEAK_BLOCKS = 0.5
+
+
+def _stepped_guard_state(algorithm):
+    """The engine module, its config and steady-state pieces on the scale
+    benchmark's shape: 100 agents on a ring with chords, d = 100, bbit
+    b = 4, after three rounds on one workspace."""
     module = importlib.import_module(f"dpcopt.{algorithm}")
     edges = [(i, (i + 1) % N) for i in range(N)] + [(i, (i + 7) % N) for i in range(N)]
     net = build_network(build_graph(N, sorted((min(e), max(e)) for e in edges)))
@@ -125,13 +131,45 @@ def test_a_steady_state_round_allocates_only_its_update_blocks(algorithm):
     workspace = RoundWorkspace(state)
     for _ in range(3):
         state = step(state, cfg, objectives, net, streams, workspace)
+    return module, cfg, objectives, net, streams, workspace, state
+
+
+def _peak_blocks(call, repeats: int = 3) -> float:
+    """The largest tracemalloc peak above its start over repeats calls, in
+    (n, d) float64 blocks; numpy reports its data buffers to tracemalloc."""
+    worst = 0.0
     tracemalloc.start()
     try:
-        for _ in range(3):
+        for _ in range(repeats):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            state = step(state, cfg, objectives, net, streams, workspace)
-            peak = tracemalloc.get_traced_memory()[1] - start
-            assert peak <= ROUND_PEAK_BLOCKS[algorithm] * BLOCK_BYTES, peak / BLOCK_BYTES
+            call()
+            worst = max(worst, (tracemalloc.get_traced_memory()[1] - start) / BLOCK_BYTES)
     finally:
         tracemalloc.stop()
+    return worst
+
+
+@pytest.mark.parametrize("algorithm", sorted(GUARD_CONFIGS))
+def test_a_steady_state_round_allocates_only_its_update_blocks(algorithm):
+    module, cfg, objectives, net, streams, workspace, state = _stepped_guard_state(algorithm)
+    step = getattr(module, f"{algorithm}_step")
+    box = [state]
+
+    def one_round():
+        box[0] = step(box[0], cfg, objectives, net, streams, workspace)
+
+    assert _peak_blocks(one_round) <= ROUND_PEAK_BLOCKS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", sorted(GUARD_CONFIGS))
+def test_a_steady_state_emit_row_allocates_under_half_a_block(algorithm):
+    module, *_, state = _stepped_guard_state(algorithm)
+    trace = Trace(*np.empty((3, state.k + 1)), 0, NOISE, NOISE)
+    xbar = np.empty(D)
+    module._emit_row(trace, state, xbar)
+    consensus = trace.consensus_err[state.k]
+    assert consensus == ((state.x - xbar) ** 2).sum()
+    peak = _peak_blocks(lambda: module._emit_row(trace, state, xbar))
+    assert peak <= EMIT_ROW_PEAK_BLOCKS
+    assert trace.consensus_err[state.k] == consensus
