@@ -226,12 +226,15 @@ def noisy_round(
 
 
 def check_start(x0: np.ndarray, objectives: AgentObjectives, n: int) -> np.ndarray:
-    """x0 as a float64 (n, d) array whose d is the objectives' dimension."""
+    """x0 as a float64 (n, d) array, for objectives of the graph's n agents
+    and of x0's dimension d."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != n:
         raise DimensionMismatch(
             f"x0 has shape {x0.shape}, expected ({n}, d) for this graph"
         )
+    if objectives.n != n:
+        raise DimensionMismatch(f"objectives have {objectives.n} agents, the graph has {n}")
     d = x0.shape[1]
     if objectives.d != d:
         raise DimensionMismatch(f"objectives have dimension {objectives.d}, x0 has {d}")

@@ -12,14 +12,15 @@ Three benchmark families:
   Polyak-Lojasiewicz inequality with constant 1 and has the closed-form
   optimum mean(a_i)
 
-The engines, their telemetry and the gradient bound take a run's n
-agents in one form: AgentObjectives, which make_objectives returns, whose
-agents are all exactly one family and whose grad(X) gives all n
-gradients of an (n, d) X, or of a stack (..., n, d) of such points, in
-one call. Each agent is one per-family class (LogisticObjective,
-SinCosObjective, QuadraticObjective) with grad(x) and value_grad(x) on a
-point x (d,) or a stack (..., d); mean_value_grad gives the network
-average's value and gradient at a point (d,) or a stack (..., d).
+A run's n agents are one objective of their family, which
+make_objectives builds: a LogisticObjective, SinCosObjective or
+QuadraticObjective, each an AgentObjectives that holds every agent's data
+stacked along an agent axis. grad(X) gives all n gradients of an (n, d)
+X, one point per agent, or of a stack (..., n, d) of such points, in one
+call: the engines and the gradient bound use it. value_grad(x) gives the
+value and gradient of the network average at a shared point x (d,) or at
+each point of a stack (..., d), adding the agents' terms in agent order:
+the telemetry uses it, through mean_value_grad.
 
 Every stacked call returns, for each point, the bits of the call on that
 point alone: reductions run along the last axis and dot products go
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,26 +114,6 @@ def generate_dataset(m: int, d: int, rng: np.random.Generator) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
-def _checked(x: np.ndarray, d: int) -> np.ndarray:
-    """x as a float64 point (d,) or stack of points (..., d)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 1 or x.shape[-1] != d:
-        raise DimensionMismatch(f"x has shape {x.shape}, expected (..., {d})")
-    return x
-
-
-def _value(total: np.ndarray) -> float | np.ndarray:
-    """A loss as a float for one point, or as a (...,) array for a stack."""
-    return float(total) if np.ndim(total) == 0 else total
-
-
-def _signed_features(dataset: Dataset) -> np.ndarray:
-    """Rows s_j = -u_j v_j: the margins are z = S x, with no product by
-    the labels in each call. See _logistic_grad for why the bits are those
-    of the formula on the unsigned features."""
-    return -dataset.labels[:, None] * dataset.features
-
-
 def _unit_axis(out: np.ndarray | None, axis: int) -> np.ndarray | None:
     """A C-contiguous out buffer as a view with a new unit axis, the shape
     of a matmul result whose axis the caller then drops; None stays None."""
@@ -176,7 +157,7 @@ def _logistic_grad(
     signed: np.ndarray, reg, alpha, x: np.ndarray, z: np.ndarray, out: tuple | None = None
 ) -> np.ndarray:
     """Gradient at x given its margins z, with reg = 2 lambda alpha;
-    broadcasts over a leading agent axis (reg and alpha are then (n, 1)
+    broadcasts over a leading agent axis (reg and alpha may then be (n, 1)
     columns) and over further leading axes of x and z. out, when given, is
     a _logistic_buffers tuple for z's shape, which the call overwrites; the
     gradient is then its last buffer.
@@ -241,181 +222,150 @@ def _sincos_grad(m_i, x: np.ndarray, sx: np.ndarray, cx: np.ndarray) -> np.ndarr
     return 2.0 * x + 6.0 * sx * cx + m_i * (cx - x * sx)
 
 
-@dataclass(frozen=True)
-class LogisticObjective:
-    dataset: Dataset
-    lam: float
-    alpha: float
-    # Derived once from the fields above; see _signed_features.
-    signed: np.ndarray = field(init=False, repr=False, compare=False)
-    reg: float = field(init=False, repr=False, compare=False)
+class AgentObjectives:
+    """The objectives of a run's n agents, all of one family: each family's
+    subclass holds every agent's data stacked along an agent axis.
 
-    def __post_init__(self) -> None:
-        if not self.alpha >= 0:
-            # A pole at |x_s| = 1/sqrt(-alpha): no gradient bound exists.
-            raise ConfigInvalid("objective.alpha: must be >= 0")
-        object.__setattr__(self, "signed", _signed_features(self.dataset))
-        object.__setattr__(self, "reg", 2.0 * self.lam * self.alpha)
+    grad(X) takes one point per agent, X (n, d), or a stack (..., n, d) of
+    such points, and returns the gradients in the same shape: entry
+    [..., i, :] is agent i's gradient at X[..., i, :], through the family's
+    formula on the stacked data (a subclass's _grad). value_grad(x) takes
+    a point x (d,) shared by all agents, or a stack (..., d), and returns
+    the value and gradient of the network average f = (1/n) sum_i f_i:
+    agent i's term (a subclass's _term) on slices of the stacked data,
+    added in agent order from 0.0 and zeros. The two do not call each
+    other, and each agent's gradient has the same bits in both.
 
-    @property
-    def d(self) -> int:
-        return self.dataset.d
+    agent_elements is the per-agent width of the largest temporary (d, or
+    max(m, d) for logistic margins), the largest temporary of one agent's
+    term per point; point_elements is that of grad per (n, d) point.
+    Callers size their stacks of points by them.
+    """
 
-    def _checked_margins(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = _checked(x, self.d)
-        return x, _margins(self.signed, x)
+    def __init__(self, n: int, d: int, agent_elements: int) -> None:
+        if n < 1:
+            raise ConfigInvalid("objectives: need at least one agent")
+        self.n, self.d = n, d
+        self.agent_elements = agent_elements
+        self.point_elements = n * agent_elements
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _shaped(self, x: np.ndarray, *shape: int) -> np.ndarray:
+        """x as float64 points (..., *shape)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-len(shape):] != shape:
+            expected = ", ".join(map(str, shape))
+            raise DimensionMismatch(f"x has shape {x.shape}, expected (..., {expected})")
+        return x
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """Gradients (..., n, d): entry [..., i, :] is agent i's gradient
+        at x[..., i, :]."""
+        return self._grad(self._shaped(x, self.n, self.d))
 
     def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        x, z = self._checked_margins(x)
+        """Value and gradient of the network average at a point x (d,), or
+        at each point of a stack (..., d): values (...,), a float for one
+        point, and gradients (..., d), each point's those of its own call."""
+        x = self._shaped(x, self.d)
+        total_value = 0.0
+        total_grad = np.zeros_like(x)
+        for i in range(self.n):
+            value, grad = self._term(i, x)
+            # One point's values add as Python floats.
+            total_value += value if np.ndim(value) else float(value)
+            total_grad += grad
+        return total_value / self.n, total_grad / self.n
+
+    def _chunk_grad(self, p: int) -> Callable[[np.ndarray], np.ndarray]:
+        """grad for stacks (q, n, d) of q <= p points."""
+        return self.grad
+
+
+class LogisticObjective(AgentObjectives):
+    """n agents' logistic losses with one lambda and one alpha, each on its
+    own dataset; the datasets must share one size m and dimension d."""
+
+    def __init__(self, datasets: Sequence[Dataset], lam: float, alpha: float) -> None:
+        m, d = datasets[0].features.shape if datasets else (0, 0)
+        super().__init__(len(datasets), d, max(m, d))
+        if not alpha >= 0:
+            # A pole at |x_s| = 1/sqrt(-alpha): no gradient bound exists.
+            raise ConfigInvalid("objective.alpha: must be >= 0")
+        if any(ds.m != m for ds in datasets):
+            raise ConfigInvalid("objectives: logistic agents must share one dataset size m")
+        if any(ds.d != d for ds in datasets):
+            raise ConfigInvalid("objectives: logistic agents must share one dimension d")
+        # Rows s_j = -u_j v_j, (n, m, d): the margins are z = S x, with no
+        # product by the labels in each call. See _logistic_grad for why
+        # the bits are those of the formula on the unsigned features.
+        self.signed = np.stack([-ds.labels[:, None] * ds.features for ds in datasets])
+        self.lam, self.alpha = lam, alpha
+        self.reg = 2.0 * lam * alpha
+
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        return _logistic_grad(self.signed, self.reg, self.alpha, x, _margins(self.signed, x))
+
+    def _term(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        signed = self.signed[i]
+        z = _margins(signed, x)
         # np.mean and np.sum without their Python wrappers: the same sums.
         value = np.add.reduce(_logistic_loss(z), axis=-1) / z.shape[-1]
         xsq = x * x
         value += np.add.reduce(self.lam * self.alpha * xsq / (1.0 + self.alpha * xsq), axis=-1)
-        return _value(value), _logistic_grad(self.signed, self.reg, self.alpha, x, z)
+        return value, _logistic_grad(signed, self.reg, self.alpha, x, z)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x, z = self._checked_margins(x)
-        return _logistic_grad(self.signed, self.reg, self.alpha, x, z)
-
-
-@dataclass(frozen=True)
-class SinCosObjective:
-    m_i: float
-    dim: int
-
-    @property
-    def d(self) -> int:
-        return self.dim
-
-    def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        x = _checked(x, self.dim)
-        sx = np.sin(x)
-        cx = np.cos(x)
-        # x @ cx of each point, as row_dots takes x @ x.
-        x_cx = np.matmul(x[..., None, :], cx[..., :, None])[..., 0, 0]
-        value = row_dots(x) + 3.0 * row_dots(sx) + self.m_i * x_cx
-        return _value(value), _sincos_grad(self.m_i, x, sx, cx)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x = _checked(x, self.dim)
-        return _sincos_grad(self.m_i, x, np.sin(x), np.cos(x))
-
-
-@dataclass(frozen=True)
-class QuadraticObjective:
-    anchor: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.anchor.shape[0]
-
-    def value_grad(self, x: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        diff = _checked(x, self.d) - self.anchor
-        return _value(0.5 * row_dots(diff)), diff
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return _checked(x, self.d) - self.anchor
-
-
-def _stacked_grad(items: tuple) -> tuple[Callable, int, Callable | None, np.ndarray | None]:
-    """X (..., n, d) -> gradients of the same shape through the kind's
-    shared formula, with the agents' data stacked once here. Raises
-    ConfigInvalid unless every agent is exactly one built-in kind with
-    data of one shape.
-
-    Also returns the per-agent width of the formula's largest temporary:
-    d, or max(m, d) for logistic, whose margins are (..., n, m); and, for
-    logistic agents, a function of p that returns the formula on stacks
-    (q, n, d) of q <= p points with one set of buffers reused by every
-    call, else None; and, for quadratic agents, their stacked anchors
-    (n, d), else None.
-    """
-    kind = type(items[0])
-    d = items[0].d
-    if any(type(obj) is not kind or obj.d != d for obj in items):
-        raise ConfigInvalid("objectives: agents must all be one kind of one dimension d")
-    if kind is QuadraticObjective:
-        anchors = np.stack([obj.anchor for obj in items])
-        return (lambda x: x - anchors), d, None, anchors
-    if kind is SinCosObjective:
-        coeffs = np.array([[obj.m_i] for obj in items])
-        return (lambda x: _sincos_grad(coeffs, x, np.sin(x), np.cos(x))), d, None, None
-    if kind is not LogisticObjective:
-        raise ConfigInvalid(f"objectives: {kind.__name__} is not a built-in kind")
-    if len({obj.dataset.m for obj in items}) != 1:
-        raise ConfigInvalid("objectives: logistic agents must share one dataset size m")
-    signed = np.stack([obj.signed for obj in items])
-    reg = np.array([[obj.reg] for obj in items])
-    alpha = np.array([[obj.alpha] for obj in items])
-
-    def reusing(p: int) -> Callable[[np.ndarray], np.ndarray]:
+    def _chunk_grad(self, p: int) -> Callable[[np.ndarray], np.ndarray]:
+        """grad for stacks (q, n, d) of q <= p points, writing every call's
+        margins, temporaries and gradients into one set of buffers, so a
+        result lives only until the next call."""
+        signed, reg, alpha = self.signed, self.reg, self.alpha
         z = np.empty((p,) + signed.shape[:-1])
-        kernel = _logistic_buffers(z.shape, d)
+        kernel = _logistic_buffers(z.shape, self.d)
         return lambda x: _logistic_grad(
             signed, reg, alpha, x, _margins(signed, x, z[: len(x)]),
             tuple(b[: len(x)] for b in kernel),
         )
 
-    return (
-        lambda x: _logistic_grad(signed, reg, alpha, x, _margins(signed, x))
-    ), max(items[0].dataset.m, d), reusing, None
+
+class SinCosObjective(AgentObjectives):
+    """n agents' sincos costs, agent i with coefficient coeffs[i]."""
+
+    def __init__(self, coeffs: Sequence[float], d: int) -> None:
+        # An (n, 1) column, which the formula broadcasts over the points.
+        self.coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1, 1)
+        super().__init__(len(self.coeffs), d, d)
+
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        return _sincos_grad(self.coeffs, x, np.sin(x), np.cos(x))
+
+    def _term(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m_i = self.coeffs[i, 0]
+        sx = np.sin(x)
+        cx = np.cos(x)
+        # x @ cx of each point, as row_dots takes x @ x.
+        x_cx = np.matmul(x[..., None, :], cx[..., :, None])[..., 0, 0]
+        value = row_dots(x) + 3.0 * row_dots(sx) + m_i * x_cx
+        return value, _sincos_grad(m_i, x, sx, cx)
 
 
-class AgentObjectives(Sequence):
-    """The n per-agent objectives of one run, indexable like a list, whose
-    grad evaluates all n gradients in one call.
+class QuadraticObjective(AgentObjectives):
+    """n agents' costs 0.5 ||x - a_i||^2, with anchors a_i the rows of an
+    (n, d) block, which estimate_grad_bound screens with."""
 
-    The agents must all be exactly one built-in kind (no subclass) of one
-    dimension d, and logistic agents must share one m; make_objectives
-    always builds such a set, and any other raises ConfigInvalid here.
+    def __init__(self, anchors) -> None:
+        self.anchors = np.asarray(anchors, dtype=np.float64)
+        n, d = self.anchors.shape
+        super().__init__(n, d, d)
 
-    grad takes X (n, d), or a stack (..., n, d) of such points, and
-    returns the same shape. X[..., i, :] maps to objectives[i].grad of it
-    bit for bit: both go through the same per-kind formula, which
-    broadcasts over the leading axes, the stacked data being built once
-    here.
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        return x - self.anchors
 
-    point_elements is the size of the largest temporary grad makes per
-    (n, d) point, which callers use to size a stack of points;
-    agent_elements is its per-agent share (d, or max(m, d) for logistic),
-    the largest temporary of one agent's value_grad per point.
-
-    anchors holds quadratic agents' anchors as one (n, d) block, which
-    estimate_grad_bound screens with; it is None for the other kinds.
-    """
-
-    def __init__(self, objectives: Sequence) -> None:
-        self._items = tuple(objectives)
-        if not self._items:
-            raise ConfigInvalid("objectives: need at least one agent")
-        self._stacked, width, self._reusing, self.anchors = _stacked_grad(self._items)
-        self.agent_elements = width
-        self.point_elements = len(self._items) * width
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    @property
-    def d(self) -> int:
-        return self._items[0].d
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradients (..., n, d): entry [..., i, :] is agent i's gradient
-        at x[..., i, :]."""
-        x = np.asarray(x, dtype=np.float64)
-        n, d = len(self._items), self.d
-        if x.shape[-2:] != (n, d):
-            raise DimensionMismatch(f"x has shape {x.shape}, expected (..., {n}, {d})")
-        return self._stacked(x)
-
-    def _chunk_grad(self, p: int) -> Callable[[np.ndarray], np.ndarray]:
-        """grad for stacks (q, n, d) of q <= p points. For logistic agents
-        every call writes its margins, temporaries and gradients into one
-        set of buffers, so a result lives only until the next call."""
-        return self.grad if self._reusing is None else self._reusing(p)
+    def _term(self, i: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        diff = x - self.anchors[i]
+        return 0.5 * row_dots(diff), diff
 
 
 def _exhaustive_maxima(objectives: AgentObjectives) -> Callable[[np.ndarray], list]:
@@ -442,7 +392,7 @@ def _exhaustive_maxima(objectives: AgentObjectives) -> Callable[[np.ndarray], li
     return maxima
 
 
-def _screened_maxima(objectives: AgentObjectives, step: int) -> Callable[[np.ndarray], list]:
+def _screened_maxima(objectives: QuadraticObjective, step: int) -> Callable[[np.ndarray], list]:
     """For quadratic agents, points (q, d) with q <= step -> maxima whose
     largest is the largest of the exhaustive path's norms, bit for bit.
 
@@ -540,13 +490,13 @@ def estimate_grad_bound(
     # An overflowing gradient is reported below rather than as numpy's
     # warning; max keeps a NaN norm, which the builtin max() would skip.
     with np.errstate(over="ignore", invalid="ignore"):
-        if objectives.anchors is None:
-            step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
-            maxima = _exhaustive_maxima(objectives)
-        else:
+        if isinstance(objectives, QuadraticObjective):
             # The widest blocks of a screened chunk are its points and screen.
             step = max(1, BOUND_CHUNK_ELEMENTS // max(n, d))
             maxima = _screened_maxima(objectives, step)
+        else:
+            step = max(1, BOUND_CHUNK_ELEMENTS // objectives.point_elements)
+            maxima = _exhaustive_maxima(objectives)
         buffer = np.empty((step, d))
         for start in range(0, trials, step):
             rows = min(step, trials - start)
@@ -590,7 +540,7 @@ def make_objectives(
     lam: float | None = None,
     alpha: float | None = None,
 ) -> AgentObjectives:
-    """Construct the per-agent objectives of one run.
+    """Construct the objectives of one run's n agents.
 
     Per-agent data comes from the agent's own data stream, drawn through
     the pooled StreamFactory.rows generators; the shared zero-sum
@@ -600,33 +550,18 @@ def make_objectives(
     if kind == "logistic":
         if m is None or lam is None or alpha is None:
             raise ConfigInvalid("objective: logistic needs m, lambda, alpha")
-        return AgentObjectives(
-            LogisticObjective(dataset=generate_dataset(m, d, g), lam=lam, alpha=alpha)
-            for g in streams.rows(Tag.DATA, 0, n)
-        )
+        datasets = [generate_dataset(m, d, g) for g in streams.rows(Tag.DATA, 0, n)]
+        return LogisticObjective(datasets, lam, alpha)
     if kind == "sincos":
-        coeffs = draw_zero_sum_coefficients(n, streams.get(0, Tag.DATA, 1))
-        return AgentObjectives(
-            SinCosObjective(m_i=float(coeffs[i]), dim=d) for i in range(n)
-        )
+        return SinCosObjective(draw_zero_sum_coefficients(n, streams.get(0, Tag.DATA, 1)), d)
     if kind == "quadratic":
-        return AgentObjectives(
-            QuadraticObjective(anchor=g.standard_normal(d)) for g in streams.rows(Tag.DATA, 0, n)
-        )
+        return QuadraticObjective([g.standard_normal(d) for g in streams.rows(Tag.DATA, 0, n)])
     raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
 
 
 def mean_value_grad(
-    objectives: Sequence, x: np.ndarray
+    objectives: AgentObjectives, x: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Value and gradient of the network average f = (1/n) sum_i f_i at
-    a point x (d,), or at each point of a stack (..., d): values (...,)
-    and gradients (..., d), each point's those of its own call."""
-    total_value = 0.0
-    total_grad = np.zeros_like(np.asarray(x, dtype=np.float64))
-    for obj in objectives:
-        value, grad = obj.value_grad(x)
-        total_value += value
-        total_grad += grad
-    n = len(objectives)
-    return total_value / n, total_grad / n
+    """objectives.value_grad(x), under the name the engines hand to
+    run_rounds for the gradient-norm column."""
+    return objectives.value_grad(x)

@@ -306,8 +306,8 @@ def plain_logistic_loss(z):
 @contextmanager
 def plain_logistic_formulas() -> Iterator[None]:
     """Within the block, every logistic gradient and loss in dpcopt, the
-    engines' and the stacked AgentObjectives.grad included, goes through
-    the plain oracles above instead of the saturation cut."""
+    engines' grad and each agent's term of value_grad included, goes
+    through the plain oracles above instead of the saturation cut."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(objectives_module, "_logistic_grad", plain_logistic_grad)
         patch.setattr(objectives_module, "_logistic_loss", plain_logistic_loss)

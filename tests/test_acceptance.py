@@ -7,6 +7,7 @@ printed. Parameter choices (seeds, horizons, start scaling) were
 frozen after probing; comments note why where it matters.
 """
 
+import functools
 import json
 import math
 import time
@@ -83,8 +84,7 @@ def _ppdc_cfg(iterations, spec=TOPK10, noise=QUIET, eta=0.015, gamma=45.0, omega
 def _quadratic_optimum(objectives, n):
     """Stacked minimizer of the average quadratic: every agent at the
     mean anchor."""
-    anchors = np.stack([obj.anchor for obj in objectives])
-    return np.tile(anchors.mean(axis=0), n)
+    return np.tile(objectives.anchors.mean(axis=0), n)
 
 
 def _log_residual_fit(r, floor):
@@ -111,15 +111,16 @@ def test_01_analytic_gradients_match_finite_differences(capfd):
             _, _, objectives, _ = build_problem(kind, seed=11, **kwargs)
             errs = []
             for i in range(100):
-                obj = objectives[i % len(objectives)]
+                # Agent i's own term f_i and its gradient.
+                term = functools.partial(objectives._term, i % len(objectives))
                 x = rng.standard_normal(10)
-                _, grad = obj.value_grad(x)
+                _, grad = term(x)
                 fd = np.empty_like(x)
                 for j in range(x.size):
                     step = np.zeros_like(x)
                     step[j] = 1e-6
-                    hi, _ = obj.value_grad(x + step)
-                    lo, _ = obj.value_grad(x - step)
+                    hi, _ = term(x + step)
+                    lo, _ = term(x - step)
                     fd[j] = (hi - lo) / 2e-6
                 errs.append(
                     float(np.linalg.norm(fd - grad))

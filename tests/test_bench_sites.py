@@ -86,6 +86,7 @@ LIVE_IN_RUN = [
     "{a}._emit_row",
     "objectives.mean_value_grad",
     "objectives.value_grad",
+    "objectives.grad",
     "noise.sample_laplace",
     "compressors.encode_decode",
     "runner._build_problem",

@@ -30,6 +30,7 @@ from dpcopt.metrics import (
     write_trace_csv,
 )
 from dpcopt.noise import NoiseSchedule, scale_at
+from dpcopt.objectives import make_objectives
 from dpcopt.pgtc import PgtcConfig, pgtc_init, pgtc_run
 from dpcopt.ppdc import PpdcConfig, ppdc_init, ppdc_run
 
@@ -98,6 +99,21 @@ def test_init_rejects_bad_shapes(init, config, cut, message):
     cfg = config(make_spec("identity", d=10), iterations=1)
     with pytest.raises(DimensionMismatch, match=message):
         init(cfg, objectives, net, x0[cut], streams)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_run_rejects_objectives_of_another_agent_count_before_round_0(engine, monkeypatch):
+    # Objectives of 5 agents on the 6-node graph: the start check raises
+    # before any step, so no round draws its noise.
+    make_cfg, run = ENGINES[engine]
+    module = importlib.import_module(f"dpcopt.{engine}")
+    net, streams, _, x0 = build_problem("quadratic", seed=3)
+    objectives = make_objectives("quadratic", 5, 10, streams)
+    steps = []
+    monkeypatch.setattr(module, f"{engine}_step", lambda *args: steps.append(args))
+    with pytest.raises(DimensionMismatch, match="objectives have 5 agents, the graph has 6"):
+        run(make_cfg(make_spec("identity", 10), 3), objectives, net, x0, streams)
+    assert not steps
 
 
 # --- residual series ---
@@ -246,8 +262,7 @@ def test_reference_point_noise_free_quadratic():
     )
     assert len(trace) == len(trace.stacked_iterates) == 61
     x_inf = reference_point(trace)
-    anchors = np.stack([obj.anchor for obj in objectives])
-    expected = np.tile(anchors.mean(axis=0), net.n)
+    expected = np.tile(objectives.anchors.mean(axis=0), net.n)
     assert np.max(np.abs(x_inf - expected)) < 1e-10
     again = reference_point(pgtc_run(cfg, objectives, net, x0, streams, horizon=2000))
     assert np.array_equal(x_inf, again)
@@ -352,7 +367,7 @@ def _run_bytes(engine, case, largest_margin):
     bytes, past a reference tail of 3 rounds; or the error that ended it."""
     make_cfg, run = ENGINES[engine]
     spec, net, streams, objectives, x0 = drawn_run(case)
-    margins = [obj.signed @ x for obj, x in zip(objectives, x0)]
+    margins = [signed @ x for signed, x in zip(objectives.signed, x0)]
     x0 = x0 * (largest_margin / max(np.abs(z).max() for z in margins))
     try:
         trace = run(

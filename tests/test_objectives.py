@@ -28,7 +28,6 @@ from dpcopt.objectives import (
     MAX_BOX_RADIUS,
     SATURATED_MARGIN,
     SCREEN_GEMM_MACS,
-    AgentObjectives,
     Dataset,
     LogisticObjective,
     QuadraticObjective,
@@ -77,7 +76,7 @@ def test_generate_dataset_deterministic():
 def test_logistic_at_zero():
     rng = np.random.default_rng(1)
     ds = generate_dataset(20, 5, rng)
-    value, grad = LogisticObjective(ds, 0.001, 1.0).value_grad(np.zeros(5))
+    value, grad = LogisticObjective([ds], 0.001, 1.0).value_grad(np.zeros(5))
     assert value == pytest.approx(np.log(2.0), rel=1e-12)
     expected = -np.mean(ds.labels[:, None] * ds.features, axis=0) / 2.0
     assert np.allclose(grad, expected, atol=1e-12)
@@ -87,8 +86,8 @@ def test_logistic_lambda_zero_drops_regularizer():
     rng = np.random.default_rng(2)
     ds = generate_dataset(10, 3, rng)
     x = rng.standard_normal(3)
-    v0, g0 = LogisticObjective(ds, 0.0, 1.0).value_grad(x)
-    v1, g1 = LogisticObjective(ds, 0.001, 1.0).value_grad(x)
+    v0, g0 = LogisticObjective([ds], 0.0, 1.0).value_grad(x)
+    v1, g1 = LogisticObjective([ds], 0.001, 1.0).value_grad(x)
     reg = np.sum(0.001 * x**2 / (1.0 + x**2))
     assert v1 - v0 == pytest.approx(reg, rel=1e-12)
     assert not np.array_equal(g0, g1)
@@ -98,21 +97,22 @@ def test_logistic_stable_at_large_arguments():
     rng = np.random.default_rng(3)
     ds = generate_dataset(10, 3, rng)
     x = 1e3 * np.ones(3)
-    value, grad = LogisticObjective(ds, 0.001, 1.0).value_grad(x)
+    value, grad = LogisticObjective([ds], 0.001, 1.0).value_grad(x)
     assert np.isfinite(value)
     assert np.all(np.isfinite(grad))
     assert value >= 0.0
 
 
-def _logaddexp_mean_grad(obj: LogisticObjective, x: np.ndarray) -> np.ndarray:
+def _logaddexp_mean_grad(
+    ds: Dataset, lam: float, alpha: float, x: np.ndarray
+) -> np.ndarray:
     """The logistic gradient as first written: sigma as exp(-logaddexp)
     and the data term as a mean over the samples."""
-    ds = obj.dataset
     z = -ds.labels * np.matmul(ds.features, x[:, None])[:, 0]
     sigma = np.exp(-np.logaddexp(0.0, -z))
     grad = -(ds.features * (ds.labels * sigma)[:, None]).mean(axis=0)
-    denom = 1.0 + obj.alpha * (x * x)
-    return grad + 2.0 * obj.lam * obj.alpha * x / (denom * denom)
+    denom = 1.0 + alpha * (x * x)
+    return grad + 2.0 * lam * alpha * x / (denom * denom)
 
 
 # Margins where sigma saturates, underflows to subnormals or to zero, or
@@ -134,20 +134,18 @@ def test_logistic_grad_matches_the_logaddexp_mean_formula(m, d):
             margins[: len(EDGE_MARGINS)] = EDGE_MARGINS
         # Rescale each feature row so that its margin -u_j x^T v_j is the target.
         raw = -ds.labels * (ds.features @ x)
-        obj = LogisticObjective(
-            Dataset(ds.features * (margins / raw)[:, None], ds.labels), 1e-3, 1.0
-        )
-        got = obj.grad(x)
-        want = _logaddexp_mean_grad(obj, x)
+        scaled = Dataset(ds.features * (margins / raw)[:, None], ds.labels)
+        obj = LogisticObjective([scaled], 1e-3, 1.0)
+        got = obj.grad(x[None])[0]
+        want = _logaddexp_mean_grad(scaled, 1e-3, 1.0, x)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-        assert obj.value_grad(x)[1].tobytes() == got.tobytes()
+        assert obj._term(0, x)[1].tobytes() == got.tobytes()
 
 
 def _unsigned_logistic_grad(features, labels, lam, alpha, x):
     """The logistic gradient before the signed features: margins
     -u * (V x), sigma from exp(-|z|) on two branches, c = u * sigma and the
-    data term -(c^T V) / m. Broadcasts over a leading agent axis (lam and
-    alpha then (n, 1) columns)."""
+    data term -(c^T V) / m. Broadcasts over a leading agent axis."""
     z = -labels * np.matmul(features, x[..., None])[..., 0]
     e = np.exp(-np.abs(z))
     sigma = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -157,21 +155,24 @@ def _unsigned_logistic_grad(features, labels, lam, alpha, x):
     return grad + 2.0 * lam * alpha * x / (denom * denom)
 
 
+def _logistic(features, labels, lam, alpha) -> LogisticObjective:
+    """Logistic agents on the datasets (features[i], labels[i])."""
+    return LogisticObjective([Dataset(f, u) for f, u in zip(features, labels)], lam, alpha)
+
+
 def _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x):
-    """Per-agent grad and value_grad, and the stacked grad, all equal the
-    unsigned formula byte for byte; features (n, m, d), labels (n, m),
-    lam and alpha (n,), x (n, d)."""
-    objs = AgentObjectives(
-        LogisticObjective(Dataset(f, u), float(la), float(al))
-        for f, u, la, al in zip(features, labels, lam, alpha)
-    )
-    want = _unsigned_logistic_grad(features, labels, lam[:, None], alpha[:, None], x)
+    """The stacked grad, each of its rows with every agent at that row's
+    point, and each agent's term of value_grad all equal the unsigned
+    formula byte for byte; features (n, m, d), labels (n, m), x (n, d)."""
+    objs = _logistic(features, labels, lam, alpha)
+    n, d = x.shape
+    want = _unsigned_logistic_grad(features, labels, lam, alpha, x)
     assert objs.grad(x).tobytes() == want.tobytes()
-    for i, obj in enumerate(objs):
-        row = _unsigned_logistic_grad(features[i], labels[i], lam[i], alpha[i], x[i])
+    for i in range(n):
+        row = _unsigned_logistic_grad(features[i], labels[i], lam, alpha, x[i])
         assert row.tobytes() == want[i].tobytes()
-        assert obj.grad(x[i]).tobytes() == row.tobytes()
-        assert obj.value_grad(x[i])[1].tobytes() == row.tobytes()
+        assert objs.grad(np.broadcast_to(x[i], (n, d)))[i].tobytes() == row.tobytes()
+        assert objs._term(i, x[i])[1].tobytes() == row.tobytes()
 
 
 @st.composite
@@ -184,8 +185,8 @@ def _logistic_cases(draw):
     values = st.floats(-1e3, 1e3)
     features = draw(hnp.arrays(np.float64, (n, m, d), elements=values))
     labels = draw(hnp.arrays(np.float64, (n, m), elements=st.sampled_from([-1.0, 1.0])))
-    lam = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0)))
-    alpha = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 10.0)))
+    lam = draw(st.floats(0.0, 1.0))
+    alpha = draw(st.floats(0.0, 10.0))
     x = draw(hnp.arrays(np.float64, (n, d), elements=values))
     return features, labels, lam, alpha, x
 
@@ -197,6 +198,8 @@ def test_signed_kernel_equals_the_unsigned_formula_bytewise(case):
 
 
 def _edge_case(name):
+    """Features (n, m, d), labels (n, m), lambda, the alphas to try and
+    points x (n, d) for one named edge case."""
     rng = np.random.default_rng(31)
     n, m, d = 3, 1 if name == "m=1" else 7, 4
     features = rng.standard_normal((n, m, d))
@@ -217,20 +220,23 @@ def _edge_case(name):
     elif name == "signed zeros":
         x[:, ::2] = 0.0
         x[:, 1::2] *= np.array([[-0.0], [0.0], [-0.0]])
-    return features, labels, np.full(n, 1e-3), np.array([1.0, 0.0, 2.5]), x
+    return features, labels, 1e-3, (1.0, 0.0, 2.5), x
 
 
 def _assert_stack_equals_single_points(objs, x):
-    """value_grad of each agent and mean_value_grad on the stack x
-    (..., d) equal their calls on each point alone: values ==, gradients
-    and the norms of the mean gradients byte for byte."""
+    """Each agent's term of value_grad, and mean_value_grad, on the stack
+    x (..., d) equal their calls on each point alone: values ==, gradients
+    and the norms of the mean gradients byte for byte; and agent i's
+    term equals row i of grad with every agent at each point."""
     points = list(np.ndindex(x.shape[:-1]))
-    for obj in objs:
-        values, grads = obj.value_grad(x)
+    n, d = len(objs), x.shape[-1]
+    stacked = objs.grad(np.broadcast_to(x[..., None, :], x.shape[:-1] + (n, d)))
+    for i in range(n):
+        values, grads = objs._term(i, x)
         assert values.shape == x.shape[:-1] and grads.shape == x.shape
-        assert obj.grad(x).tobytes() == grads.tobytes()
+        assert stacked[..., i, :].tobytes() == grads.tobytes()
         for index in points:
-            value, grad = obj.value_grad(x[index])
+            value, grad = objs._term(i, x[index])
             assert values[index] == value
             assert grads[index].tobytes() == grad.tobytes()
     values, grads = mean_value_grad(objs, x)
@@ -255,21 +261,18 @@ def _stacked_points(draw):
     if kind == "logistic":
         m = draw(st.integers(1, 24))
         labels = hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0]))
-        objs = [
-            LogisticObjective(
-                Dataset(draw(hnp.arrays(np.float64, (m, d), elements=values)), draw(labels)),
-                lam=draw(st.floats(0.0, 1.0)),
-                alpha=draw(st.floats(0.0, 10.0)),
-            )
-            for _ in range(n)
-        ]
+        objs = LogisticObjective(
+            [
+                Dataset(draw(hnp.arrays(np.float64, (m, d), elements=values)), draw(labels))
+                for _ in range(n)
+            ],
+            lam=draw(st.floats(0.0, 1.0)),
+            alpha=draw(st.floats(0.0, 10.0)),
+        )
     elif kind == "sincos":
-        objs = [SinCosObjective(draw(st.floats(-1.0, 1.0)), d) for _ in range(n)]
+        objs = SinCosObjective(draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))), d)
     else:
-        objs = [
-            QuadraticObjective(draw(hnp.arrays(np.float64, d, elements=values)))
-            for _ in range(n)
-        ]
+        objs = QuadraticObjective(draw(hnp.arrays(np.float64, (n, d), elements=values)))
     lead = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
     return objs, draw(hnp.arrays(np.float64, lead + (d,), elements=values))
 
@@ -284,22 +287,20 @@ def test_value_grad_on_a_stack_equals_one_call_per_point(case):
 def test_logistic_stack_keeps_its_bits_at_the_edges(name):
     # Agent i's edge-case margins are those at point x[i], and the stack
     # holds every agent's point.
-    features, labels, lam, alpha, x = _edge_case(name)
-    objs = [
-        LogisticObjective(Dataset(f, u), lam=float(l), alpha=float(a))
-        for f, u, l, a in zip(features, labels, lam, alpha)
-    ]
-    _assert_stack_equals_single_points(objs, x)
+    features, labels, lam, alphas, x = _edge_case(name)
+    for alpha in alphas:
+        _assert_stack_equals_single_points(_logistic(features, labels, lam, alpha), x)
 
 
 @pytest.mark.parametrize("name", ["z=0", "|z|>745", "m=1", "signed zeros"])
 def test_signed_kernel_keeps_its_bits_at_the_edges(name):
-    features, labels, lam, alpha, x = _edge_case(name)
+    features, labels, lam, alphas, x = _edge_case(name)
     if name == "|z|>745":
         z = -labels * np.matmul(features, x[..., None])[..., 0]
         assert np.all(np.abs(z) > 745.0) and np.exp(-np.abs(z)).max() == 0.0
         assert np.all(z[0] < 0.0)
-    _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x)
+    for alpha in alphas:
+        _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x)
 
 
 def _out_of_place_logistic_grad(signed, reg, alpha, x):
@@ -313,12 +314,12 @@ def _out_of_place_logistic_grad(signed, reg, alpha, x):
     return grad + reg * x / (denom * denom)
 
 
-def _wrapped_logistic_value(obj, x):
-    """The loss value through np.mean and np.sum."""
-    z = np.matmul(obj.signed, x[:, None])[:, 0]
+def _wrapped_logistic_value(objs, i, x):
+    """Agent i's loss value through np.mean and np.sum."""
+    z = np.matmul(objs.signed[i], x[:, None])[:, 0]
     xsq = x * x
     return float(np.mean(np.logaddexp(0.0, z))) + float(
-        np.sum(obj.lam * obj.alpha * xsq / (1.0 + obj.alpha * xsq))
+        np.sum(objs.lam * objs.alpha * xsq / (1.0 + objs.alpha * xsq))
     )
 
 
@@ -330,36 +331,33 @@ def _read_only(x):
 
 @pytest.mark.parametrize("name", ["z=0", "|z|>745", "signed zeros", "non-finite x"])
 def test_kernel_writes_no_input_and_keeps_the_out_of_place_bits(name):
-    features, labels, lam, alpha, x = _edge_case("z=0" if name == "non-finite x" else name)
+    features, labels, lam, alphas, x = _edge_case("z=0" if name == "non-finite x" else name)
     if name == "non-finite x":
         x[0, 0], x[1, 1], x[2] = np.inf, -np.inf, np.nan
-    objs = AgentObjectives(
-        LogisticObjective(Dataset(f, u), float(la), float(al))
-        for f, u, la, al in zip(features, labels, lam, alpha)
-    )
     signed = -labels[..., None] * features
-    reg = (2.0 * lam * alpha)[:, None]
     n, d = x.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Read-only inputs, as an engine's state views and the bound's
-        # stride-0 broadcasts are: an in-place write would raise.
-        stacked_inputs = [
-            _read_only(x),
-            np.broadcast_to(x[0], (n, d)),
-            np.broadcast_to(x, (3, n, d)),
-        ]
-        for xs in stacked_inputs:
-            want = _out_of_place_logistic_grad(signed, reg, alpha[:, None], xs)
-            assert objs.grad(xs).tobytes() == want.tobytes()
-        for i, obj in enumerate(objs):
-            for xi in (_read_only(x[i]), np.broadcast_to(x[i], (d,))):
-                want = _out_of_place_logistic_grad(signed[i], reg[i, 0], alpha[i], xi)
-                assert obj.grad(xi).tobytes() == want.tobytes()
-                value, grad = obj.value_grad(xi)
-                assert grad.tobytes() == want.tobytes()
-                assert np.float64(value).tobytes() == np.float64(
-                    _wrapped_logistic_value(obj, xi)
-                ).tobytes()
+    for alpha in alphas:
+        objs = _logistic(features, labels, lam, alpha)
+        reg = 2.0 * lam * alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Read-only inputs, as an engine's state views and the bound's
+            # stride-0 broadcasts are: an in-place write would raise.
+            stacked_inputs = [
+                _read_only(x),
+                np.broadcast_to(x[0], (n, d)),
+                np.broadcast_to(x, (3, n, d)),
+            ]
+            for xs in stacked_inputs:
+                want = _out_of_place_logistic_grad(signed, reg, alpha, xs)
+                assert objs.grad(xs).tobytes() == want.tobytes()
+            for i in range(n):
+                for xi in (_read_only(x[i]), np.broadcast_to(x[i], (d,))):
+                    want = _out_of_place_logistic_grad(signed[i], reg, alpha, xi)
+                    value, grad = objs._term(i, xi)
+                    assert grad.tobytes() == want.tobytes()
+                    assert np.float64(value).tobytes() == np.float64(
+                        _wrapped_logistic_value(objs, i, xi)
+                    ).tobytes()
 
 
 # Margins where exp(-|z|) turns subnormal (-708.4) and where it rounds to
@@ -442,7 +440,7 @@ def _saturating_agents(draw):
     # x0 and the raw features are positive, so no raw margin is zero.
     positive = st.floats(0.5, 2.0)
     x0 = draw(hnp.arrays(np.float64, d, elements=positive))
-    objs = []
+    datasets = []
     for _ in range(n):
         features = draw(hnp.arrays(np.float64, (m, d), elements=positive))
         labels = draw(hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
@@ -451,13 +449,10 @@ def _saturating_agents(draw):
             target = -np.abs(target)
         # Row j scaled so that its margin -u_j v_j^T x0 is about target_j.
         features *= (target / (-labels * (features @ x0)))[:, None]
-        objs.append(
-            LogisticObjective(
-                Dataset(features, labels),
-                lam=draw(st.sampled_from([0.0, 1e-3])),
-                alpha=draw(st.floats(0.0, 10.0)),
-            )
-        )
+        datasets.append(Dataset(features, labels))
+    objs = LogisticObjective(
+        datasets, lam=draw(st.sampled_from([0.0, 1e-3])), alpha=draw(st.floats(0.0, 10.0))
+    )
     factors = st.one_of(
         st.floats(0.999, 1.001), st.floats(-1e3, 1e3),
         st.sampled_from([1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan]),
@@ -469,17 +464,20 @@ def _saturating_agents(draw):
 
 def _logistic_entry_points(objs, x):
     """The bytes of every logistic entry point on a stack x (..., d): each
-    agent's grad and value_grad on the stack and on each point alone, the
-    network mean, and AgentObjectives.grad with every agent at each point."""
+    agent's term of value_grad on the stack and on each point alone, grad
+    with every agent at each point alone and at the whole stack, and the
+    network mean."""
     got = []
-    for obj in objs:
-        got += [obj.grad(x), *obj.value_grad(x)]
-        for index in np.ndindex(x.shape[:-1]):
-            value, grad = obj.value_grad(x[index])
-            got += [obj.grad(x[index]), np.float64(value), grad]
-    got += list(mean_value_grad(objs, x))
     n, d = len(objs), x.shape[-1]
-    got.append(AgentObjectives(objs).grad(np.broadcast_to(x[..., None, :], x.shape[:-1] + (n, d))))
+    for i in range(n):
+        got += [*objs._term(i, x)]
+        for index in np.ndindex(x.shape[:-1]):
+            value, grad = objs._term(i, x[index])
+            got += [np.float64(value), grad]
+    for index in np.ndindex(x.shape[:-1]):
+        got.append(objs.grad(np.broadcast_to(x[index], (n, d))))
+    got += list(mean_value_grad(objs, x))
+    got.append(objs.grad(np.broadcast_to(x[..., None, :], x.shape[:-1] + (n, d))))
     return [np.asarray(a).tobytes() for a in got]
 
 
@@ -497,17 +495,18 @@ def test_saturation_cut_keeps_every_logistic_entry_point_bytewise(case):
 def test_logistic_dimension_mismatch():
     ds = generate_dataset(5, 3, np.random.default_rng(4))
     with pytest.raises(DimensionMismatch):
-        LogisticObjective(ds, 0.0, 1.0).value_grad(np.zeros(4))
+        LogisticObjective([ds], 0.0, 1.0).value_grad(np.zeros(4))
 
 
 def test_logistic_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     ds = generate_dataset(5, 3, rng)
+    obj = LogisticObjective([ds], 0.001, 1.0)
     for _ in range(10):
         x = rng.standard_normal(3)
-        _, grad = LogisticObjective(ds, 0.001, 1.0).value_grad(x)
+        _, grad = obj.value_grad(x)
         fd = finite_diff_grad(
-            lambda p: LogisticObjective(ds, 0.001, 1.0).value_grad(p)[0],
+            lambda p: obj.value_grad(p)[0],
             x,
             h=1e-6 * (1.0 + float(np.linalg.norm(x))),
         )
@@ -515,18 +514,19 @@ def test_logistic_gradient_matches_finite_differences():
 
 
 def test_sincos_at_zero():
-    value, grad = SinCosObjective(0.7, 10).value_grad(np.zeros(10))
+    value, grad = SinCosObjective([0.7], 10).value_grad(np.zeros(10))
     assert value == 0.0
     assert np.allclose(grad, 0.7 * np.ones(10), atol=1e-15)
 
 
 def test_sincos_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
+    obj = SinCosObjective([0.7], 10)
     for _ in range(10):
         x = rng.standard_normal(10)
-        _, grad = SinCosObjective(0.7, 10).value_grad(x)
+        _, grad = obj.value_grad(x)
         fd = finite_diff_grad(
-            lambda p: SinCosObjective(0.7, 10).value_grad(p)[0],
+            lambda p: obj.value_grad(p)[0],
             x,
             h=1e-6 * (1.0 + float(np.linalg.norm(x))),
         )
@@ -538,21 +538,21 @@ def test_sincos_lower_bound_sanity():
     m_i, d = -0.4, 6
     for _ in range(100):
         x = 3.0 * rng.standard_normal(d)
-        value, _ = SinCosObjective(m_i, d).value_grad(x)
+        value, _ = SinCosObjective([m_i], d).value_grad(x)
         floor = float(x @ x) - 3.0 * d - abs(m_i) * float(np.linalg.norm(x)) * np.sqrt(d)
         assert value >= floor - 1e-9
 
 
 def test_quadratic_values():
     a = np.zeros(2)
-    value, grad = QuadraticObjective(a).value_grad(np.array([3.0, 4.0]))
+    value, grad = QuadraticObjective([a]).value_grad(np.array([3.0, 4.0]))
     assert value == 12.5
     assert np.array_equal(grad, np.array([3.0, 4.0]))
-    value0, grad0 = QuadraticObjective(np.array([1.0, -1.0])).value_grad(np.array([1.0, -1.0]))
+    value0, grad0 = QuadraticObjective([[1.0, -1.0]]).value_grad(np.array([1.0, -1.0]))
     assert value0 == 0.0
     assert np.array_equal(grad0, np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        QuadraticObjective(np.zeros(3)).value_grad(np.zeros(2))
+        QuadraticObjective(np.zeros((1, 3))).value_grad(np.zeros(2))
 
 
 def test_quadratic_pl_inequality_exact():
@@ -561,7 +561,7 @@ def test_quadratic_pl_inequality_exact():
     a = rng.standard_normal(4)
     for _ in range(20):
         x = rng.standard_normal(4)
-        value, grad = QuadraticObjective(a).value_grad(x)
+        value, grad = QuadraticObjective([a]).value_grad(x)
         assert 0.5 * float(grad @ grad) == pytest.approx(value, rel=1e-12)
 
 
@@ -585,7 +585,7 @@ def test_zero_sum_coefficients():
 
 def test_estimate_grad_bound_quadratic_box():
     # anchor 0, radius 1, d=2: sup norm over box is sqrt(2) at corners
-    objs = AgentObjectives([QuadraticObjective(anchor=np.zeros(2))])
+    objs = QuadraticObjective(np.zeros((1, 2)))
     bound = estimate_grad_bound(objs, radius=1.0, trials=4000, rng=np.random.default_rng(10))
     assert bound <= 1.1 * np.sqrt(2.0) + 1e-12
     assert bound >= 1.1 * 0.9 * np.sqrt(2.0)  # sampling reaches near the corner
@@ -594,23 +594,21 @@ def test_estimate_grad_bound_quadratic_box():
 def test_estimate_grad_bound_logistic_analytic_cap():
     rng = np.random.default_rng(11)
     ds = generate_dataset(30, 4, rng)
-    objs = AgentObjectives([LogisticObjective(dataset=ds, lam=0.0, alpha=1.0)])
+    objs = LogisticObjective([ds], lam=0.0, alpha=1.0)
     bound = estimate_grad_bound(objs, radius=2.0, trials=500, rng=rng)
     cap = 1.1 * float(np.max(np.linalg.norm(ds.features, axis=1)))
     assert bound <= cap + 1e-12
 
 
 def test_estimate_grad_bound_zero_objective():
-    objs = AgentObjectives([QuadraticObjective(anchor=np.zeros(3))])
+    objs = QuadraticObjective(np.zeros((1, 3)))
     # radius 0 pins every sample at the anchor, where the gradient is 0
     assert estimate_grad_bound(objs, radius=0.0, trials=10, rng=np.random.default_rng(12)) == 0.0
 
 
 def test_estimate_grad_bound_holds_one_chunk_of_points_at_a_time():
     # All 100,000 points of d = 50 at once would take 40 MB.
-    objs = AgentObjectives(
-        [QuadraticObjective(anchor=np.zeros(50)), QuadraticObjective(anchor=np.ones(50))]
-    )
+    objs = QuadraticObjective([np.zeros(50), np.ones(50)])
     tracemalloc.start()
     try:
         estimate_grad_bound(objs, radius=1.0, trials=100_000, rng=np.random.default_rng(16))
@@ -666,7 +664,7 @@ def test_screened_quadratic_bound_equals_the_exhaustive_one(
     step = max(1, chunk_elements // max(n, d))
     trials = data.draw(st.integers(1, min(3 * step + 1, 700)), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="point seed")
-    objs = AgentObjectives([QuadraticObjective(anchor=a) for a in anchors])
+    objs = QuadraticObjective(anchors)
     want = exhaustive_quadratic_bound(anchors, radius, trials, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(objectives, "BOUND_CHUNK_ELEMENTS", chunk_elements)
@@ -698,13 +696,13 @@ def test_screened_bound_keeps_its_bits_on_near_ties(layout, radius, n, d):
     for seed in range(40):
         rng = np.random.default_rng(seed)
         anchors = _near_tie_anchors(layout, n, d, rng)
-        objs = AgentObjectives([QuadraticObjective(anchor=a) for a in anchors])
+        objs = QuadraticObjective(anchors)
         want = exhaustive_quadratic_bound(anchors, radius, 20, np.random.default_rng(seed))
         assert estimate_grad_bound(objs, radius, 20, np.random.default_rng(seed)) == want
 
 
 def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():
-    objs = AgentObjectives([QuadraticObjective(anchor=np.zeros(1))])
+    objs = QuadraticObjective(np.zeros((1, 1)))
     too_wide = math.nextafter(MAX_BOX_RADIUS, math.inf)
     with pytest.raises(ConfigInvalid, match="privacy.box_radius"):
         estimate_grad_bound(objs, radius=too_wide, trials=10, rng=np.random.default_rng(13))
@@ -714,10 +712,10 @@ def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():
     "objective",
     [
         LogisticObjective(
-            dataset=generate_dataset(5, 3, np.random.default_rng(14)), lam=1e308, alpha=1.0
+            [generate_dataset(5, 3, np.random.default_rng(14))], lam=1e308, alpha=1.0
         ),
         # Every gradient x - anchor is NaN.
-        QuadraticObjective(anchor=np.full(3, np.nan)),
+        QuadraticObjective(np.full((1, 3), np.nan)),
     ],
     ids=["overflow", "nan"],
 )
@@ -725,9 +723,7 @@ def test_estimate_grad_bound_rejects_a_non_finite_norm(objective):
     # Raised under filterwarnings = error, so no overflow warning leaks;
     # a NaN norm must not be skipped as max(worst, nan) would.
     with pytest.raises(DpcoptError, match="not finite") as caught:
-        estimate_grad_bound(
-            AgentObjectives([objective]), radius=1.0, trials=20, rng=np.random.default_rng(15)
-        )
+        estimate_grad_bound(objective, radius=1.0, trials=20, rng=np.random.default_rng(15))
     assert not isinstance(caught.value, ConfigInvalid)
 
 
@@ -735,11 +731,11 @@ def test_make_objectives_logistic():
     streams = StreamFactory(master_seed=5)
     objs = make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=1.0)
     assert len(objs) == 3
-    assert all(o.d == 4 for o in objs)
+    assert objs.d == 4 and objs.signed.shape == (3, 7, 4)
     # per-agent datasets must differ
-    assert not np.array_equal(objs[0].dataset.features, objs[1].dataset.features)
+    assert not np.array_equal(objs.signed[0], objs.signed[1])
     again = make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=1.0)
-    assert np.array_equal(objs[2].dataset.features, again[2].dataset.features)
+    assert np.array_equal(objs.signed[2], again.signed[2])
     with pytest.raises(ConfigInvalid):
         make_objectives("logistic", 3, 4, streams)
 
@@ -750,15 +746,16 @@ def test_make_objectives_rejects_an_alpha_below_zero(alpha):
     streams = StreamFactory(master_seed=5)
     with pytest.raises(ConfigInvalid, match="objective.alpha: must be >= 0"):
         make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=alpha)
-    assert make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=0.0)[0].alpha == 0.0
+    assert make_objectives("logistic", 3, 4, streams, m=7, lam=0.001, alpha=0.0).alpha == 0.0
 
 
 def test_make_objectives_sincos_zero_sum():
     streams = StreamFactory(master_seed=6)
     objs = make_objectives("sincos", 6, 10, streams)
-    total = sum(o.m_i for o in objs)
+    assert objs.coeffs.shape == (6, 1)
+    total = sum(float(m_i) for m_i in objs.coeffs[:, 0])
     assert total == pytest.approx(0.0, abs=1e-15)
-    assert all(o.m_i != 0.0 for o in objs)
+    assert np.all(objs.coeffs != 0.0)
     # the zero-sum structure kills the m-term of the average gradient at 0
     _, gbar = mean_value_grad(objs, np.zeros(10))
     assert np.allclose(gbar, np.zeros(10), atol=1e-16)
@@ -767,8 +764,7 @@ def test_make_objectives_sincos_zero_sum():
 def test_make_objectives_quadratic_and_mean():
     streams = StreamFactory(master_seed=7)
     objs = make_objectives("quadratic", 4, 3, streams)
-    anchors = np.stack([o.anchor for o in objs])
-    xbar = anchors.mean(axis=0)
+    xbar = objs.anchors.mean(axis=0)
     _, gbar = mean_value_grad(objs, xbar)
     assert np.allclose(gbar, np.zeros(3), atol=1e-15)
 
@@ -780,19 +776,24 @@ def test_make_objectives_unknown_kind():
 
 @pytest.mark.parametrize("kind", ["logistic", "sincos", "quadratic"])
 def test_grad_matches_value_grad_bytewise(kind):
-    # grad() skips the loss value but shares the gradient arithmetic with
-    # value_grad(), so both return the same bits, large arguments included.
+    # grad() skips the loss values but shares the gradient arithmetic with
+    # value_grad(), so each agent's gradient has the same bits in both, and
+    # value_grad's is their in-order mean, large arguments included.
     objs = make_objectives(
         kind, 3, 6, StreamFactory(master_seed=21), m=40, lam=1e-3, alpha=1.0
     )
     rng = np.random.default_rng(22)
-    for obj in objs:
-        for scale in (1.0, 1e3):
-            for _ in range(5):
-                x = scale * rng.standard_normal(6)
-                assert obj.grad(x).tobytes() == obj.value_grad(x)[1].tobytes()
-        with pytest.raises(DimensionMismatch):
-            obj.grad(np.zeros(5))
+    for scale in (1.0, 1e3):
+        for _ in range(5):
+            x = scale * rng.standard_normal(6)
+            grads = objs.grad(np.broadcast_to(x, (3, 6)))
+            total = np.zeros(6)
+            for i, row in enumerate(grads):
+                assert row.tobytes() == objs._term(i, x)[1].tobytes()
+                total += row
+            assert (total / 3).tobytes() == objs.value_grad(x)[1].tobytes()
+    with pytest.raises(DimensionMismatch):
+        objs.grad(np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "sincos", "quadratic"])
@@ -800,7 +801,7 @@ def test_grad_and_value_grad_do_not_call_each_other(kind, monkeypatch):
     # The benchmark's tracer counts the two as separate calls.
     obj = make_objectives(
         kind, 2, 3, StreamFactory(master_seed=23), m=10, lam=1e-3, alpha=1.0
-    )[0]
+    )
 
     def forbidden(self, x):
         raise AssertionError("called through the other method")
@@ -808,7 +809,21 @@ def test_grad_and_value_grad_do_not_call_each_other(kind, monkeypatch):
     x = np.full(3, 0.5)
     with monkeypatch.context() as patch:
         patch.setattr(type(obj), "value_grad", forbidden)
-        obj.grad(x)
+        obj.grad(np.stack([x, x]))
     with monkeypatch.context() as patch:
         patch.setattr(type(obj), "grad", forbidden)
         obj.value_grad(x)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LogisticObjective([], lam=1e-3, alpha=1.0),
+        lambda: SinCosObjective([], 3),
+        lambda: QuadraticObjective(np.zeros((0, 3))),
+    ],
+    ids=["logistic", "sincos", "quadratic"],
+)
+def test_objectives_need_at_least_one_agent(build):
+    with pytest.raises(ConfigInvalid, match="objectives: need at least one agent"):
+        build()

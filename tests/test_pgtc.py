@@ -23,7 +23,7 @@ from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import fmt17
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
-from dpcopt.objectives import AgentObjectives, QuadraticObjective, make_objectives
+from dpcopt.objectives import QuadraticObjective, make_objectives
 from dpcopt.pgtc import (
     MESSAGES_PER_AGENT,
     PgtcConfig,
@@ -85,7 +85,7 @@ def test_alpha_bound_scales_with_r():
 def test_init_state():
     net, streams, objectives, x0 = build_problem("quadratic", seed=1)
     state = pgtc_init(_config(), objectives, net, x0, streams)
-    grads = np.stack([objectives[i].grad(x0[i]) for i in range(6)])
+    grads = np.stack([x0[i] - objectives.anchors[i] for i in range(6)])
     assert np.array_equal(state.y, grads)
     assert np.array_equal(state.xc, np.zeros((6, 10)))
     assert np.array_equal(state.yc, np.zeros((6, 10)))
@@ -97,8 +97,7 @@ def test_init_quadratic_at_zero_gives_negated_anchors():
     net, streams, objectives, _ = build_problem("quadratic", seed=2)
     x0 = np.zeros((6, 10))
     state = pgtc_init(_config(), objectives, net, x0, streams)
-    anchors = np.stack([o.anchor for o in objectives])
-    assert np.allclose(state.y, -anchors, atol=1e-15)
+    assert np.allclose(state.y, -objectives.anchors, atol=1e-15)
 
 
 def test_frozen_dynamics_step():
@@ -148,7 +147,7 @@ def test_single_step_matches_hand_rolled_update():
         xhat[j] = encode_decode(spec, xa[j:j + 1], state.xc[j:j + 1], rng)[0]
         yhat[j] = encode_decode(spec, ya[j:j + 1], state.yc[j:j + 1], rng)[0]
     x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
-    grad_next = np.stack([objectives[i].grad(x_next[i]) for i in range(n)])
+    grad_next = np.stack([x_next[i] - objectives.anchors[i] for i in range(n)])
     y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
 
     assert np.array_equal(stepped.x, x_next)
@@ -253,7 +252,7 @@ def test_noise_free_convergence_to_quadratic_optimum():
     cfg = _config(iterations=2000)
     net, streams, objectives, x0 = build_problem("quadratic", seed=8)
     trace = pgtc_run(cfg, objectives, net, x0, streams)
-    optimum = np.stack([o.anchor for o in objectives]).mean(axis=0)
+    optimum = objectives.anchors.mean(axis=0)
     final = trace.final_stacked.reshape(6, 10)
     assert np.max(np.abs(final - optimum)) <= 1e-8
     assert trace.consensus_err[-1] <= 1e-12
@@ -325,15 +324,13 @@ def test_grad_eval_count_one_per_agent_per_round():
     # gradient rows those calls evaluate.
     rows = {"n": 0}
 
-    class CountingObjectives(AgentObjectives):
+    class CountingObjectives(QuadraticObjective):
         def grad(self, x):
             rows["n"] += len(x)
             return super().grad(x)
 
     net, streams, _, x0 = build_problem("quadratic", seed=14)
-    objectives = CountingObjectives(
-        [QuadraticObjective(anchor=np.zeros(10)) for _ in range(6)]
-    )
+    objectives = CountingObjectives(np.zeros((6, 10)))
     cfg = _config(iterations=10)
     pgtc_run(cfg, objectives, net, x0, streams)
     # one evaluation per agent at init plus one per agent per round

@@ -32,8 +32,6 @@ from dpcopt.objectives import (
     BOUND_CHUNK_ELEMENTS,
     AgentObjectives,
     LogisticObjective,
-    QuadraticObjective,
-    SinCosObjective,
     estimate_grad_bound,
     generate_dataset,
     make_objectives,
@@ -190,51 +188,35 @@ def test_stacked_gradient_equals_per_agent_grad(kind, n, d, params):
     rng = np.random.default_rng(43)
     for scale in (1.0, 1e3):
         x = scale * rng.standard_normal((n, d))
-        want = np.stack([obj.grad(xi) for obj, xi in zip(objs, x)])
+        # Agent i's gradient at its own point, as value_grad's term i.
+        want = np.stack([objs._term(i, xi)[1] for i, xi in enumerate(x)])
         assert objs.grad(x).tobytes() == want.tobytes()
     with pytest.raises(DimensionMismatch):
         objs.grad(np.zeros(d))
-
-
-class _Shifted(QuadraticObjective):
-    # Not exactly a built-in kind: the stacked formula would bypass its grad.
-    def grad(self, x):
-        return super().grad(x) + 1.0
 
 
 @pytest.mark.parametrize(
     "agents",
     [
         pytest.param(
-            lambda: [QuadraticObjective(anchor=np.zeros(3)), SinCosObjective(m_i=1.0, dim=3)],
-            id="mixed-kinds",
-        ),
-        pytest.param(
-            lambda: [QuadraticObjective(anchor=np.zeros(3)), _Shifted(anchor=np.ones(3))],
-            id="subclass",
-        ),
-        pytest.param(
-            lambda: [_Shifted(anchor=np.zeros(3)), _Shifted(anchor=np.ones(3))],
-            id="subclass-only",
-        ),
-        pytest.param(
-            lambda: [
-                LogisticObjective(
-                    dataset=generate_dataset(m, 3, np.random.default_rng(m)), lam=1e-3, alpha=1.0
-                )
-                for m in (5, 7)
-            ],
+            lambda: LogisticObjective(
+                [generate_dataset(m, 3, np.random.default_rng(m)) for m in (5, 7)],
+                lam=1e-3, alpha=1.0,
+            ),
             id="logistic-unequal-m",
         ),
         pytest.param(
-            lambda: [SinCosObjective(m_i=1.0, dim=3), SinCosObjective(m_i=-1.0, dim=4)],
+            lambda: LogisticObjective(
+                [generate_dataset(5, d, np.random.default_rng(d)) for d in (3, 4)],
+                lam=1e-3, alpha=1.0,
+            ),
             id="unequal-d",
         ),
     ],
 )
 def test_agent_objectives_reject_agents_without_one_stacked_formula(agents):
     with pytest.raises(ConfigInvalid):
-        AgentObjectives(agents())
+        agents()
 
 
 def _grad_contract_cases():
@@ -296,9 +278,9 @@ def test_row_draws_return_fresh_buffers():
 def _per_agent_bound(objectives, radius, trials, rng):
     worst = 0.0
     for _ in range(trials):
-        x = rng.uniform(-radius, radius, size=objectives[0].d)
-        for obj in objectives:
-            worst = max(worst, float(np.linalg.norm(obj.grad(x))))
+        x = rng.uniform(-radius, radius, size=objectives.d)
+        for i in range(len(objectives)):
+            worst = max(worst, float(np.linalg.norm(objectives._term(i, x)[1])))
     return 1.1 * worst
 
 
