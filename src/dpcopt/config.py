@@ -15,7 +15,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 from dpcopt.compressors import make_spec
 from dpcopt.errors import ConfigInvalid, DisconnectedGraph, InvalidEdge
@@ -40,16 +39,7 @@ __all__ = [
 ]
 
 
-class Algorithm(NamedTuple):
-    engine: type  # the engine config class
-    gains: tuple[str, ...]  # the gains a config must give, in parse order
-    second_family: str  # the second noised variable, engine field noise_<family>
-
-
-ALGORITHMS = {
-    "pgtc": Algorithm(PgtcConfig, ("eta", "gamma", "alpha_x", "alpha_y"), "y"),
-    "ppdc": Algorithm(PpdcConfig, ("eta", "gamma", "alpha_x", "omega"), "v"),
-}
+ENGINES = {"pgtc": PgtcConfig, "ppdc": PpdcConfig}
 
 SWEEP_PARAMETERS = ("q", "s", "eta")
 
@@ -167,8 +157,6 @@ class RunConfig:
     # bench/setup_probe.py reads these two.
     compressor = property(lambda self: self.engine.compressor)
     iterations = property(lambda self: self.engine.iterations)
-    second_family = property(lambda self: ALGORITHMS[self.algorithm].second_family)
-    noise_second = property(lambda self: getattr(self.engine, f"noise_{self.second_family}"))
 
 
 def _parse_graph(doc, path: str) -> Graph:
@@ -286,18 +274,18 @@ def parse_config(doc: dict) -> RunConfig:
         "contraction_trials": (_int, DEFAULT_CONTRACTION_TRIALS),
     })
     algorithm = top["algorithm"]
-    if algorithm not in ALGORITHMS:
-        raise ConfigInvalid(f"algorithm: must be one of {tuple(ALGORITHMS)}")
-    entry = ALGORITHMS[algorithm]
+    if algorithm not in ENGINES:
+        raise ConfigInvalid(f"algorithm: must be one of {tuple(ENGINES)}")
+    engine_class = ENGINES[algorithm]
     compressor = _read(top.pop("compressor"), "compressor", {
         "kind": (_str, REQUIRED), "k": (_int, None), "b": (_int, None),
         "r": (_float, None), "phi": (_float, None),
     })
-    second = entry.second_family
+    second = engine_class.SECOND
     noise = _read(top.pop("noise"), "noise", {
         "x": (_parse_schedule, REQUIRED), second: (_parse_schedule, REQUIRED),
     })
-    gains = _read(top.pop("gains"), "gains", {key: (_float, REQUIRED) for key in entry.gains})
+    gains = _read(top.pop("gains"), "gains", {k: (_float, REQUIRED) for k in engine_class.GAINS})
     if not (0 <= top["seed"] <= _MAX_SEED):
         raise ConfigInvalid("seed: must fit in an unsigned 63-bit integer")
     if not top["outputs"]:
@@ -306,7 +294,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigInvalid("outputs: must not contain a NUL character")
     if top["contraction_trials"] < 1000:
         raise ConfigInvalid("contraction_trials: must be >= 1000")
-    engine = entry.engine(
+    engine = engine_class(
         compressor=make_spec(d=top["objective"].d, **compressor),
         noise_x=noise["x"],
         **{f"noise_{second}": noise[second]},
@@ -362,8 +350,8 @@ def to_document(rc: RunConfig) -> dict:
     experiment.
     """
     engine = rc.engine
-    gains = {key: getattr(engine, key) for key in ALGORITHMS[rc.algorithm].gains}
-    noise = {"x": asdict(engine.noise_x), rc.second_family: asdict(rc.noise_second)}
+    gains = {key: getattr(engine, key) for key in engine.GAINS}
+    noise = {"x": asdict(engine.noise_x), engine.SECOND: asdict(engine.noise_second)}
     doc = {
         "algorithm": rc.algorithm,
         "graph": {
@@ -402,7 +390,7 @@ def apply_sweep_value(rc: RunConfig, parameter: str, value: float) -> RunConfig:
     """
     engine = rc.engine
     if parameter in ("q", "s"):
-        fields = (f"noise_{family}" for family in ("x", rc.second_family))
+        fields = ("noise_x", f"noise_{engine.SECOND}")
         engine = replace(engine, **{
             field: replace(getattr(engine, field), **{parameter: value}) for field in fields
         })

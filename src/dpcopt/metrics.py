@@ -1,5 +1,5 @@
-"""The round and round driver both engines share (noisy_round, run_rounds),
-per-round telemetry, residual/accuracy metrics and the trace CSV schema.
+"""What both engines share (the config base EngineConfig, noisy_round and
+run_rounds), per-round telemetry, residual/accuracy metrics and the trace CSV schema.
 
 A Trace holds one row per round counter k = 0..K. Row k describes the
 state after k synchronous rounds: consensus error ||x_k - xbar_k||^2
@@ -18,11 +18,10 @@ call, each row the bits of a call on its mean iterate alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from dpcopt.compressors import BBIT, CompressorSpec, bit_cost, row_dots, row_norms
+from dpcopt.compressors import BBIT, bit_cost, row_dots, row_norms
 from dpcopt.errors import ConfigInvalid, DimensionMismatch, EmptyTrace, NonFiniteState
 from dpcopt.noise import NoiseSchedule, scale_at
 from dpcopt.objectives import AgentObjectives
@@ -31,7 +30,7 @@ from dpcopt.rng import Tag
 __all__ = [
     "RoundState",
     "RoundWorkspace",
-    "check_gains",
+    "EngineConfig",
     "noisy_round",
     "Trace",
     "check_start",
@@ -150,41 +149,43 @@ class RoundWorkspace:
         self.noise = tuple(spare[:, :n])
 
 
-def check_gains(eta: float, alphas: dict, spec: CompressorSpec, iterations: int) -> None:
-    """The config rules both engines share."""
-    if not (eta > 0):
-        raise ConfigInvalid("gains.eta: must be positive")
-    for name, alpha in alphas.items():
-        if not (0 < alpha < 1.0 / spec.r):
-            raise ConfigInvalid(f"gains.{name}: must lie in (0, 1/r)")
-    if iterations < 1:
-        raise ConfigInvalid("iterations: must be >= 1")
+class EngineConfig:
+    """Base of each engine's config, the record of its engine's facts: GAINS
+    (gain keys in parse order), SECOND (key of the second noised variable),
+    MESSAGES_PER_AGENT and DIVERGED (detail of a diverged round's error)."""
+
+    noise_second = property(lambda self: self.noise_rows[1][0])
+
+    def plan(self, second_tag: Tag, **alphas: float) -> None:
+        """Check the rules both engines share; keep noise_rows, each row's
+        (schedule, tag), and reference_gains, read-only (1 - alpha, alpha) columns."""
+        if not (self.eta > 0):
+            raise ConfigInvalid("gains.eta: must be positive")
+        for name, alpha in alphas.items():
+            if not (0 < alpha < 1.0 / self.compressor.r):
+                raise ConfigInvalid(f"gains.{name}: must lie in (0, 1/r)")
+        if self.iterations < 1:
+            raise ConfigInvalid("iterations: must be >= 1")
+        second = getattr(self, f"noise_{self.SECOND}")
+        object.__setattr__(self, "noise_rows", ((self.noise_x, Tag.NOISE_X), (second, second_tag)))
+        alpha = np.array(tuple(alphas.values()))[:, None, None]
+        keep = 1.0 - alpha
+        alpha.flags.writeable = keep.flags.writeable = False
+        object.__setattr__(self, "reference_gains", (keep, alpha))
 
 
-@lru_cache
-def _gain_columns(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (1 - alpha, alpha) columns, built once per run's gains."""
-    alpha = np.array(alphas)[:, None, None]
-    keep = 1.0 - alpha
-    alpha.flags.writeable = keep.flags.writeable = False
-    return keep, alpha
-
-
-def noisy_round(
-    state, spec, noise, alphas, update, streams, sample, codec, diverged: str,
-    workspace: RoundWorkspace | None = None,
-):
+def noisy_round(state, cfg: EngineConfig, update, streams, sample, codec, workspace):
     """One round of either engine around its linear update; returns the next
     state, of state's type. Each row of z gets Laplace noise from sample at
-    its (schedule, tag) in noise, none at scale 0; the second row's mean
-    noise joins noise_cumsum. codec encodes the first len(alphas) rows against
-    zc once per sender (a bbit sender's stream serves its rows in order).
-    update(za, zhat) overwrites za, the noisy z, with the next z, which must
-    be finite, and returns the fields state's type adds. Each reference
-    moves to (1 - alpha) zc + alpha zhat, the compressed gossip of CHOCO-SGD
-    (Koloskova, Stich and Jaggi, ICML 2019). Engines pass sample and codec
-    from their module globals on each call, so wrappers set on those names
-    (bench/tracer.py) see every call.
+    its (schedule, tag) in cfg.noise_rows, none at scale 0; the second row's
+    mean noise joins noise_cumsum. codec encodes the rows cfg.reference_gains
+    covers against zc once per sender (a bbit sender's stream serves its rows
+    in order). update(za, zhat) overwrites za, the noisy z, with the next z,
+    which must be finite, and returns the fields state's type adds. Each
+    reference moves to (1 - alpha) zc + alpha zhat, the compressed gossip of
+    CHOCO-SGD (Koloskova, Stich and Jaggi, ICML 2019). Engines pass sample
+    and codec from their module globals on each call, so wrappers set on
+    those names (bench/tracer.py) see every call.
 
     Every block the round writes is workspace's (see RoundWorkspace), a
     fresh one when None: the round never writes state, and without a
@@ -194,29 +195,29 @@ def noisy_round(
     z, zc, k = state.z, state.zc, state.k
     _, n, d = z.shape
     za, noise_cumsum = ws.z, state.noise_cumsum
+    keep, alpha = cfg.reference_gains
+    sent, spec = len(alpha), cfg.compressor
     np.copyto(za, z)
     laplace, scratch = ws.noise
-    for row, (schedule, tag) in enumerate(noise):
-        theta = scale_at(schedule, k)
-        if theta > 0.0:
-            xi = sample(theta, d, streams.rows(tag, k, n), out=laplace, scratch=scratch)
-            za[row] += xi
-            if row:
-                # What xi.mean(axis=0) computes, without its Python wrapper.
-                noise_cumsum = noise_cumsum + np.add.reduce(xi, axis=0) / n
-    sent = len(alphas)
-    rngs = streams.rows(Tag.COMPRESS, k, n) * sent if spec.kind == BBIT else None
-    # Divergence shows up as overflow, in the codec's norms and dither or in
-    # the update; the finite check is the detector.
+    # A huge noise scale or divergence overflows in the noise, its sum, the
+    # codec's norms and dither or the update; the finite check is the detector.
     with np.errstate(over="ignore", invalid="ignore"):
+        for row, (schedule, tag) in enumerate(cfg.noise_rows):
+            theta = scale_at(schedule, k)
+            if theta > 0.0:
+                xi = sample(theta, d, streams.rows(tag, k, n), out=laplace, scratch=scratch)
+                za[row] += xi
+                if row:
+                    # What xi.mean(axis=0) computes, without its Python wrapper.
+                    noise_cumsum = noise_cumsum + np.add.reduce(xi, axis=0) / n
+        rngs = streams.rows(Tag.COMPRESS, k, n) * sent if spec.kind == BBIT else None
         zhat = codec(
             spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs,
             out=ws.zhat.reshape(-1, d), scratch=ws.codec,
         ).reshape(zc.shape)
         carry = update(za, zhat)
     if not np.isfinite(za).all():
-        raise NonFiniteState(k, diverged)
-    keep, alpha = _gain_columns(alphas)
+        raise NonFiniteState(k, cfg.DIVERGED)
     # keep * zc + alpha * zhat; the update is done with zhat.
     zc_next = np.multiply(keep, zc, out=ws.zc)
     zhat *= alpha
@@ -242,8 +243,8 @@ def check_start(x0: np.ndarray, objectives: AgentObjectives, n: int) -> np.ndarr
 
 
 def run_rounds(
-    init, step, emit, mean_grad, messages_per_agent: int, noise_second: NoiseSchedule,
-    cfg, objectives, net, x0: np.ndarray, streams, record_iterates: bool, horizon: int,
+    init, step, emit, mean_grad, cfg: EngineConfig, objectives, net, x0: np.ndarray, streams,
+    record_iterates: bool, horizon: int,
 ) -> Trace:
     """Run cfg.iterations synchronous rounds of one engine and return the
     trace (row k=0 included).
@@ -255,11 +256,8 @@ def run_rounds(
     (d,). mean_grad(objectives, xbars), with the signature of
     objectives.mean_value_grad, takes a block of those mean iterates at
     once (max(1, GRAD_NORM_CHUNK_ELEMENTS // objectives.agent_elements)
-    rows), and the norms of its
-    gradients fill the block's gradient-norm rows, each with the bits of a
-    call on its mean iterate alone. Each agent sends
-    messages_per_agent compressed vectors per round; noise_second is the
-    schedule of the engine's second noised variable (y or v). Engines
+    rows), and the norms of its gradients fill the block's gradient-norm
+    rows, each with the bits of a call on its mean iterate alone. Engines
     pass the four functions from their module globals on each call, so
     wrappers set on those names (bench/tracer.py) see every call.
 
@@ -271,11 +269,11 @@ def run_rounds(
     state = init(cfg, objectives, net, x0, streams)
     workspace = RoundWorkspace(state)
     n, d = state.x.shape
-    per_round_bits = messages_per_agent * n * bit_cost(cfg.compressor, d)
+    per_round_bits = cfg.MESSAGES_PER_AGENT * n * bit_cost(cfg.compressor, d)
     rows = cfg.iterations + 1
     history = np.empty((rows, n * d)) if record_iterates else None
     # One (3, rows) block holds the consensus, gradient-norm and residual columns.
-    trace = Trace(*np.empty((3, rows)), per_round_bits, cfg.noise_x, noise_second, history)
+    trace = Trace(*np.empty((3, rows)), per_round_bits, cfg.noise_x, cfg.noise_second, history)
     # Mean iterates wait in a buffer of one block of rows. Each full block,
     # and the partial last one, gets its gradient norms from one stacked
     # mean_grad call, so memory stays O(block * d) however long the run.

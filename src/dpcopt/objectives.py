@@ -234,7 +234,8 @@ class AgentObjectives:
     the value and gradient of the network average f = (1/n) sum_i f_i:
     agent i's term (a subclass's _term) on slices of the stacked data,
     added in agent order from 0.0 and zeros. The two do not call each
-    other, and each agent's gradient has the same bits in both.
+    other, and each agent's gradient has the same bits in both, but for
+    the sign bit of a NaN entry, which no output reads.
 
     agent_elements is the per-agent width of the largest temporary (d, or
     max(m, d) for logistic margins), the largest temporary of one agent's

@@ -32,7 +32,7 @@ import numpy as np
 from dpcopt.compressors import CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid, NonFiniteState
 from dpcopt.metrics import (
-    RoundState, RoundWorkspace, Trace, check_gains, check_start, noisy_round, run_rounds,
+    EngineConfig, RoundState, RoundWorkspace, Trace, check_start, noisy_round, run_rounds,
 )
 from dpcopt.noise import NoiseSchedule, sample_laplace
 from dpcopt.objectives import AgentObjectives, mean_value_grad
@@ -46,7 +46,7 @@ MESSAGES_PER_AGENT = 2
 
 
 @dataclass(frozen=True)
-class PgtcConfig:
+class PgtcConfig(EngineConfig):
     eta: float
     gamma: float
     alpha_x: float
@@ -56,9 +56,13 @@ class PgtcConfig:
     noise_y: NoiseSchedule
     iterations: int
 
+    GAINS = ("eta", "gamma", "alpha_x", "alpha_y")
+    SECOND = "y"
+    MESSAGES_PER_AGENT = MESSAGES_PER_AGENT
+    DIVERGED = "gradient-tracking update diverged"
+
     def __post_init__(self) -> None:
-        alphas = {"alpha_x": self.alpha_x, "alpha_y": self.alpha_y}
-        check_gains(self.eta, alphas, self.compressor, self.iterations)
+        self.plan(Tag.NOISE_Y, alpha_x=self.alpha_x, alpha_y=self.alpha_y)
         if not (0 < self.gamma <= 1):
             raise ConfigInvalid("gains.gamma: must lie in (0, 1]")
 
@@ -120,11 +124,7 @@ def pgtc_step(
         z[1] -= state.grad_prev
         return (grad,)
 
-    return noisy_round(
-        state, cfg.compressor, ((cfg.noise_x, Tag.NOISE_X), (cfg.noise_y, Tag.NOISE_Y)),
-        (cfg.alpha_x, cfg.alpha_y), update, streams, sample_laplace, encode_decode,
-        "gradient-tracking update diverged", workspace,
-    )
+    return noisy_round(state, cfg, update, streams, sample_laplace, encode_decode, workspace)
 
 
 def tracking_residual(state: PgtcState) -> float:
@@ -156,6 +156,6 @@ def pgtc_run(
     """Run cfg.iterations rounds and return the trace (row k=0 included);
     see metrics.run_rounds for the horizon."""
     return run_rounds(
-        pgtc_init, pgtc_step, _emit_row, mean_value_grad, MESSAGES_PER_AGENT, cfg.noise_y,
+        pgtc_init, pgtc_step, _emit_row, mean_value_grad,
         cfg, objectives, net, x0, streams, record_iterates, horizon,
     )

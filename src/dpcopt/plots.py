@@ -2,7 +2,7 @@
 
 CSV is the authoritative output of a run; these charts exist so a run
 directory can be eyeballed without further tooling. One polyline, two
-axes, an optional log y axis. No dependency beyond the stdlib.
+axes, a log y axis. No dependency beyond the stdlib.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ MARGIN_BOTTOM = 50
 _STYLE = 'font-family="monospace" font-size="12"'
 
 
-def _transform(values: list[float], log: bool) -> list[float]:
-    if not log:
-        return values
-    return [math.log10(v) for v in values]
-
-
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
         return [lo]
@@ -35,9 +29,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _fmt_tick(value: float, log: bool = False) -> str:
-    if log:
-        return f"1e{value:.1f}"
+def _fmt_tick(value: float) -> str:
     if value != 0 and (abs(value) >= 1e4 or abs(value) < 1e-2):
         return f"{value:.2e}"
     return f"{value:.4g}"
@@ -49,17 +41,16 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    log_y: bool = False,
 ) -> str:
-    """Render one line as a standalone SVG document.
+    """Render one line as a standalone SVG document, with log10 y.
 
-    Points with a non-positive y on a log y axis are dropped (residuals
-    can hit exact zero on noise-free runs).
+    Points with a non-positive y are dropped (residuals can hit exact zero
+    on noise-free runs).
     """
     pairs = [
         (x, y)
         for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)
+        if math.isfinite(x) and math.isfinite(y) and y > 0
     ]
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -77,7 +68,7 @@ def line_chart(
     ]
     if pairs:
         tx = [p[0] for p in pairs]
-        ty = _transform([p[1] for p in pairs], log_y)
+        ty = [math.log10(p[1]) for p in pairs]
         x_lo, x_hi = min(tx), max(tx)
         y_lo, y_hi = min(ty), max(ty)
         x_span = (x_hi - x_lo) or 1.0
@@ -107,7 +98,7 @@ def line_chart(
             )
             parts.append(
                 f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                f"{_STYLE}>{_fmt_tick(tick, log_y)}</text>"
+                f"{_STYLE}>1e{tick:.1f}</text>"
             )
         points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(tx, ty))
         parts.append(

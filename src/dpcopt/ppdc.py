@@ -29,7 +29,7 @@ import numpy as np
 from dpcopt.compressors import CompressorSpec, encode_decode
 from dpcopt.errors import ConfigInvalid
 from dpcopt.metrics import (
-    RoundState, RoundWorkspace, Trace, check_gains, check_start, noisy_round, run_rounds,
+    EngineConfig, RoundState, RoundWorkspace, Trace, check_start, noisy_round, run_rounds,
 )
 from dpcopt.noise import NoiseSchedule, sample_laplace
 from dpcopt.objectives import AgentObjectives, mean_value_grad
@@ -43,7 +43,7 @@ MESSAGES_PER_AGENT = 1
 
 
 @dataclass(frozen=True)
-class PpdcConfig:
+class PpdcConfig(EngineConfig):
     eta: float
     gamma: float
     omega: float
@@ -53,8 +53,13 @@ class PpdcConfig:
     noise_v: NoiseSchedule
     iterations: int
 
+    GAINS = ("eta", "gamma", "alpha_x", "omega")
+    SECOND = "v"
+    MESSAGES_PER_AGENT = MESSAGES_PER_AGENT
+    DIVERGED = "primal-dual update diverged"
+
     def __post_init__(self) -> None:
-        check_gains(self.eta, {"alpha_x": self.alpha_x}, self.compressor, self.iterations)
+        self.plan(Tag.NOISE_V, alpha_x=self.alpha_x)
         if not (self.gamma > 0):
             raise ConfigInvalid("gains.gamma: must be positive")
         if not (self.omega > 0):
@@ -105,11 +110,7 @@ def ppdc_step(
         z[1] += cfg.eta * cfg.omega * mixed
         return ()
 
-    return noisy_round(
-        state, cfg.compressor, ((cfg.noise_x, Tag.NOISE_X), (cfg.noise_v, Tag.NOISE_V)),
-        (cfg.alpha_x,), update, streams, sample_laplace, encode_decode,
-        "primal-dual update diverged", workspace,
-    )
+    return noisy_round(state, cfg, update, streams, sample_laplace, encode_decode, workspace)
 
 
 def dual_average_residual(state: PpdcState) -> float:
@@ -136,6 +137,6 @@ def ppdc_run(
     """Run cfg.iterations rounds and return the trace (row k=0 included);
     see metrics.run_rounds for the horizon."""
     return run_rounds(
-        ppdc_init, ppdc_step, _emit_row, mean_value_grad, MESSAGES_PER_AGENT, cfg.noise_v,
+        ppdc_init, ppdc_step, _emit_row, mean_value_grad,
         cfg, objectives, net, x0, streams, record_iterates, horizon,
     )

@@ -204,9 +204,7 @@ def cmd_run(rc: RunConfig) -> int:
         values = [float(r) for r in residuals]
         write_chart(
             out_dir / "residual_vs_rounds.svg",
-            line_chart(
-                ks, values, "residual vs rounds", "k", "log10 R_k", log_y=True
-            ),
+            line_chart(ks, values, "residual vs rounds", "k", "log10 R_k"),
         )
         write_chart(
             out_dir / "residual_vs_bits.svg",
@@ -216,7 +214,6 @@ def cmd_run(rc: RunConfig) -> int:
                 "residual vs transmitted bits",
                 "cumulative bits",
                 "log10 R_k",
-                log_y=True,
             ),
         )
     print(f"run complete: {out_dir / 'trace.csv'} ({checks['rows']} rows)")
@@ -303,7 +300,6 @@ def cmd_sweep(rc: RunConfig) -> int:
             f"median final accuracy vs {rc.sweep.parameter}",
             rc.sweep.parameter,
             "log10 final grad norm",
-            log_y=True,
         ),
     )
     _write_metadata(
@@ -340,7 +336,7 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
         rc.algorithm, rc.objective.d, bound, engine.iterations, engine.eta, engine.noise_x.q,
         omega=getattr(engine, "omega", None),  # pgtc has no omega
     )
-    epsilon = budget_for_run(params, engine.noise_x, rc.noise_second)
+    epsilon = budget_for_run(params, engine.noise_x, engine.noise_second)
     report: dict = {
         "algorithm": rc.algorithm,
         "iterations": engine.iterations,
@@ -367,10 +363,10 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
         )
         report["target_epsilon"] = target_epsilon
         report["required_s_x"] = _json_number(s_x)
-        report[f"required_s_{rc.second_family}"] = _json_number(s_second)
+        report[f"required_s_{engine.SECOND}"] = _json_number(s_second)
         lines.append(
             f"scales for epsilon {target_epsilon:g}: s_x = {s_x:.6g}, "
-            f"s_{rc.second_family} = {s_second:.6g}"
+            f"s_{engine.SECOND} = {s_second:.6g}"
         )
     (out_dir / "privacy_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -51,7 +51,7 @@ def base_doc(algorithm="pgtc"):
 def test_parse_minimal_pgtc():
     rc = parse_config(base_doc())
     assert rc.algorithm == "pgtc"
-    assert rc.second_family == "y"
+    assert rc.engine.SECOND == "y"
     assert rc.graph.n == 3
     assert rc.objective.kind == "quadratic"
     assert rc.compressor.kind == "topk" and rc.compressor.k == 2
@@ -65,7 +65,7 @@ def test_parse_minimal_pgtc():
 
 def test_parse_minimal_ppdc():
     rc = parse_config(base_doc("ppdc"))
-    assert rc.second_family == "v"
+    assert rc.engine.SECOND == "v"
     assert rc.engine.omega == 5.0 and rc.engine.noise_v.s == 0.1
     assert isinstance(build_engine_config(rc), PpdcConfig)
 

@@ -102,17 +102,10 @@ def test_init_quadratic_at_zero_gives_negated_anchors():
 
 def test_frozen_dynamics_step():
     # eta = gamma = 0 freezes x and y; config validation forbids those
-    # gains in real runs, so the step is exercised with a bare stand-in.
+    # gains in real runs, so the step is exercised with a bare stand-in
+    # that holds a valid config's fields and round plan.
     net, streams, objectives, x0 = build_problem("quadratic", seed=4)
-    cfg = SimpleNamespace(
-        eta=0.0,
-        gamma=0.0,
-        alpha_x=0.5,
-        alpha_y=0.5,
-        compressor=IDENTITY,
-        noise_x=QUIET,
-        noise_y=QUIET,
-    )
+    cfg = SimpleNamespace(**{**vars(_config()), "eta": 0.0, "gamma": 0.0})
     state = pgtc_init(_config(), objectives, net, x0, streams)
     stepped = pgtc_step(state, cfg, objectives, net, streams)
     assert np.array_equal(stepped.x, state.x)

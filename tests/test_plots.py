@@ -17,7 +17,6 @@ def test_log_axis_drops_nonpositive_points():
         [0.0, 1.0, 2.0, 3.0],
         [1.0, 0.0, -5.0, 10.0],
         "t", "x", "y",
-        log_y=True,
     )
     # Two plottable points survive; the chart still renders a line.
     assert "<polyline" in svg
@@ -33,7 +32,7 @@ def test_nonfinite_points_are_skipped():
 
 
 def test_empty_series_falls_back_to_message():
-    svg = line_chart([], [], "t", "x", "y", log_y=True)
+    svg = line_chart([], [], "t", "x", "y")
     assert "no plottable points" in svg
     assert "<polyline" not in svg
 

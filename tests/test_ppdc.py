@@ -74,17 +74,10 @@ def test_init_state():
 
 def test_frozen_dynamics_step():
     # eta = 0 freezes x and v; forbidden by config validation, so the
-    # step function is probed with a bare stand-in config.
+    # step function is probed with a bare stand-in config that holds a
+    # valid config's fields and round plan.
     net, streams, objectives, x0 = build_problem("quadratic", seed=22)
-    cfg = SimpleNamespace(
-        eta=0.0,
-        gamma=45.0,
-        omega=5.0,
-        alpha_x=0.2,
-        compressor=IDENTITY,
-        noise_x=QUIET,
-        noise_v=QUIET,
-    )
+    cfg = SimpleNamespace(**{**vars(_config()), "eta": 0.0})
     state = ppdc_init(_config(), objectives, net, x0, streams)
     stepped = ppdc_step(state, cfg, objectives, net, streams)
     assert np.array_equal(stepped.x, state.x)

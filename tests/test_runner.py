@@ -545,6 +545,19 @@ def test_overflowing_gradient_ends_run_without_warnings(tmp_path, algorithm):
     assert "Warning" not in done.stderr
 
 
+@pytest.mark.parametrize("config", ["pgtc_topk_logistic", "ppdc_topk_logistic"])
+def test_huge_noise_scale_ends_run_without_warnings(tmp_path, capsys, config):
+    # At a finite scale near the float maximum the Laplace draw and the
+    # noise sum overflow; they run under the round's errstate, so the
+    # finite check ends the run (warnings are errors here).
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    doc = json.loads((configs / f"{config}.json").read_text(encoding="utf-8"))
+    doc["noise"] = {key: {"s": 1e308, "q": 0.5} for key in doc["noise"]}
+    doc.update(iterations=20, outputs=str(tmp_path / "out"))
+    assert main(["run", str(write_doc(tmp_path, doc))]) == EXIT_RUN_FAILURE
+    assert "run failed: non-finite state at round 0" in capsys.readouterr().err
+
+
 def test_diverging_bbit_run_ends_without_warnings(tmp_path):
     # On the way to divergence the quantizer's norms and dither overflow;
     # they run under the update's errstate, so the finite check ends the
