@@ -94,11 +94,14 @@ def geometric_budget_sum(q: float, K: int) -> float:
 
 
 def epsilon(p: PrivacyParams, s_x: float, s_second: float) -> float:
-    """Budget spent by a K-round run with base scales s_x and s_second."""
+    """Budget spent by a K-round run with base scales s_x and s_second;
+    inf when the horizon sum S is."""
     if not (s_x > 0 and s_second > 0):
         raise ConfigInvalid("privacy: both noise scales must be positive")
     a, c = _BUDGET_CONSTANTS[p.algorithm]
     s = geometric_budget_sum(p.q, p.K)
+    if math.isinf(s):  # where the scale terms underflow to 0, the product is nan
+        return math.inf
     return a * math.sqrt(p.d) * p.M * (math.sqrt(p.eta) / s_x + c / (p.w * s_second)) * s
 
 
@@ -109,7 +112,7 @@ def scales_for_epsilon(
     split*target and the second term (1-split)*target.
 
     Feeding the result back through epsilon reproduces the target up to
-    rounding.
+    rounding. Both scales are inf when the horizon sum S is.
     """
     if not (target > 0) or math.isinf(target):
         raise ConfigInvalid("privacy: target epsilon must be positive and finite")
@@ -117,6 +120,8 @@ def scales_for_epsilon(
         raise ConfigInvalid("privacy.split: must lie in (0, 1)")
     a, c = _BUDGET_CONSTANTS[p.algorithm]
     s = geometric_budget_sum(p.q, p.K)
+    if math.isinf(s):  # where a denominator overflows, the quotient is nan
+        return math.inf, math.inf
     root_d = math.sqrt(p.d)
     s_x = a * root_d * p.M * math.sqrt(p.eta) * s / (split * target)
     s_second = (a * c) * root_d * p.M * s / (p.w * (1.0 - split) * target)

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-ENGINES = {"pgtc": PgtcConfig, "ppdc": PpdcConfig}
+ENGINES = {engine.NAME: engine for engine in (PgtcConfig, PpdcConfig)}
 
 SWEEP_PARAMETERS = ("q", "s", "eta")
 
@@ -143,7 +143,6 @@ class PrivacyConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    algorithm: str
     graph: Graph
     objective: ObjectiveConfig
     engine: PgtcConfig | PpdcConfig
@@ -154,7 +153,9 @@ class RunConfig:
     privacy: PrivacyConfig = PrivacyConfig()
     contraction_trials: int = DEFAULT_CONTRACTION_TRIALS
 
-    # bench/setup_probe.py reads these two.
+    # The engine record names its algorithm; bench/setup_probe.py reads it
+    # and the next two.
+    algorithm = property(lambda self: self.engine.NAME)
     compressor = property(lambda self: self.engine.compressor)
     iterations = property(lambda self: self.engine.iterations)
 
@@ -273,7 +274,7 @@ def parse_config(doc: dict) -> RunConfig:
         "privacy": (_parse_privacy, PrivacyConfig()),
         "contraction_trials": (_int, DEFAULT_CONTRACTION_TRIALS),
     })
-    algorithm = top["algorithm"]
+    algorithm = top.pop("algorithm")
     if algorithm not in ENGINES:
         raise ConfigInvalid(f"algorithm: must be one of {tuple(ENGINES)}")
     engine_class = ENGINES[algorithm]
@@ -310,6 +311,17 @@ def parse_config(doc: dict) -> RunConfig:
     return rc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; json.loads would keep the
+    last of a repeated key, so a repeat is an error."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigInvalid(f"config: duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> RunConfig:
     """Load a config file; a metadata document (from a previous run) is
     accepted too and replays its embedded config."""
@@ -318,7 +330,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigInvalid(f"config: cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config: invalid JSON in {path}: {exc}") from exc
     if isinstance(doc, dict) and "config" in doc and "config_sha256" in doc:

@@ -114,8 +114,9 @@ class Trace:
 
 @dataclass
 class RoundState:
-    """An engine's two variables z (2, n, d) after k rounds, references zc
-    of the len(zc) rows it sends, and the second row's summed mean noise."""
+    """Either engine's state after k rounds: z (rows, n, d) holds each
+    agent's blocks, zc the references of the first len(zc) rows, the ones
+    it sends, and noise_cumsum the second row's summed mean noise."""
 
     z: np.ndarray
     zc: np.ndarray
@@ -124,6 +125,13 @@ class RoundState:
 
     x = property(lambda self: self.z[0])
     xc = property(lambda self: self.zc[0])
+
+    @classmethod
+    def start(cls, cfg: EngineConfig, z: np.ndarray) -> RoundState:
+        """Round 0 of the rows z: the references of the rows cfg sends and
+        the noise sum start at zero."""
+        _, n, d = z.shape
+        return cls(z, np.zeros((len(cfg.reference_gains[1]), n, d)), np.zeros(d), 0)
 
 
 class RoundWorkspace:
@@ -150,9 +158,10 @@ class RoundWorkspace:
 
 
 class EngineConfig:
-    """Base of each engine's config, the record of its engine's facts: GAINS
-    (gain keys in parse order), SECOND (key of the second noised variable),
-    MESSAGES_PER_AGENT and DIVERGED (detail of a diverged round's error)."""
+    """Base of each engine's config, the record of its engine's facts: NAME
+    (the config's algorithm), GAINS (gain keys in parse order), SECOND (key
+    of the second noised variable), MESSAGES_PER_AGENT and DIVERGED (detail
+    of a diverged round's error)."""
 
     noise_second = property(lambda self: self.noise_rows[1][0])
 
@@ -176,16 +185,16 @@ class EngineConfig:
 
 def noisy_round(state, cfg: EngineConfig, update, streams, sample, codec, workspace):
     """One round of either engine around its linear update; returns the next
-    state, of state's type. Each row of z gets Laplace noise from sample at
-    its (schedule, tag) in cfg.noise_rows, none at scale 0; the second row's
+    RoundState. Each row of z that cfg.noise_rows lists gets Laplace noise
+    from sample at its (schedule, tag), none at scale 0; the second row's
     mean noise joins noise_cumsum. codec encodes the rows cfg.reference_gains
     covers against zc once per sender (a bbit sender's stream serves its rows
-    in order). update(za, zhat) overwrites za, the noisy z, with the next z,
-    which must be finite, and returns the fields state's type adds. Each
-    reference moves to (1 - alpha) zc + alpha zhat, the compressed gossip of
-    CHOCO-SGD (Koloskova, Stich and Jaggi, ICML 2019). Engines pass sample
-    and codec from their module globals on each call, so wrappers set on
-    those names (bench/tracer.py) see every call.
+    in order). update(za, zhat) overwrites every row of za, the noisy z, with
+    the next z, which must be finite. Each reference moves to (1 - alpha) zc
+    + alpha zhat, the compressed gossip of CHOCO-SGD (Koloskova, Stich and
+    Jaggi, ICML 2019). Engines pass sample and codec from their module
+    globals on each call, so wrappers set on those names (bench/tracer.py)
+    see every call.
 
     Every block the round writes is workspace's (see RoundWorkspace), a
     fresh one when None: the round never writes state, and without a
@@ -215,7 +224,7 @@ def noisy_round(state, cfg: EngineConfig, update, streams, sample, codec, worksp
             spec, za[:sent].reshape(-1, d), zc.reshape(-1, d), rngs,
             out=ws.zhat.reshape(-1, d), scratch=ws.codec,
         ).reshape(zc.shape)
-        carry = update(za, zhat)
+        update(za, zhat)
     if not np.isfinite(za).all():
         raise NonFiniteState(k, cfg.DIVERGED)
     # keep * zc + alpha * zhat; the update is done with zhat.
@@ -223,7 +232,7 @@ def noisy_round(state, cfg: EngineConfig, update, streams, sample, codec, worksp
     zhat *= alpha
     zc_next += zhat
     ws.z, ws.zc = z, zc
-    return type(state)(za, zc_next, noise_cumsum, k + 1, *carry)
+    return RoundState(za, zc_next, noise_cumsum, k + 1)
 
 
 def check_start(x0: np.ndarray, objectives: AgentObjectives, n: int) -> np.ndarray:

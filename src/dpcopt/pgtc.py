@@ -15,11 +15,13 @@ One round, for every agent i simultaneously:
 5. y_{i,k+1} = y^a_i + gamma * sum_j w_ij (yhat_j - yhat_i)
    + grad f_i(x_{i,k+1}) - grad f_i(x_{i,k}).
 
-x and y share steps 1, 2 and 4 (metrics.noisy_round) as one (2, n, d)
-block z = (x, y), and x^c, y^c as zc: one call per step, bit-equal to two.
+Each agent's blocks are the rows of one (3, n, d) block z = (x, y, g),
+g = grad f(x) the local gradients at x, kept for step 5 of the next round.
+x and y share steps 1, 2 and 4 (metrics.noisy_round), with x^c, y^c as zc:
+one call per step, bit-equal to two. g is neither noised nor sent.
 
 Because W is doubly stochastic, the mean of y tracks the mean local
-gradient plus all injected y-noise; the engine carries that cumulative
+gradient plus all injected y-noise; the state carries that cumulative
 noise so the identity can be checked to 1e-9 every round.
 """
 
@@ -39,7 +41,7 @@ from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
 
-__all__ = ["PgtcConfig", "PgtcState", "pgtc_init", "pgtc_step", "pgtc_run"]
+__all__ = ["PgtcConfig", "pgtc_init", "pgtc_step", "pgtc_run"]
 
 # Messages each agent broadcasts per round (noisy x and noisy y).
 MESSAGES_PER_AGENT = 2
@@ -56,6 +58,7 @@ class PgtcConfig(EngineConfig):
     noise_y: NoiseSchedule
     iterations: int
 
+    NAME = "pgtc"
     GAINS = ("eta", "gamma", "alpha_x", "alpha_y")
     SECOND = "y"
     MESSAGES_PER_AGENT = MESSAGES_PER_AGENT
@@ -67,79 +70,59 @@ class PgtcConfig(EngineConfig):
             raise ConfigInvalid("gains.gamma: must lie in (0, 1]")
 
 
-@dataclass
-class PgtcState(RoundState):
-    """z = (x, y) and zc = (x^c, y^c) after k rounds, both sent; grad_prev
-    holds the local gradients at x."""
-
-    grad_prev: np.ndarray
-
-    y = property(lambda self: self.z[1])
-    yc = property(lambda self: self.zc[1])
-    noise_y_cumsum = property(lambda self: self.noise_cumsum)
-
-
 def pgtc_init(
     cfg: PgtcConfig,
     objectives: AgentObjectives,
     net: Network,
     x0: np.ndarray,
     streams: StreamFactory,
-) -> PgtcState:
-    """Initial state: y_0 holds the local gradients at x_0, both
-    compression references start at zero."""
+) -> RoundState:
+    """Initial state z = (x_0, g_0, g_0): y_0 and the kept gradients both
+    hold the local gradients at x_0."""
     x0 = check_start(x0, objectives, net.n)
     # As in pgtc_step, the finite check is the detector, not numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
         grad0 = objectives.grad(x0)
     if not np.isfinite(grad0).all():
         raise NonFiniteState(0, "initial gradient is not finite")
-    return PgtcState(
-        z=np.stack([x0, grad0]),
-        zc=np.zeros((2,) + x0.shape),
-        noise_cumsum=np.zeros(x0.shape[1]),
-        k=0,
-        grad_prev=grad0,
-    )
+    return RoundState.start(cfg, np.stack([x0, grad0, grad0]))
 
 
 def pgtc_step(
-    state: PgtcState,
+    state: RoundState,
     cfg: PgtcConfig,
     objectives: AgentObjectives,
     net: Network,
     streams: StreamFactory,
     workspace: RoundWorkspace | None = None,
-) -> PgtcState:
+) -> RoundState:
     """Advance one synchronous round and return the next state, written
     into workspace (see metrics.RoundWorkspace). The incoming state is
     never written; without a workspace the step is pure."""
 
     def update(z, zhat):
-        # Steps 3 and 5 in place: both rows mix alike, then eta and gradients.
-        z += cfg.gamma * (net.mixing @ zhat - zhat)
-        z[0] -= cfg.eta * state.y
+        # Steps 3 and 5 in place: x and y mix alike, then eta and the
+        # gradients; z[2] holds the incoming ones until the last line.
+        z[:2] += cfg.gamma * (net.mixing @ zhat - zhat)
+        z[0] -= cfg.eta * state.z[1]
         grad = objectives.grad(z[0])
         z[1] += grad
-        z[1] -= state.grad_prev
-        return (grad,)
+        z[1] -= z[2]
+        z[2] = grad
 
     return noisy_round(state, cfg, update, streams, sample_laplace, encode_decode, workspace)
 
 
-def tracking_residual(state: PgtcState) -> float:
+def tracking_residual(state: RoundState) -> float:
     """Infinity norm of mean(y) - mean(grad at current x) - accumulated
     mean y-noise; zero in exact arithmetic at every round."""
-    n = len(state.y)
-    gap = (
-        np.add.reduce(state.y, axis=0) / n
-        - np.add.reduce(state.grad_prev, axis=0) / n
-        - state.noise_cumsum
-    )
+    _, y, grad = state.z
+    n = len(y)
+    gap = np.add.reduce(y, axis=0) / n - np.add.reduce(grad, axis=0) / n - state.noise_cumsum
     return float(np.max(np.abs(gap)))
 
 
-def _emit_row(trace: Trace, state: PgtcState, xbar: np.ndarray) -> None:
+def _emit_row(trace: Trace, state: RoundState, xbar: np.ndarray) -> None:
     np.divide(np.add.reduce(state.x, axis=0), len(state.x), out=xbar)
     trace.record(state.x, xbar, state.k, tracking_residual(state))
 

@@ -13,11 +13,12 @@ One round, for every agent i simultaneously:
 5. reference update x^c <- (1-alpha_x) x^c + alpha_x xhat.
 
 Steps 1, 2 and 5 are metrics.noisy_round on the (2, n, d) block z = (x, v),
-of which only x is sent. Laplacian rows sum to zero, so the dual average
-is exactly the running mean of injected v-noise; the engine carries that
-sum so the identity can be checked to 1e-9 every round. The v-noise keeps
-the dual state private even though v is never transmitted; disabling it
-(noise.v enabled=false) is an ablation that forfeits the privacy guarantee.
+of which both rows are noised and only x is sent. Laplacian rows sum to
+zero, so the dual average is exactly the running mean of injected v-noise;
+the state carries that sum so the identity can be checked to 1e-9 every
+round. The v-noise keeps the dual state private even though v is never
+transmitted; disabling it (noise.v enabled=false) is an ablation that
+forfeits the privacy guarantee.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dpcopt.objectives import AgentObjectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
 from dpcopt.topology import Network
 
-__all__ = ["PpdcConfig", "PpdcState", "ppdc_init", "ppdc_step", "ppdc_run"]
+__all__ = ["PpdcConfig", "ppdc_init", "ppdc_step", "ppdc_run"]
 
 # One compressed broadcast per agent per round.
 MESSAGES_PER_AGENT = 1
@@ -53,6 +54,7 @@ class PpdcConfig(EngineConfig):
     noise_v: NoiseSchedule
     iterations: int
 
+    NAME = "ppdc"
     GAINS = ("eta", "gamma", "alpha_x", "omega")
     SECOND = "v"
     MESSAGES_PER_AGENT = MESSAGES_PER_AGENT
@@ -66,61 +68,49 @@ class PpdcConfig(EngineConfig):
             raise ConfigInvalid("gains.omega: must be positive")
 
 
-@dataclass
-class PpdcState(RoundState):
-    """z = (x, v) and zc = (x^c,) after k rounds; only x is sent."""
-
-    v = property(lambda self: self.z[1])
-    noise_v_cumsum = property(lambda self: self.noise_cumsum)
-
-
 def ppdc_init(
     cfg: PpdcConfig,
     objectives: AgentObjectives,
     net: Network,
     x0: np.ndarray,
     streams: StreamFactory,
-) -> PpdcState:
-    """Initial state: dual variables and compression references zeroed."""
+) -> RoundState:
+    """Initial state z = (x_0, 0): the dual variables start at zero."""
     x0 = check_start(x0, objectives, net.n)
-    return PpdcState(
-        z=np.stack([x0, np.zeros_like(x0)]),
-        zc=np.zeros((1,) + x0.shape),
-        noise_cumsum=np.zeros(x0.shape[1]),
-        k=0,
-    )
+    return RoundState.start(cfg, np.stack([x0, np.zeros_like(x0)]))
 
 
 def ppdc_step(
-    state: PpdcState,
+    state: RoundState,
     cfg: PpdcConfig,
     objectives: AgentObjectives,
     net: Network,
     streams: StreamFactory,
     workspace: RoundWorkspace | None = None,
-) -> PpdcState:
+) -> RoundState:
     """Advance one synchronous round and return the next state, written
     into workspace (see metrics.RoundWorkspace). The incoming state is
     never written; without a workspace the step is pure."""
 
     def update(z, xhat):
         # Steps 3 and 4 in place, from the incoming x and v.
+        x, v = state.z
         mixed = net.laplacian @ xhat[0]
-        z[0] -= cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + objectives.grad(state.x))
+        z[0] -= cfg.eta * (cfg.gamma * mixed + cfg.omega * v + objectives.grad(x))
         z[1] += cfg.eta * cfg.omega * mixed
-        return ()
 
     return noisy_round(state, cfg, update, streams, sample_laplace, encode_decode, workspace)
 
 
-def dual_average_residual(state: PpdcState) -> float:
+def dual_average_residual(state: RoundState) -> float:
     """Infinity norm of mean(v) minus the accumulated mean v-noise;
     zero in exact arithmetic because Laplacian columns sum to zero."""
-    gap = np.add.reduce(state.v, axis=0) / len(state.v) - state.noise_cumsum
+    v = state.z[1]
+    gap = np.add.reduce(v, axis=0) / len(v) - state.noise_cumsum
     return float(np.max(np.abs(gap)))
 
 
-def _emit_row(trace: Trace, state: PpdcState, xbar: np.ndarray) -> None:
+def _emit_row(trace: Trace, state: RoundState, xbar: np.ndarray) -> None:
     np.divide(np.add.reduce(state.x, axis=0), len(state.x), out=xbar)
     trace.record(state.x, xbar, state.k, dual_average_residual(state))
 

@@ -76,10 +76,6 @@ def resolve_output_dir(outputs: str) -> Path:
     return path
 
 
-def _run_function(algorithm: str):
-    return pgtc_run if algorithm == "pgtc" else ppdc_run
-
-
 def _build_problem(rc: RunConfig):
     """The run's stream factory and agent objectives."""
     streams = StreamFactory(master_seed=rc.seed)
@@ -132,9 +128,10 @@ def execute_run(rc: RunConfig) -> tuple[Trace, dict, np.ndarray | None]:
     reference_horizon = 0
     if rc.reference is not None:
         reference_horizon = rc.reference.horizon_multiplier * rc.engine.iterations
+    run = pgtc_run if rc.algorithm == "pgtc" else ppdc_run
     # One pass: rows for rounds 0..K, then the same trajectory continues
     # to the reference horizon, whose final state is x_inf.
-    trace = _run_function(rc.algorithm)(
+    trace = run(
         rc.engine, objectives, net, x0, streams,
         record_iterates=rc.reference is not None,
         horizon=reference_horizon,
@@ -432,8 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DpcoptError, OSError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (DpcoptError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate.
+        print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 
 

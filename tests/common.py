@@ -5,8 +5,8 @@ form of the Metropolis weights, the written trace's columns, the
 round-by-round gradient-norm formula that the blocked fill must
 reproduce, the exhaustive quadratic gradient bound that the screened one
 must reproduce, the two-variable pgtc round that the stacked step must
-reproduce, and the plain logistic formulas that the saturation cut must
-reproduce."""
+reproduce, a state's arrays row by row, and the plain logistic formulas
+that the saturation cut must reproduce."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dpcopt import objectives as objectives_module
 from dpcopt.compressors import BBIT, encode_decode, make_spec, row_norms
 from dpcopt.errors import ConfigInvalid, NonFiniteState
-from dpcopt.metrics import Trace, write_trace_csv
+from dpcopt.metrics import RoundState, Trace, write_trace_csv
 from dpcopt.noise import sample_laplace, scale_at
 from dpcopt.objectives import make_objectives, mean_value_grad
 from dpcopt.rng import StreamFactory, Tag
@@ -224,22 +224,34 @@ def finite_diff_grad(
     return grad
 
 
-def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> dict:
+def state_rows(state: RoundState) -> dict[str, np.ndarray]:
+    """A state's arrays by name, z and zc row by row ("z[0]", "zc[1]", ...),
+    and its noise_cumsum."""
+    rows = {
+        f"{name}[{i}]": row for name in ("z", "zc") for i, row in enumerate(getattr(state, name))
+    }
+    rows["noise_cumsum"] = state.noise_cumsum
+    return rows
+
+
+def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> RoundState:
     """One pgtc round with x and y as separate (n, d) arrays: a noise add,
     an encode, a mixing product, a finite check and a reference update per
-    variable. Returns the next state's arrays by name, and k."""
+    variable. Returns the next state, its arrays stacked only at the end."""
     n, d = state.x.shape
     w = net.mixing
     spec = cfg.compressor
     k = state.k
+    y, grad = state.z[1], state.z[2]
+    yc = state.zc[1]
 
     theta_x = scale_at(cfg.noise_x, k)
     theta_y = scale_at(cfg.noise_y, k)
     xa = state.x
     if theta_x > 0.0:
         xa = xa + sample_laplace(theta_x, d, streams.rows(Tag.NOISE_X, k, n))
-    ya = state.y
-    noise_y_cumsum = state.noise_y_cumsum
+    ya = y
+    noise_y_cumsum = state.noise_cumsum
     if theta_y > 0.0:
         xi_y = sample_laplace(theta_y, d, streams.rows(Tag.NOISE_Y, k, n))
         ya = ya + xi_y
@@ -250,25 +262,22 @@ def pgtc_step_two_calls(state, cfg, objectives, net, streams) -> dict:
     if spec.kind == BBIT:
         rngs_c = streams.rows(Tag.COMPRESS, k, n)
     xhat = encode_decode(spec, xa, state.xc, rngs_c)
-    yhat = encode_decode(spec, ya, state.yc, rngs_c)
+    yhat = encode_decode(spec, ya, yc, rngs_c)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
+        x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * y
         grad_next = objectives.grad(x_next)
-        y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
+        y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - grad
 
     if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
         raise NonFiniteState(k, "gradient-tracking update diverged")
 
-    return {
-        "x": x_next,
-        "y": y_next,
-        "xc": (1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
-        "yc": (1.0 - cfg.alpha_y) * state.yc + cfg.alpha_y * yhat,
-        "grad_prev": grad_next,
-        "noise_y_cumsum": noise_y_cumsum,
-        "k": k + 1,
-    }
+    xc_next = (1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat
+    yc_next = (1.0 - cfg.alpha_y) * yc + cfg.alpha_y * yhat
+    return RoundState(
+        np.stack([x_next, y_next, grad_next]), np.stack([xc_next, yc_next]),
+        noise_y_cumsum, k + 1,
+    )
 
 
 def plain_logistic_grad(signed, reg, alpha, x, z, out=None):

@@ -109,6 +109,16 @@ def test_unbounded_budget_propagates_to_epsilon_and_scales():
         assert s_second == math.inf
 
 
+def test_unbounded_budget_is_inf_where_the_products_would_be_nan():
+    # The scale terms underflow to 0 (0 * inf), or the second scale's
+    # denominator overflows (inf / inf): positive terms over an unbounded
+    # horizon sum still spend an unbounded budget.
+    p = _params(algorithm="ppdc", d=10, q=0.1, K=1000, eta=1e-300, omega=10.0)
+    assert epsilon(p, 1e308, 1e308) == math.inf
+    wide = replace(p, eta=0.1, omega=1e308)
+    assert scales_for_epsilon(wide, 24.0) == (math.inf, math.inf)
+
+
 def test_epsilon_requires_scales():
     for algorithm in ("pgtc", "ppdc"):
         p = _params(algorithm=algorithm, omega=2.0)

@@ -2,8 +2,10 @@
 substitution."""
 
 import copy
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 from common import config_documents
 from dpcopt.config import (
+    ENGINES,
     PrivacyConfig,
+    RunConfig,
     apply_sweep_value,
     build_engine_config,
     config_digest,
@@ -22,7 +26,7 @@ from dpcopt.config import (
 from dpcopt.errors import ConfigInvalid, DpcoptError, SpecDimensionMismatch
 from dpcopt.pgtc import PgtcConfig
 from dpcopt.ppdc import PpdcConfig
-from dpcopt.runner import execute_run
+from dpcopt.runner import EXIT_CONFIG_ERROR, execute_run, main
 
 
 def base_doc(algorithm="pgtc"):
@@ -339,6 +343,42 @@ def test_load_config_errors(tmp_path):
     array.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigInvalid, match="expected a JSON object"):
         load_config(array)
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path, capsys):
+    # json.loads keeps the last of a repeated key: the shipped config would
+    # run 3 rounds instead of its 1000.
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "pgtc_topk_logistic.json"
+    text = shipped.read_text(encoding="utf-8")
+    assert text.count('"iterations": 1000,') == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        text.replace('"iterations": 1000,', '"iterations": 1000, "iterations": 3,'),
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigInvalid, match="^config: duplicate key 'iterations'$"):
+        load_config(path)
+    assert main(["run", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: config: duplicate key 'iterations'\n"
+    # A repeat inside a section is caught too.
+    nested = json.dumps(base_doc()).replace('"k": 2', '"k": 2, "k": 1')
+    path.write_text(nested, encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="duplicate key 'k'"):
+        load_config(path)
+
+
+def test_algorithm_is_the_engine_records_name():
+    assert ENGINES == {"pgtc": PgtcConfig, "ppdc": PpdcConfig}
+    pgtc, ppdc = parse_config(base_doc()), parse_config(base_doc("ppdc"))
+    assert (pgtc.algorithm, ppdc.algorithm) == ("pgtc", "ppdc")
+    # No run config can name one algorithm and hold the other's engine.
+    assert dataclasses.replace(pgtc, engine=ppdc.engine).algorithm == "ppdc"
+    with pytest.raises(TypeError, match="algorithm"):
+        RunConfig(
+            algorithm="pgtc", graph=pgtc.graph, objective=pgtc.objective,
+            engine=ppdc.engine, seed=1, outputs="out",
+        )
+    assert to_document(pgtc)["algorithm"] == "pgtc"
 
 
 def test_apply_sweep_value():

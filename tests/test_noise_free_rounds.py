@@ -14,8 +14,9 @@ import pytest
 
 import dpcopt.pgtc
 import dpcopt.ppdc
-from common import build_problem
+from common import build_problem, state_rows
 from dpcopt.compressors import encode_decode, make_spec
+from dpcopt.metrics import RoundState
 from dpcopt.noise import NoiseSchedule, sample_laplace, scale_at
 from dpcopt.pgtc import PgtcConfig, pgtc_init, pgtc_run, pgtc_step, tracking_residual
 from dpcopt.ppdc import PpdcConfig, dual_average_residual, ppdc_init, ppdc_run, ppdc_step
@@ -73,35 +74,42 @@ def _decode(pairs, k, streams):
 
 def _pgtc_round_with_zero_noise(state, cfg, objectives, net, streams):
     n, k, w = len(state.x), state.k, net.mixing
-    xa = state.x + _explicit_noise(cfg.noise_x, Tag.NOISE_X, k, n, streams)
+    (x, y, grad), (xc, yc) = state.z, state.zc
+    xa = x + _explicit_noise(cfg.noise_x, Tag.NOISE_X, k, n, streams)
     xi_y = _explicit_noise(cfg.noise_y, Tag.NOISE_Y, k, n, streams)
-    ya = state.y + xi_y
-    xhat, yhat = _decode([(xa, state.xc), (ya, state.yc)], k, streams)
-    x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
+    ya = y + xi_y
+    xhat, yhat = _decode([(xa, xc), (ya, yc)], k, streams)
+    x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * y
     grad_next = objectives.grad(x_next)
-    return {
-        "x": x_next,
-        "y": ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev,
-        "xc": (1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
-        "yc": (1.0 - cfg.alpha_y) * state.yc + cfg.alpha_y * yhat,
-        "grad_prev": grad_next,
-        "noise_y_cumsum": state.noise_y_cumsum + xi_y.mean(axis=0),
-    }
+    y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - grad
+    return RoundState(
+        np.stack([x_next, y_next, grad_next]),
+        np.stack([
+            (1.0 - cfg.alpha_x) * xc + cfg.alpha_x * xhat,
+            (1.0 - cfg.alpha_y) * yc + cfg.alpha_y * yhat,
+        ]),
+        state.noise_cumsum + xi_y.mean(axis=0),
+        k + 1,
+    )
 
 
 def _ppdc_round_with_zero_noise(state, cfg, objectives, net, streams):
     n, k, lap = len(state.x), state.k, net.laplacian
-    xa = state.x + _explicit_noise(cfg.noise_x, Tag.NOISE_X, k, n, streams)
+    x, v = state.z
+    xa = x + _explicit_noise(cfg.noise_x, Tag.NOISE_X, k, n, streams)
     xi_v = _explicit_noise(cfg.noise_v, Tag.NOISE_V, k, n, streams)
     (xhat,) = _decode([(xa, state.xc)], k, streams)
     mixed = lap @ xhat
-    grads = objectives.grad(state.x)
-    return {
-        "x": xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads),
-        "v": state.v + xi_v + cfg.eta * cfg.omega * mixed,
-        "xc": (1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat,
-        "noise_v_cumsum": state.noise_v_cumsum + xi_v.mean(axis=0),
-    }
+    grads = objectives.grad(x)
+    return RoundState(
+        np.stack([
+            xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * v + grads),
+            v + xi_v + cfg.eta * cfg.omega * mixed,
+        ]),
+        ((1.0 - cfg.alpha_x) * state.xc + cfg.alpha_x * xhat)[None],
+        state.noise_cumsum + xi_v.mean(axis=0),
+        k + 1,
+    )
 
 
 ENGINES = {
@@ -168,9 +176,11 @@ def test_noise_free_variable_draws_nothing_and_matches_zero_noise(engine, case, 
     # the sign of a zero: the trace holds sums of squares, norms and
     # maxima of absolute values.
     want = parent_round(state, cfg, objectives, net, streams)
-    for name, value in want.items():
-        assert np.array_equal(getattr(stepped, name), value), name
-    assert stepped.k == state.k + 1
+    got_rows = state_rows(stepped)
+    assert got_rows.keys() == state_rows(want).keys()
+    for name, value in state_rows(want).items():
+        assert np.array_equal(got_rows[name], value), name
+    assert stepped.k == want.k == state.k + 1
     assert residual(stepped) <= 1e-9
 
 

@@ -18,6 +18,7 @@ from common import (
     drawn_run,
     noisy_runs,
     pgtc_step_two_calls,
+    state_rows,
 )
 from dpcopt.compressors import bit_cost, encode_decode, make_spec
 from dpcopt.errors import ConfigInvalid, NonFiniteState
@@ -86,18 +87,20 @@ def test_init_state():
     net, streams, objectives, x0 = build_problem("quadratic", seed=1)
     state = pgtc_init(_config(), objectives, net, x0, streams)
     grads = np.stack([x0[i] - objectives.anchors[i] for i in range(6)])
-    assert np.array_equal(state.y, grads)
+    # z = (x, y, grad): y and the kept gradients both start at grad f(x_0).
+    assert np.array_equal(state.z[1], grads)
+    assert np.array_equal(state.z[2], grads)
     assert np.array_equal(state.xc, np.zeros((6, 10)))
-    assert np.array_equal(state.yc, np.zeros((6, 10)))
+    assert np.array_equal(state.zc[1], np.zeros((6, 10)))
     assert state.k == 0
-    assert np.array_equal(state.noise_y_cumsum, np.zeros(10))
+    assert np.array_equal(state.noise_cumsum, np.zeros(10))
 
 
 def test_init_quadratic_at_zero_gives_negated_anchors():
     net, streams, objectives, _ = build_problem("quadratic", seed=2)
     x0 = np.zeros((6, 10))
     state = pgtc_init(_config(), objectives, net, x0, streams)
-    assert np.allclose(state.y, -objectives.anchors, atol=1e-15)
+    assert np.allclose(state.z[1], -objectives.anchors, atol=1e-15)
 
 
 def test_frozen_dynamics_step():
@@ -109,7 +112,7 @@ def test_frozen_dynamics_step():
     state = pgtc_init(_config(), objectives, net, x0, streams)
     stepped = pgtc_step(state, cfg, objectives, net, streams)
     assert np.array_equal(stepped.x, state.x)
-    assert np.array_equal(stepped.y, state.y)
+    assert np.array_equal(stepped.z[1], state.z[1])
     assert stepped.k == 1
 
 
@@ -131,24 +134,25 @@ def test_single_step_matches_hand_rolled_update():
     xi_y = np.concatenate(
         [sample_laplace(theta, d, [streams.get(i, Tag.NOISE_Y, k)]) for i in range(n)]
     )
+    _, y, grad = state.z
     xa = state.x + xi_x
-    ya = state.y + xi_y
+    ya = y + xi_y
     xhat = np.empty((n, d))
     yhat = np.empty((n, d))
     for j in range(n):
         rng = [streams.get(j, Tag.COMPRESS, k)]
         xhat[j] = encode_decode(spec, xa[j:j + 1], state.xc[j:j + 1], rng)[0]
-        yhat[j] = encode_decode(spec, ya[j:j + 1], state.yc[j:j + 1], rng)[0]
-    x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * state.y
+        yhat[j] = encode_decode(spec, ya[j:j + 1], state.zc[1, j:j + 1], rng)[0]
+    x_next = xa + cfg.gamma * (w @ xhat - xhat) - cfg.eta * y
     grad_next = np.stack([x_next[i] - objectives.anchors[i] for i in range(n)])
-    y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - state.grad_prev
+    y_next = ya + cfg.gamma * (w @ yhat - yhat) + grad_next - grad
 
     assert np.array_equal(stepped.x, x_next)
-    assert np.array_equal(stepped.y, y_next)
+    assert np.array_equal(stepped.z[1], y_next)
     assert np.array_equal(stepped.xc, 0.5 * state.xc + 0.5 * xhat)
-    assert np.array_equal(stepped.yc, 0.5 * state.yc + 0.5 * yhat)
-    assert np.array_equal(stepped.grad_prev, grad_next)
-    assert np.array_equal(stepped.noise_y_cumsum, xi_y.mean(axis=0))
+    assert np.array_equal(stepped.zc[1], 0.5 * state.zc[1] + 0.5 * yhat)
+    assert np.array_equal(stepped.z[2], grad_next)
+    assert np.array_equal(stepped.noise_cumsum, xi_y.mean(axis=0))
 
 
 def test_bbit_step_with_zero_difference_rows_equals_the_two_variable_round():
@@ -172,12 +176,14 @@ def test_bbit_step_with_zero_difference_rows_equals_the_two_variable_round():
     want = pgtc_step_two_calls(state, cfg, objectives, net, streams)
     got = pgtc_step(state, cfg, objectives, net, streams)
 
-    assert got.k == want.pop("k")
-    for name, value in want.items():
-        assert getattr(got, name).tobytes() == value.tobytes(), name
+    assert got.k == want.k
+    got_rows = state_rows(got)
+    assert got_rows.keys() == state_rows(want).keys()
+    for name, value in state_rows(want).items():
+        assert got_rows[name].tobytes() == value.tobytes(), name
     # A zero difference decodes to the reference itself.
     assert got.xc[1].tobytes() == zc[0, 1].tobytes()
-    assert got.yc[3].tobytes() == zc[1, 3].tobytes()
+    assert got.zc[1, 3].tobytes() == zc[1, 3].tobytes()
 
 
 def test_round_streams_build_one_generator_per_agent_and_tag(monkeypatch):
@@ -373,14 +379,17 @@ def test_stacked_step_equals_the_two_variable_round_bytewise(case):
     state = pgtc_init(cfg, objectives, net, x0, streams)
     for _ in range(warm):
         state = pgtc_step(state, cfg, objectives, net, streams)
-    names = ("z", "zc", "grad_prev", "noise_y_cumsum")
+    # z = (x, y, grad) holds the gradients the old state kept apart.
+    names = ("z", "zc", "noise_cumsum")
     before = [getattr(state, name).tobytes() for name in names]
 
     want = pgtc_step_two_calls(state, cfg, objectives, net, streams)
     got = pgtc_step(state, cfg, objectives, net, streams)
 
-    assert got.k == want.pop("k")
-    for name, value in want.items():
-        assert getattr(got, name).tobytes() == value.tobytes(), name
+    assert got.k == want.k
+    got_rows = state_rows(got)
+    assert got_rows.keys() == state_rows(want).keys()
+    for name, value in state_rows(want).items():
+        assert got_rows[name].tobytes() == value.tobytes(), name
     # The step is pure: the incoming state keeps its bytes.
     assert [getattr(state, name).tobytes() for name in names] == before

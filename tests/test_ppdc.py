@@ -66,9 +66,9 @@ def test_init_state():
     net, streams, objectives, x0 = build_problem("quadratic", seed=20)
     state = ppdc_init(_config(), objectives, net, x0, streams)
     assert state.x.shape == (6, 10)
-    assert np.array_equal(state.v, np.zeros((6, 10)))
+    assert np.array_equal(state.z[1], np.zeros((6, 10)))
     assert np.array_equal(state.xc, np.zeros((6, 10)))
-    assert np.array_equal(state.v.sum(axis=0), np.zeros(10))
+    assert np.array_equal(state.z[1].sum(axis=0), np.zeros(10))
     assert state.k == 0
 
 
@@ -81,7 +81,7 @@ def test_frozen_dynamics_step():
     state = ppdc_init(_config(), objectives, net, x0, streams)
     stepped = ppdc_step(state, cfg, objectives, net, streams)
     assert np.array_equal(stepped.x, state.x)
-    assert np.array_equal(stepped.v, state.v)
+    assert np.array_equal(stepped.z[1], state.z[1])
     assert stepped.k == 1
 
 
@@ -108,13 +108,13 @@ def test_single_step_matches_hand_rolled_update():
         xhat[j] = encode_decode(spec, xa[j:j + 1], state.xc[j:j + 1], rng)[0]
     grads = np.stack([state.x[i] - objectives.anchors[i] for i in range(n)])
     mixed = lap @ xhat
-    x_next = xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
-    v_next = state.v + xi_v + cfg.eta * cfg.omega * mixed
+    x_next = xa - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.z[1] + grads)
+    v_next = state.z[1] + xi_v + cfg.eta * cfg.omega * mixed
 
     assert np.array_equal(stepped.x, x_next)
-    assert np.array_equal(stepped.v, v_next)
+    assert np.array_equal(stepped.z[1], v_next)
     assert np.array_equal(stepped.xc, 0.8 * state.xc + 0.2 * xhat)
-    assert np.array_equal(stepped.noise_v_cumsum, xi_v.mean(axis=0))
+    assert np.array_equal(stepped.noise_cumsum, xi_v.mean(axis=0))
 
 
 def test_bbit_step_with_a_zero_difference_row_matches_hand_rolled_update():
@@ -145,14 +145,14 @@ def test_bbit_step_with_a_zero_difference_row_matches_hand_rolled_update():
         xhat[j] = encode_decode(spec, state.x[j:j + 1], state.xc[j:j + 1], rng)[0]
     grads = np.stack([state.x[i] - objectives.anchors[i] for i in range(n)])
     mixed = net.laplacian @ xhat
-    x_next = state.x - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.v + grads)
-    v_next = state.v + xi_v + cfg.eta * cfg.omega * mixed
+    x_next = state.x - cfg.eta * (cfg.gamma * mixed + cfg.omega * state.z[1] + grads)
+    v_next = state.z[1] + xi_v + cfg.eta * cfg.omega * mixed
 
     assert xhat[2].tobytes() == state.xc[2].tobytes()
     assert stepped.x.tobytes() == x_next.tobytes()
-    assert stepped.v.tobytes() == v_next.tobytes()
+    assert stepped.z[1].tobytes() == v_next.tobytes()
     assert stepped.xc.tobytes() == (0.8 * state.xc + 0.2 * xhat).tobytes()
-    assert np.array_equal(stepped.noise_v_cumsum, state.noise_v_cumsum + xi_v.mean(axis=0))
+    assert np.array_equal(stepped.noise_cumsum, state.noise_cumsum + xi_v.mean(axis=0))
 
 
 def test_noise_free_dual_sum_stays_zero():
@@ -161,7 +161,7 @@ def test_noise_free_dual_sum_stays_zero():
     state = ppdc_init(cfg, objectives, net, x0, streams)
     for _ in range(cfg.iterations):
         state = ppdc_step(state, cfg, objectives, net, streams)
-        assert np.max(np.abs(state.v.sum(axis=0))) <= 1e-12
+        assert np.max(np.abs(state.z[1].sum(axis=0))) <= 1e-12
 
 
 def test_dual_average_identity_under_noise():

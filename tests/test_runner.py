@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpcopt
+import dpcopt.runner
 from common import config_documents
 from dpcopt.compressors import xi_factor
 from dpcopt.config import config_digest, load_config
@@ -493,6 +494,62 @@ def test_privacy_reports_unbounded_budget_for_long_horizons(tmp_path, capsys):
     report = json.loads((out / "privacy_report.json").read_text(encoding="utf-8"))
     assert report["epsilon"] == "inf"
     assert report["required_s_x"] == "inf" and report["required_s_y"] == "inf"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# Primal-dual runs of the shipped logistic problem whose horizon sum S
+# (q = 0.1, K = 1000) leaves the float range: the scale terms of the
+# budget underflow to 0 (0 * inf), or the second scale's denominator
+# overflows (inf / inf). Both must read inf, not nan.
+UNBOUNDED_PRODUCTS = {
+    "budget-terms-underflow": ({"s": 1e308, "q": 0.1}, 1e-300, 10.0),
+    "omega-overflows": ({"s": 1.0, "q": 0.1}, 0.1, 1e308),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_PRODUCTS))
+def test_unbounded_budget_products_report_inf_in_strict_json(tmp_path, capsys, case):
+    schedule, eta, omega = UNBOUNDED_PRODUCTS[case]
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    doc = json.loads((configs / "pgtc_topk_logistic.json").read_text(encoding="utf-8"))
+    doc.update(algorithm="ppdc", outputs=str(tmp_path / "out"))
+    doc["noise"] = {"x": schedule, "v": schedule}
+    doc["gains"] = {"eta": eta, "gamma": 0.2, "alpha_x": 0.5, "omega": omega}
+    cfg = write_doc(tmp_path, doc)
+    assert main(["privacy", str(cfg), "--target-epsilon", "24"]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "nan" not in stdout
+    assert "epsilon: inf" in stdout and "s_x = inf, s_v = inf" in stdout
+    text = (tmp_path / "out" / "privacy_report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["epsilon"] == "inf"
+    assert report["required_s_x"] == "inf" and report["required_s_v"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (
+            MemoryError("Unable to allocate 7.28 TiB for an array with shape (10000000000001, 100)"),
+            "run failed: Unable to allocate 7.28 TiB for an array with shape (10000000000001, 100)",
+        ),
+        (MemoryError(), "run failed: MemoryError"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_an_allocation_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    # A config whose arrays cannot be allocated (iterations = 10**13, say)
+    # stands in as a run that raises; nothing large is allocated here.
+    def no_memory(rc):
+        raise error
+
+    monkeypatch.setattr(dpcopt.runner, "execute_run", no_memory)
+    cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == EXIT_RUN_FAILURE
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "privacy"])

@@ -41,7 +41,8 @@ def _stepped_run(rc, horizon: int, reuse: bool):
     """rc's run to horizon, its trace kept with its iterate history. Steps
     get run_rounds' workspace when reuse, else none (a fresh one each
     round). Returns the trace's columns and final iterate as bytes (or the
-    NonFiniteState message), and the arrays of every stepped state."""
+    NonFiniteState message), and the arrays of every stepped state. Every
+    pgtc state's gradient row z[2] must be grad(z[0]) bit for bit."""
     module = importlib.import_module(f"dpcopt.{rc.algorithm}")
     step = getattr(module, f"{rc.algorithm}_step")
     states = []
@@ -50,6 +51,10 @@ def _stepped_run(rc, horizon: int, reuse: bool):
         before = _arrays(state)
         stepped = step(state, cfg, objectives, net, streams, workspace if reuse else None)
         assert _arrays(state) == before, "a step wrote its incoming state"
+        if rc.algorithm == "pgtc":
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = objectives.grad(stepped.z[0])
+            assert stepped.z[2].tobytes() == grad.tobytes(), "z[2] is not grad(z[0])"
         states.append(_arrays(stepped))
         return stepped
 
