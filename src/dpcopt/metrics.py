@@ -160,8 +160,9 @@ class RoundWorkspace:
 class EngineConfig:
     """Base of each engine's config, the record of its engine's facts: NAME
     (the config's algorithm), GAINS (gain keys in parse order), SECOND (key
-    of the second noised variable), MESSAGES_PER_AGENT and DIVERGED (detail
-    of a diverged round's error)."""
+    of the second noised variable), MESSAGES_PER_AGENT, DIVERGED (detail
+    of a diverged round's error), and BUDGET and budget_divisor, the (a, c)
+    and w of its privacy budget (see accountant)."""
 
     noise_second = property(lambda self: self.noise_rows[1][0])
 

@@ -369,6 +369,21 @@ class QuadraticObjective(AgentObjectives):
         return 0.5 * row_dots(diff), diff
 
 
+def _largest_norm(g: np.ndarray) -> float:
+    """The largest of row_norms(g), bit for bit where the squares stay
+    finite. A row whose square overflows from finite entries is taken again
+    as m ||g / m||, m its largest |g|, so it reads inf only where its norm
+    does (compressors.row_norms, which the engines share, stays plain)."""
+    norms = row_norms(g)
+    top = norms.max()
+    if top == np.inf:
+        over = np.isinf(norms) & np.isfinite(g).all(axis=-1)
+        scale = np.abs(g[over]).max(axis=-1, keepdims=True)
+        norms[over] = scale[:, 0] * row_norms(g[over] / scale)
+        top = norms.max()
+    return top
+
+
 def _exhaustive_maxima(objectives: AgentObjectives) -> Callable[[np.ndarray], list]:
     """points (q, d) -> the largest gradient norm over all agents of each
     block of points, every gradient through the kind's stacked formula.
@@ -386,7 +401,7 @@ def _exhaustive_maxima(objectives: AgentObjectives) -> Callable[[np.ndarray], li
         # Each point at every agent: a read-only view, no copy.
         blocks = (points[start:start + step] for start in range(0, len(points), step))
         return [
-            row_norms(grad(np.broadcast_to(block[:, None, :], (len(block), n, d)))).max()
+            _largest_norm(grad(np.broadcast_to(block[:, None, :], (len(block), n, d))))
             for block in blocks
         ]
 

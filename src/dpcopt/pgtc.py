@@ -63,6 +63,8 @@ class PgtcConfig(EngineConfig):
     SECOND = "y"
     MESSAGES_PER_AGENT = MESSAGES_PER_AGENT
     DIVERGED = "gradient-tracking update diverged"
+    BUDGET = (4.0, 1.0)
+    budget_divisor = 1.0
 
     def __post_init__(self) -> None:
         self.plan(Tag.NOISE_Y, alpha_x=self.alpha_x, alpha_y=self.alpha_y)

@@ -59,6 +59,8 @@ class PpdcConfig(EngineConfig):
     SECOND = "v"
     MESSAGES_PER_AGENT = MESSAGES_PER_AGENT
     DIVERGED = "primal-dual update diverged"
+    BUDGET = (2.0, 2.0)
+    budget_divisor = property(lambda self: self.omega)
 
     def __post_init__(self) -> None:
         self.plan(Tag.NOISE_V, alpha_x=self.alpha_x)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 import dpcopt
-from dpcopt.accountant import PrivacyParams, budget_for_run, scales_for_epsilon
+from dpcopt.accountant import budget_for_run, scales_for_epsilon
 from dpcopt.compressors import ContractionReport, validate_contraction
 from dpcopt.config import (
     RunConfig,
@@ -328,12 +328,8 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
     bound = estimate_grad_bound(
         objectives, rc.privacy.box_radius, rc.privacy.trials, rng
     )
-    engine = rc.engine
-    params = PrivacyParams(
-        rc.algorithm, rc.objective.d, bound, engine.iterations, engine.eta, engine.noise_x.q,
-        omega=getattr(engine, "omega", None),  # pgtc has no omega
-    )
-    epsilon = budget_for_run(params, engine.noise_x, engine.noise_second)
+    engine, d = rc.engine, rc.objective.d
+    epsilon = budget_for_run(engine, d, bound)
     report: dict = {
         "algorithm": rc.algorithm,
         "iterations": engine.iterations,
@@ -356,7 +352,7 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
         lines.append(f"epsilon: {epsilon:.6g}")
     if target_epsilon is not None:
         s_x, s_second = scales_for_epsilon(
-            params, target_epsilon, split=rc.privacy.split
+            engine, d, bound, target_epsilon, split=rc.privacy.split
         )
         report["target_epsilon"] = target_epsilon
         report["required_s_x"] = _json_number(s_x)

@@ -190,13 +190,22 @@ def exhaustive_quadratic_bound(
 ) -> float:
     """The gradient bound of quadratic agents with these (n, d) anchors by
     the exhaustive path: the same draws as estimate_grad_bound, every
-    gradient p - a_i by a broadcast subtraction, row_norms, their largest
-    (a NaN kept) and 1.1x. Not finite where estimate_grad_bound raises."""
+    gradient p - a_i by a broadcast subtraction, row_norms, where a square
+    overflows from finite entries m * row_norms(g / m) with m the row's
+    largest |g|, their largest (a NaN kept) and 1.1x. Not finite where
+    estimate_grad_bound raises."""
     points = rng.random((trials, anchors.shape[1]))
     points *= radius - -radius
     points += -radius
+    worst = []
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = [row_norms(point - anchors).max() for point in points]
+        for point in points:
+            g = point - anchors
+            norms = row_norms(g)
+            over = np.isinf(norms) & np.isfinite(g).all(axis=1)
+            m = np.abs(g[over]).max(axis=1)
+            norms[over] = m * row_norms(g[over] / m[:, None])
+            worst.append(norms.max())
     return 1.1 * float(np.max(worst))
 
 

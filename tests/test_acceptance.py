@@ -12,12 +12,11 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
 from common import BENCH_EDGES, build_problem
-from dpcopt.accountant import PrivacyParams, epsilon, scales_for_epsilon
+from dpcopt.accountant import epsilon, scales_for_epsilon
 from dpcopt.compressors import compress, make_spec, validate_contraction
 from dpcopt.metrics import final_accuracy, residual_series
 from dpcopt.noise import NoiseSchedule
@@ -304,46 +303,47 @@ def test_09_compression_reaches_the_target_on_fewer_bits(capfd):
         )
 
 
+def _budget_run(rng):
+    """d, M, K, eta and the noise schedule of a drawn run to price."""
+    d = int(rng.integers(1, 101))
+    M = float(rng.uniform(0.1, 10.0))
+    K = int(rng.integers(1, 401))
+    eta = float(rng.uniform(1e-4, 1.0))
+    return d, M, K, eta, NoiseSchedule(s=1.0, q=float(rng.uniform(0.3, 0.99)))
+
+
 def test_10_privacy_budgets_match_direct_summation(capfd):
     with _criterion(capfd, 10, "privacy budgets and scale inversion agree", limit=5.0) as info:
         rng = np.random.default_rng(99)
         worst = 0.0
         worst_rt = 0.0
         for _ in range(100):
-            pg = PrivacyParams(
-                "pgtc",
-                d=int(rng.integers(1, 101)),
-                M=float(rng.uniform(0.1, 10.0)),
-                K=int(rng.integers(0, 401)),
-                eta=float(rng.uniform(1e-4, 1.0)),
-                q=float(rng.uniform(0.3, 0.99)),
-            )
+            # No run has K = 0 rounds: K is drawn from [1, 400].
+            d, M, K, eta, noise = _budget_run(rng)
             s_x = float(rng.uniform(0.1, 100.0))
             s_second = float(rng.uniform(0.1, 100.0))
-            pd = replace(pg, algorithm="ppdc", omega=float(rng.uniform(0.2, 50.0)))
-            budget_sum = math.fsum(pg.q ** (-k) for k in range(pg.K + 1))
+            omega = float(rng.uniform(0.2, 50.0))
+            pg = _pgtc_cfg(K, noise=noise, eta=eta)
+            pd = _ppdc_cfg(K, noise=noise, eta=eta, omega=omega)
+            budget_sum = math.fsum(noise.q ** (-k) for k in range(K + 1))
             direct_pg = (
-                4.0
-                * math.sqrt(pg.d)
-                * pg.M
-                * (math.sqrt(pg.eta) / s_x + 1.0 / s_second)
-                * budget_sum
+                4.0 * math.sqrt(d) * M * (math.sqrt(eta) / s_x + 1.0 / s_second) * budget_sum
             )
             direct_pd = (
                 2.0
-                * math.sqrt(pd.d)
-                * pd.M
-                * (math.sqrt(pd.eta) / s_x + 2.0 / (pd.omega * s_second))
+                * math.sqrt(d)
+                * M
+                * (math.sqrt(eta) / s_x + 2.0 / (omega * s_second))
                 * budget_sum
             )
-            worst = max(worst, abs(epsilon(pg, s_x, s_second) - direct_pg) / direct_pg)
-            worst = max(worst, abs(epsilon(pd, s_x, s_second) - direct_pd) / direct_pd)
+            worst = max(worst, abs(epsilon(pg, d, M, s_x, s_second) - direct_pg) / direct_pg)
+            worst = max(worst, abs(epsilon(pd, d, M, s_x, s_second) - direct_pd) / direct_pd)
 
             target = float(rng.uniform(0.5, 50.0))
             split = float(rng.uniform(0.2, 0.8))
-            for p in (pg, pd):
-                s_x, s_second = scales_for_epsilon(p, target, split=split)
-                back = epsilon(p, s_x, s_second)
+            for engine in (pg, pd):
+                s_x, s_second = scales_for_epsilon(engine, d, M, target, split=split)
+                back = epsilon(engine, d, M, s_x, s_second)
                 worst_rt = max(worst_rt, abs(back - target) / target)
         assert worst <= 1e-12
         assert worst_rt <= 1e-12
@@ -351,17 +351,11 @@ def test_10_privacy_budgets_match_direct_summation(capfd):
         # With a shared scale and omega > 1 the primal-dual run spends
         # strictly less budget than gradient tracking.
         for _ in range(50):
-            pg = PrivacyParams(
-                "pgtc",
-                d=int(rng.integers(1, 101)),
-                M=float(rng.uniform(0.1, 10.0)),
-                K=int(rng.integers(0, 401)),
-                eta=float(rng.uniform(1e-4, 1.0)),
-                q=float(rng.uniform(0.3, 0.99)),
-            )
+            d, M, K, eta, noise = _budget_run(rng)
             shared = float(rng.uniform(0.1, 100.0))
-            pd = replace(pg, algorithm="ppdc", omega=float(rng.uniform(1.0 + 1e-9, 50.0)))
-            assert epsilon(pd, shared, shared) < epsilon(pg, shared, shared)
+            pg = _pgtc_cfg(K, noise=noise, eta=eta)
+            pd = _ppdc_cfg(K, noise=noise, eta=eta, omega=float(rng.uniform(1.0 + 1e-9, 50.0)))
+            assert epsilon(pd, d, M, shared, shared) < epsilon(pg, d, M, shared, shared)
         info["detail"] = f"max rel err {worst:.2e}, round-trip max {worst_rt:.2e}"
 
 

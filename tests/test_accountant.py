@@ -3,11 +3,11 @@
 The closed-form budgets are cross-checked against literal term-by-term
 summation and against the paper's two formulas written out per engine,
 the documented worked examples are frozen, and the inversion is verified
-by round-trip.
+by round-trip. Every budget is priced from an engine record.
 """
 
 import math
-from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,44 +15,49 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcopt.accountant import (
-    PrivacyParams,
     budget_for_run,
     epsilon,
     geometric_budget_sum,
     scales_for_epsilon,
 )
+from dpcopt.compressors import make_spec
 from dpcopt.errors import ConfigInvalid
 from dpcopt.noise import NoiseSchedule
+from dpcopt.pgtc import PgtcConfig
+from dpcopt.ppdc import PpdcConfig
+
+IDENTITY = make_spec("identity", d=1)
 
 
-def _params(**overrides):
-    base = dict(algorithm="pgtc", d=1, M=1.0, K=1, eta=1.0, q=0.5)
-    base.update(overrides)
-    return PrivacyParams(**base)
-
-
-def _pgtc(p, s_x, s_second):
-    return epsilon(replace(p, algorithm="pgtc"), s_x, s_second)
-
-
-def _ppdc(p, s_x, s_second):
-    return epsilon(replace(p, algorithm="ppdc"), s_x, s_second)
-
-
-def _direct_pgtc(p, s_x, s_second):
-    terms = sum(
-        math.sqrt(p.eta) / (s_x * p.q**k) + 1.0 / (s_second * p.q**k)
-        for k in range(p.K + 1)
+def _engine(algorithm="pgtc", K=1, eta=1.0, q=0.5, omega=1.0, noise_x=None, noise_second=None):
+    """A K-round engine record; both noise families default to s = 1 at q."""
+    noise_x = noise_x or NoiseSchedule(s=1.0, q=q)
+    noise_second = noise_second or NoiseSchedule(s=1.0, q=q)
+    if algorithm == "pgtc":
+        return PgtcConfig(
+            eta=eta, gamma=0.5, alpha_x=0.5, alpha_y=0.5, compressor=IDENTITY,
+            noise_x=noise_x, noise_y=noise_second, iterations=K,
+        )
+    return PpdcConfig(
+        eta=eta, gamma=1.0, omega=omega, alpha_x=0.5, compressor=IDENTITY,
+        noise_x=noise_x, noise_v=noise_second, iterations=K,
     )
-    return 4.0 * math.sqrt(p.d) * p.M * terms
 
 
-def _direct_ppdc(p, s_x, s_second):
+def _run(algorithm="pgtc", d=1, M=1.0, **engine):
+    """(engine, d, M), the leading arguments of every accountant entry point."""
+    return _engine(algorithm, **engine), d, M
+
+
+def _direct(algorithm, d, M, K, eta, q, omega, s_x, s_second):
+    if algorithm == "pgtc":
+        a, c, w = 4.0, 1.0, 1.0
+    else:
+        a, c, w = 2.0, 2.0, omega
     terms = sum(
-        math.sqrt(p.eta) / (s_x * p.q**k) + 2.0 / (p.omega * s_second * p.q**k)
-        for k in range(p.K + 1)
+        math.sqrt(eta) / (s_x * q**k) + c / (w * s_second * q**k) for k in range(K + 1)
     )
-    return 2.0 * math.sqrt(p.d) * p.M * terms
+    return a * math.sqrt(d) * M * terms
 
 
 # --- parameter validation ---
@@ -69,14 +74,25 @@ def _direct_ppdc(p, s_x, s_second):
         {"q": 0.0},
         {"q": 1.0},
         {"q": 1.5},
-        {"algorithm": "dual-avg"},
-        {"algorithm": "ppdc"},  # omega missing
-        {"omega": 0.0},
+        {"M": math.nan},
+        {"K": 0},  # no run has zero rounds
+        {"algorithm": "ppdc", "omega": 0.0},
     ],
 )
 def test_params_validation(overrides):
+    # The engine record rejects K, eta, q and omega; every accountant entry
+    # point rejects d and M.
+    if overrides.keys() & {"K", "eta", "q", "omega"}:
+        with pytest.raises(ConfigInvalid):
+            _run(**overrides)
+        return
+    run = _run(**overrides)
     with pytest.raises(ConfigInvalid):
-        _params(**overrides)
+        epsilon(*run, 1.0, 1.0)
+    with pytest.raises(ConfigInvalid):
+        scales_for_epsilon(*run, 1.0)
+    with pytest.raises(ConfigInvalid):
+        budget_for_run(*run)
 
 
 def test_geometric_sum_values():
@@ -100,11 +116,10 @@ def test_geometric_sum_saturates_past_float_range():
 
 
 def test_unbounded_budget_propagates_to_epsilon_and_scales():
-    p = _params(q=0.1, K=1000, omega=2.0)
-    assert _pgtc(p, 1.0, 1.0) == math.inf
-    assert _ppdc(p, 1.0, 1.0) == math.inf
     for algorithm in ("pgtc", "ppdc"):
-        s_x, s_second = scales_for_epsilon(replace(p, algorithm=algorithm), 10.0)
+        run = _run(algorithm, q=0.1, K=1000, omega=2.0)
+        assert epsilon(*run, 1.0, 1.0) == math.inf
+        s_x, s_second = scales_for_epsilon(*run, 10.0)
         assert s_x == math.inf
         assert s_second == math.inf
 
@@ -113,25 +128,44 @@ def test_unbounded_budget_is_inf_where_the_products_would_be_nan():
     # The scale terms underflow to 0 (0 * inf), or the second scale's
     # denominator overflows (inf / inf): positive terms over an unbounded
     # horizon sum still spend an unbounded budget.
-    p = _params(algorithm="ppdc", d=10, q=0.1, K=1000, eta=1e-300, omega=10.0)
-    assert epsilon(p, 1e308, 1e308) == math.inf
-    wide = replace(p, eta=0.1, omega=1e308)
-    assert scales_for_epsilon(wide, 24.0) == (math.inf, math.inf)
+    run = _run("ppdc", d=10, q=0.1, K=1000, eta=1e-300, omega=10.0)
+    assert epsilon(*run, 1e308, 1e308) == math.inf
+    wide = _run("ppdc", d=10, q=0.1, K=1000, eta=0.1, omega=1e308)
+    assert scales_for_epsilon(*wide, 24.0) == (math.inf, math.inf)
+
+
+def _close(value, exact):
+    return abs(Fraction(value) - exact) <= Fraction(1, 10**12) * exact
+
+
+def test_overflowing_intermediates_give_the_exact_finite_value():
+    # S = 2^601 - 1 is finite, yet (a c) sqrt(d) M S and omega (1 - split)
+    # target both overflow: the plain quotient reads inf / inf = nan.
+    M = 1.0992e150
+    run = _run("ppdc", M=M, K=600, q=0.5, omega=1e308)
+    s_x, s_v = scales_for_epsilon(*run, 24.0)
+    assert s_x == math.inf  # its exact value is past the float range
+    assert _close(s_v, 4 * Fraction(M) * (2**601 - 1) / (Fraction(1e308) * Fraction(1, 2) * 24))
+    # a sqrt(d) M overflows, though the budget is about 2.4e306.
+    eps = epsilon(*_run("pgtc", M=1e308), 1e3, 1e3)
+    assert _close(eps, 4 * Fraction(1e308) * Fraction(2, 1000) * 3)
+    # Both scale terms underflow to 0 over a large finite S: 0 is no budget.
+    eps = epsilon(*_run("ppdc", K=600, eta=1e-300, omega=1e308), 1e308, 1e308)
+    root_eta = Fraction(math.sqrt(1e-300))
+    exact = 2 * (root_eta / Fraction(1e308) + 2 / Fraction(1e308) ** 2) * (2**601 - 1)
+    assert eps > 0 and _close(eps, exact)
+    # The divisor omega s_v underflows to 0: the budget is past the float
+    # range, not a ZeroDivisionError.
+    assert epsilon(*_run("ppdc", omega=1e-300), 1.0, 1e-300) == math.inf
+    assert scales_for_epsilon(*_run(), 5e-324, split=0.25)[0] == math.inf
 
 
 def test_epsilon_requires_scales():
     for algorithm in ("pgtc", "ppdc"):
-        p = _params(algorithm=algorithm, omega=2.0)
+        run = _run(algorithm, omega=2.0)
         for s_x, s_second in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)):
             with pytest.raises(ConfigInvalid):
-                epsilon(p, s_x, s_second)
-
-
-def test_ppdc_requires_omega():
-    with pytest.raises(ConfigInvalid):
-        _params(algorithm="ppdc")
-    # Gradient tracking has no dual gain: a given omega changes nothing.
-    assert epsilon(_params(omega=7.0), 1.0, 1.0) == epsilon(_params(), 1.0, 1.0)
+                epsilon(*run, s_x, s_second)
 
 
 # --- the paper's formulas, one engine at a time ---
@@ -164,7 +198,7 @@ def _positive(lo, hi):
     algorithm=st.sampled_from(["pgtc", "ppdc"]),
     d=st.integers(1, 10_000),
     M=_positive(1e-3, 1e3),
-    K=st.integers(0, 5_000),
+    K=st.integers(1, 5_000),
     eta=_positive(1e-5, 10.0),
     q=_positive(0.01, 0.999),
     omega=_positive(1e-2, 1e3),
@@ -178,20 +212,63 @@ def _positive(lo, hi):
          s_x=1.0, s_second=2.0, target=5.0, split=0.4)
 @example(algorithm="ppdc", d=3, M=2.0, K=1000, eta=0.5, q=0.1, omega=3.0,
          s_x=1.0, s_second=2.0, target=5.0, split=0.4)
+# S = (3^646 - 1) / 2 is about 8e307: 4 S overflows, yet s_x = 4 S / 2 fits.
+@example(algorithm="pgtc", d=1, M=1.0, K=645, eta=1.0, q=1 / 3, omega=1.0,
+         s_x=1.0, s_second=1.0, target=4.0, split=0.5)
 def test_epsilon_and_scales_equal_the_papers_formulas(
     algorithm, d, M, K, eta, q, omega, s_x, s_second, target, split
 ):
-    p = PrivacyParams(algorithm, d, M, K, eta, q, omega=omega)
+    run = _run(algorithm, d, M, K=K, eta=eta, q=q, omega=omega)
     S = geometric_budget_sum(q, K)
-    assert epsilon(p, s_x, s_second) == _paper_budget(
-        algorithm, d, M, eta, omega, S, s_x, s_second
+    scales = scales_for_epsilon(*run, target, split)
+    want = (
+        _paper_budget(algorithm, d, M, eta, omega, S, s_x, s_second),
+        *_paper_scales(algorithm, d, M, eta, omega, S, target, split),
     )
-    scales = scales_for_epsilon(p, target, split)
-    assert scales == _paper_scales(algorithm, d, M, eta, omega, S, target, split)
+    for got, plain in zip((epsilon(*run, s_x, s_second), *scales), want):
+        # Where an intermediate overflows the formula reads inf (or nan), and
+        # the exact value, at least the overflowed numerator over a divisor
+        # below 1e4 here, replaces it.
+        assert got == plain if 0.0 < plain < math.inf else got > 1e300
     # Past S = 1e200 the scales' reciprocals can leave the normal float
     # range, so the round trip is checked below it.
     if S <= 1e200:
-        assert abs(epsilon(p, *scales) - target) <= 1e-12 * target
+        assert abs(epsilon(*run, *scales) - target) <= 1e-12 * target
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    algorithm=st.sampled_from(["pgtc", "ppdc"]),
+    d=st.integers(1, 400),
+    M=_positive(1e-3, 1e3),
+    K=st.integers(1, 400),
+    eta=_positive(1e-6, 10.0),
+    q=_positive(0.2, 0.999),
+    omega=_positive(1e-2, 1e3),
+    s_x=_positive(1e-3, 1e3),
+    s_second=_positive(1e-3, 1e3),
+    target=_positive(1e-3, 1e3),
+    split=_positive(0.01, 0.99),
+)
+def test_record_budgets_keep_the_bits_of_the_plain_expressions(
+    algorithm, d, M, K, eta, q, omega, s_x, s_second, target, split
+):
+    # In these ranges S <= 5^401 and every value below stays positive and
+    # finite, so each must be the plain expression's own bits.
+    engine, d, M = _run(algorithm, d, M, K=K, eta=eta, q=q, omega=omega)
+    a, c = engine.BUDGET
+    w = engine.budget_divisor
+    assert (a, c, w) == ((4.0, 1.0, 1.0) if algorithm == "pgtc" else (2.0, 2.0, omega))
+    S = geometric_budget_sum(q, K)
+    root_d = math.sqrt(d)
+    eps = a * math.sqrt(d) * M * (math.sqrt(eta) / s_x + c / (w * s_second)) * S
+    s_x_needed = a * root_d * M * math.sqrt(eta) * S / (split * target)
+    s_second_needed = (a * c) * root_d * M * S / (w * (1.0 - split) * target)
+    for value in (eps, s_x_needed, s_second_needed):
+        assert 0.0 < value < math.inf
+    assert epsilon(engine, d, M, s_x, s_second).hex() == eps.hex()
+    got = scales_for_epsilon(engine, d, M, target, split)
+    assert [v.hex() for v in got] == [s_x_needed.hex(), s_second_needed.hex()]
 
 
 # --- worked examples ---
@@ -200,31 +277,32 @@ def test_epsilon_and_scales_equal_the_papers_formulas(
 def test_pgtc_worked_example():
     # d=1, M=1, eta=1, unit scales, q=0.5, K=1:
     # per-round terms are (1+1) at k=0 and (2+2) at k=1, times 4.
-    assert _pgtc(_params(), 1.0, 1.0) == pytest.approx(24.0, rel=1e-15)
+    assert epsilon(*_run(), 1.0, 1.0) == pytest.approx(24.0, rel=1e-15)
 
 
 def test_pgtc_single_round():
-    p = _params(d=4, M=3.0, K=0, eta=0.25)
-    expected = 4.0 * 2.0 * 3.0 * (0.5 / 2.0 + 1.0 / 5.0)
-    assert _pgtc(p, 2.0, 5.0) == pytest.approx(expected, rel=1e-15)
+    # One round spends the terms at k = 0 and k = 1: S = 1 + 2.
+    run = _run(d=4, M=3.0, K=1, eta=0.25)
+    expected = 4.0 * 2.0 * 3.0 * (0.5 / 2.0 + 1.0 / 5.0) * 3.0
+    assert epsilon(*run, 2.0, 5.0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_pgtc_doubling_scales_halves_budget():
-    base = _pgtc(_params(), 1.5, 0.7)
-    doubled = _pgtc(_params(), 3.0, 1.4)
+    base = epsilon(*_run(), 1.5, 0.7)
+    doubled = epsilon(*_run(), 3.0, 1.4)
     assert doubled == pytest.approx(base / 2.0, rel=1e-15)
 
 
 def test_ppdc_worked_example():
-    # Same params with omega=2: ((1+1) + (2+2)) times 2.
-    assert _ppdc(_params(omega=2.0), 1.0, 1.0) == pytest.approx(12.0, rel=1e-15)
+    # Same run with omega=2: ((1+1) + (2+2)) times 2.
+    assert epsilon(*_run("ppdc", omega=2.0), 1.0, 1.0) == pytest.approx(12.0, rel=1e-15)
 
 
 def test_ppdc_large_omega_limit():
     # The dual term vanishes as omega grows; only the x-term remains.
-    p = _params(d=9, M=2.0, K=3, eta=4.0, q=0.25, omega=1e12)
+    run = _run("ppdc", d=9, M=2.0, K=3, eta=4.0, q=0.25, omega=1e12)
     x_only = 2.0 * 3.0 * 2.0 * (2.0 / 1.0) * geometric_budget_sum(0.25, 3)
-    assert _ppdc(p, 1.0, 1.0) == pytest.approx(x_only, rel=1e-10)
+    assert epsilon(*run, 1.0, 1.0) == pytest.approx(x_only, rel=1e-10)
 
 
 def test_remark_ordering_omega_above_one():
@@ -232,17 +310,18 @@ def test_remark_ordering_omega_above_one():
     # smaller: 2(sqrt(eta)/s_x + 2/(omega s)) < 4(sqrt(eta)/s_x + 1/s).
     rng = np.random.default_rng(7)
     for _ in range(50):
-        p = _params(
+        shared = dict(
             d=int(rng.integers(1, 20)),
             M=float(rng.uniform(0.1, 10.0)),
-            K=int(rng.integers(0, 50)),
+            K=int(rng.integers(1, 50)),
             eta=float(rng.uniform(0.01, 2.0)),
             q=float(rng.uniform(0.2, 0.95)),
         )
         s_x = float(rng.uniform(0.1, 10.0))
         s_second = float(rng.uniform(0.1, 10.0))
-        p = replace(p, omega=float(rng.uniform(1.0 + 1e-6, 50.0)))
-        assert _ppdc(p, s_x, s_second) < _pgtc(p, s_x, s_second)
+        omega = float(rng.uniform(1.0 + 1e-6, 50.0))
+        pd = epsilon(*_run("ppdc", omega=omega, **shared), s_x, s_second)
+        assert pd < epsilon(*_run("pgtc", **shared), s_x, s_second)
 
 
 # --- closed form vs direct summation ---
@@ -257,39 +336,31 @@ def test_closed_form_matches_direct_summation():
             K = 10_000
             q = float(rng.uniform(0.95, 0.99))
         else:
-            K = int(rng.integers(0, 200))
+            K = int(rng.integers(1, 200))
             q = float(rng.uniform(0.1, 0.99))
-        p = _params(
-            d=int(rng.integers(1, 50)),
-            M=float(rng.uniform(0.01, 20.0)),
-            K=K,
-            eta=float(rng.uniform(1e-3, 5.0)),
-            q=q,
-        )
+        d = int(rng.integers(1, 50))
+        M = float(rng.uniform(0.01, 20.0))
+        eta = float(rng.uniform(1e-3, 5.0))
         s_x = float(rng.uniform(0.05, 50.0))
         s_second = float(rng.uniform(0.05, 50.0))
-        p = replace(p, omega=float(rng.uniform(0.1, 20.0)))
-        got = _pgtc(p, s_x, s_second)
-        want = _direct_pgtc(p, s_x, s_second)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        got = _ppdc(p, s_x, s_second)
-        want = _direct_ppdc(p, s_x, s_second)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        omega = float(rng.uniform(0.1, 20.0))
+        for algorithm in ("pgtc", "ppdc"):
+            got = epsilon(*_run(algorithm, d, M, K=K, eta=eta, q=q, omega=omega), s_x, s_second)
+            want = _direct(algorithm, d, M, K, eta, q, omega, s_x, s_second)
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_monotonicity():
-    base = _params(d=4, M=2.0, K=10, eta=0.5, q=0.6, omega=3.0)
+    base = dict(d=4, M=2.0, K=10, eta=0.5, q=0.6, omega=3.0)
     scales = (1.0, 2.0)
-    for p in (
-        replace(base, K=11), replace(base, M=2.5), replace(base, d=5), replace(base, eta=0.6)
-    ):
-        assert _pgtc(p, *scales) > _pgtc(base, *scales)
-        assert _ppdc(p, *scales) > _ppdc(base, *scales)
-    for larger in ((1.5, 2.0), (1.0, 2.5)):  # s_x, then s_second
-        assert _pgtc(base, *larger) < _pgtc(base, *scales)
-        assert _ppdc(base, *larger) < _ppdc(base, *scales)
-    wider = replace(base, omega=4.0)
-    assert _ppdc(wider, *scales) < _ppdc(base, *scales)
+    for algorithm in ("pgtc", "ppdc"):
+        at_base = epsilon(*_run(algorithm, **base), *scales)
+        for change in ({"K": 11}, {"M": 2.5}, {"d": 5}, {"eta": 0.6}):
+            assert epsilon(*_run(algorithm, **{**base, **change}), *scales) > at_base
+        for larger in ((1.5, 2.0), (1.0, 2.5)):  # s_x, then s_second
+            assert epsilon(*_run(algorithm, **base), *larger) < at_base
+    wider = epsilon(*_run("ppdc", **{**base, "omega": 4.0}), *scales)
+    assert wider < epsilon(*_run("ppdc", **base), *scales)
 
 
 # --- inversion ---
@@ -299,62 +370,54 @@ def test_monotonicity():
 def test_scales_round_trip(algorithm):
     rng = np.random.default_rng(23)
     for _ in range(100):
-        p = PrivacyParams(
+        run = _run(
             algorithm,
             d=int(rng.integers(1, 30)),
             M=float(rng.uniform(0.1, 10.0)),
-            K=int(rng.integers(0, 100)),
+            K=int(rng.integers(1, 100)),
             eta=float(rng.uniform(1e-3, 4.0)),
             q=float(rng.uniform(0.2, 0.95)),
             omega=float(rng.uniform(0.5, 10.0)),
         )
         target = float(rng.uniform(1e-3, 1e3))
         split = float(rng.uniform(0.05, 0.95))
-        s_x, s_second = scales_for_epsilon(p, target, split=split)
+        s_x, s_second = scales_for_epsilon(*run, target, split=split)
         assert s_x > 0 and s_second > 0
-        eps = epsilon(p, s_x, s_second)
+        eps = epsilon(*run, s_x, s_second)
         assert abs(eps - target) <= 1e-12 * target
 
 
 def test_even_split_scale_ratio():
     # Equal halves mean the two per-round terms are equal:
     # sqrt(eta)/s_x = 1/s_second, so s_x = sqrt(eta) * s_second.
-    p = _params(d=3, M=2.0, K=5, eta=0.49, q=0.5)
-    s_x, s_second = scales_for_epsilon(p, 10.0, split=0.5)
+    run = _run(d=3, M=2.0, K=5, eta=0.49, q=0.5)
+    s_x, s_second = scales_for_epsilon(*run, 10.0, split=0.5)
     assert s_x / s_second == pytest.approx(math.sqrt(0.49), rel=1e-12)
 
 
 def test_tiny_target_gives_large_finite_scales():
-    p = _params(d=2, M=1.0, K=10, eta=1.0, q=0.5)
-    s_x, s_second = scales_for_epsilon(p, 1e-9)
+    run = _run(d=2, M=1.0, K=10, eta=1.0, q=0.5)
+    s_x, s_second = scales_for_epsilon(*run, 1e-9)
     assert math.isfinite(s_x) and math.isfinite(s_second)
     assert s_x > 1e9 and s_second > 1e9
 
 
 def test_scales_for_epsilon_rejects_bad_inputs():
-    p = _params()
+    run = _run()
     with pytest.raises(ConfigInvalid):
-        scales_for_epsilon(p, 0.0)
+        scales_for_epsilon(*run, 0.0)
     with pytest.raises(ConfigInvalid):
-        scales_for_epsilon(p, math.inf)
+        scales_for_epsilon(*run, math.inf)
     with pytest.raises(ConfigInvalid):
-        scales_for_epsilon(p, 1.0, split=1.0)
-    with pytest.raises(ConfigInvalid):
-        scales_for_epsilon(_params(algorithm="ppdc"), 1.0)  # omega missing
-    with pytest.raises(ConfigInvalid):
-        scales_for_epsilon(_params(algorithm="nope"), 1.0)
+        scales_for_epsilon(*run, 1.0, split=1.0)
 
 
 # --- run-level wrapper ---
 
 
 def test_budget_for_run_matches_formula():
-    nx = NoiseSchedule(s=1.0, q=0.5)
-    ny = NoiseSchedule(s=1.0, q=0.5)
-    eps = budget_for_run(_params(), nx, ny)
-    assert eps == pytest.approx(24.0, rel=1e-15)
-    eps = budget_for_run(_params(algorithm="ppdc", omega=2.0), nx, ny)
-    assert eps == pytest.approx(12.0, rel=1e-15)
+    assert budget_for_run(*_run()) == pytest.approx(24.0, rel=1e-15)
+    assert budget_for_run(*_run("ppdc", omega=2.0)) == pytest.approx(12.0, rel=1e-15)
 
 
 def test_budget_for_run_no_guarantee_outcomes():
@@ -362,21 +425,12 @@ def test_budget_for_run_no_guarantee_outcomes():
     off = NoiseSchedule(s=1.0, q=0.5, enabled=False)
     zero = NoiseSchedule(s=0.0, q=0.5)
     for second in (off, zero):
-        assert budget_for_run(_params(), on, second) is None
-        assert budget_for_run(_params(), second, on) is None
+        assert budget_for_run(*_run(noise_x=on, noise_second=second)) is None
+        assert budget_for_run(*_run(noise_x=second, noise_second=on)) is None
 
 
 def test_budget_for_run_rejects_mismatched_decay():
     nx = NoiseSchedule(s=1.0, q=0.5)
     ny = NoiseSchedule(s=1.0, q=0.6)
     with pytest.raises(ConfigInvalid):
-        budget_for_run(_params(), nx, ny)
-    # Both families decay at 0.6, the record's horizon sum at 0.5.
-    with pytest.raises(ConfigInvalid):
-        budget_for_run(_params(q=0.5), ny, ny)
-
-
-def test_budget_for_run_rejects_unknown_algorithm():
-    nx = NoiseSchedule(s=1.0, q=0.5)
-    with pytest.raises(ConfigInvalid):
-        budget_for_run(_params(algorithm="dual-avg"), nx, nx)
+        budget_for_run(*_run(noise_x=nx, noise_second=ny))

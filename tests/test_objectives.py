@@ -708,6 +708,19 @@ def test_estimate_grad_bound_rejects_a_radius_it_cannot_draw():
         estimate_grad_bound(objs, radius=too_wide, trials=10, rng=np.random.default_rng(13))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_grad_bound_is_finite_where_the_squared_norms_overflow(d):
+    # Every square of a coordinate near 8e307 overflows, yet each gradient
+    # norm, and 1.1x the largest, stays below the float range.
+    radius = 8e307
+    anchors = np.random.default_rng(16).standard_normal((6, d))
+    bound = estimate_grad_bound(QuadraticObjective(anchors), radius, 200, np.random.default_rng(17))
+    points = np.random.default_rng(17).uniform(-radius, radius, (200, d))
+    largest = max(math.hypot(*(point - anchor)) for point in points for anchor in anchors)
+    assert largest > 7e307
+    assert bound == pytest.approx(1.1 * largest, rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "objective",
     [

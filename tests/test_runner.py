@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,26 @@ def test_unbounded_budget_products_report_inf_in_strict_json(tmp_path, capsys, c
     report = json.loads(text, parse_constant=_reject_constant)
     assert report["epsilon"] == "inf"
     assert report["required_s_x"] == "inf" and report["required_s_v"] == "inf"
+
+
+def test_overflowing_scale_intermediates_report_the_finite_scale(tmp_path, capsys):
+    # S = 2^601 - 1 is finite, yet M S overflows and so does omega (1 -
+    # split) target: the plain quotient for s_v reads inf / inf = nan, while
+    # its exact value is about 3.04e22.
+    doc = make_doc(
+        tmp_path / "out", algorithm="ppdc", iterations=600,
+        graph={"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]},
+        objective={"kind": "quadratic", "d": 1}, compressor={"kind": "identity"},
+        privacy={"box_radius": 1e150},
+    )
+    doc["gains"]["omega"] = 1e308  # make_doc's schedules decay at q = 0.5
+    assert main(["privacy", str(write_doc(tmp_path, doc)), "--target-epsilon", "24"]) == EXIT_OK
+    assert "nan" not in capsys.readouterr().out
+    text = (tmp_path / "out" / "privacy_report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=_reject_constant)
+    M = Fraction(report["grad_bound"])
+    exact = 4 * M * (2**601 - 1) / (Fraction(1e308) * Fraction(1, 2) * 24)
+    assert abs(Fraction(report["required_s_v"]) - exact) <= exact / 10**12
 
 
 @pytest.mark.parametrize(
