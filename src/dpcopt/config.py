@@ -5,7 +5,9 @@ document.
 The config is a single UTF-8 JSON object. Unknown keys anywhere are
 errors (catches typos before they silently change an experiment), and
 every validation failure names the offending field with a dotted path.
-Each record checks its own fields; the record a sweep value lands in checks it.
+The objective (objectives.ObjectiveConfig), compressor, noise and engine
+records check their own fields, as does the record a sweep value lands
+in; the graph, privacy, reference and sweep sections rely on the parser.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from dpcopt.compressors import make_spec
 from dpcopt.errors import ConfigInvalid, DisconnectedGraph, InvalidEdge
 from dpcopt.noise import NoiseSchedule
-from dpcopt.objectives import MAX_BOX_RADIUS
+from dpcopt.objectives import MAX_BOX_RADIUS, ObjectiveConfig
 from dpcopt.pgtc import PgtcConfig
 from dpcopt.ppdc import PpdcConfig
 from dpcopt.topology import Graph, build_graph
@@ -114,15 +116,6 @@ def _object(value, where: str):
 
 
 @dataclass(frozen=True)
-class ObjectiveConfig:
-    kind: str
-    d: int
-    m: int | None = None
-    lam: float | None = None
-    alpha: float | None = None
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     parameter: str
     values: tuple[float, ...]
@@ -183,23 +176,6 @@ def _parse_objective(doc, path: str) -> ObjectiveConfig:
         "kind": (_str, REQUIRED), "d": (_int, REQUIRED),
         "m": (_int, None), "lambda": (_float, None), "alpha": (_float, None),
     })
-    kind = fields["kind"]
-    if kind == "logistic":
-        for key in ("m", "lambda", "alpha"):
-            if fields[key] is None:
-                raise ConfigInvalid(f"objective.{key}: required for logistic")
-        if fields["m"] < 1:
-            raise ConfigInvalid("objective.m: must be >= 1")
-        if fields["alpha"] < 0:
-            # The regulariser lambda alpha x^2 / (1 + alpha x^2) has a pole
-            # at |x_s| = 1/sqrt(-alpha).
-            raise ConfigInvalid("objective.alpha: must be >= 0")
-    elif kind in ("sincos", "quadratic"):
-        for key in ("m", "lambda", "alpha"):
-            if fields[key] is not None:
-                raise ConfigInvalid(f"objective.{key}: not a parameter of {kind}")
-    else:
-        raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
     fields["lam"] = fields.pop("lambda")
     return ObjectiveConfig(**fields)
 

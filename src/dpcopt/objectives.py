@@ -1,4 +1,4 @@
-"""Local cost functions with analytic gradients, dataset generation and
+"""Local cost functions with analytic gradients, their config record and
 empirical gradient-bound estimation.
 
 Three benchmark families:
@@ -12,6 +12,7 @@ Three benchmark families:
   Polyak-Lojasiewicz inequality with constant 1 and has the closed-form
   optimum mean(a_i)
 
+ObjectiveConfig, a family's record, checks its own kind and parameters.
 A run's n agents are one objective of their family, which
 make_objectives builds: a LogisticObjective, SinCosObjective or
 QuadraticObjective, each an AgentObjectives that holds every agent's data
@@ -65,53 +66,46 @@ BOUND_CHUNK_ELEMENTS = 1 << 16
 SCREEN_GEMM_MACS = 1 << 18
 
 __all__ = [
-    "Dataset",
+    "ObjectiveConfig",
     "LogisticObjective",
     "SinCosObjective",
     "QuadraticObjective",
     "AgentObjectives",
-    "generate_dataset",
     "estimate_grad_bound",
     "make_objectives",
     "draw_zero_sum_coefficients",
     "mean_value_grad",
 ]
 
-@dataclass(frozen=True)
-class Dataset:
-    """Feature matrix (m, d) with labels in {-1, +1}."""
 
-    features: np.ndarray
-    labels: np.ndarray
+@dataclass(frozen=True)
+class ObjectiveConfig:
+    """One run's objective family: its kind, dimension d and, for
+    logistic only, the dataset size m, lambda (lam) and alpha."""
+
+    kind: str
+    d: int
+    m: int | None = None
+    lam: float | None = None
+    alpha: float | None = None
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.float64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        if features.ndim != 2 or features.shape[0] < 1:
-            raise DimensionMismatch("dataset features must be a nonempty (m, d) matrix")
-        if labels.shape != (features.shape[0],):
-            raise DimensionMismatch("dataset labels must align with feature rows")
-        if not np.all(np.abs(labels) == 1.0):
-            raise ConfigInvalid("dataset labels must be exactly +1 or -1")
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-
-def generate_dataset(m: int, d: int, rng: np.random.Generator) -> Dataset:
-    """Features i.i.d. standard Gaussian; labels uniform on {-1, +1}."""
-    if m < 1 or d < 1:
-        raise ConfigInvalid("objective: dataset needs m >= 1 and d >= 1")
-    features = rng.standard_normal((m, d))
-    labels = 2.0 * rng.integers(0, 2, size=m).astype(np.float64) - 1.0
-    return Dataset(features=features, labels=labels)
+        if self.kind not in ("logistic", "sincos", "quadratic"):
+            raise ConfigInvalid(f"objective.kind: unknown kind {self.kind!r}")
+        logistic = self.kind == "logistic"
+        for key, value in (("m", self.m), ("lambda", self.lam), ("alpha", self.alpha)):
+            if logistic and value is None:
+                raise ConfigInvalid(f"objective.{key}: required for logistic")
+            if not logistic and value is not None:
+                raise ConfigInvalid(f"objective.{key}: not a parameter of {self.kind}")
+        if logistic and self.m < 1:
+            raise ConfigInvalid("objective.m: must be >= 1")
+        if logistic and not self.alpha >= 0:
+            # The regulariser lambda alpha x^2 / (1 + alpha x^2) has a pole at
+            # |x_s| = 1/sqrt(-alpha): no gradient bound exists.
+            raise ConfigInvalid("objective.alpha: must be >= 0")
+        if self.d < 1:
+            raise ConfigInvalid("objective.d: must be >= 1")
 
 
 def _unit_axis(out: np.ndarray | None, axis: int) -> np.ndarray | None:
@@ -286,23 +280,26 @@ class AgentObjectives:
 
 
 class LogisticObjective(AgentObjectives):
-    """n agents' logistic losses with one lambda and one alpha, each on its
-    own dataset; the datasets must share one size m and dimension d."""
+    """n agents' logistic losses with one lambda and one alpha, checked by
+    ObjectiveConfig: agent i's data is features[i] (m, d) with labels[i]
+    (m,), each +1 or -1."""
 
-    def __init__(self, datasets: Sequence[Dataset], lam: float, alpha: float) -> None:
-        m, d = datasets[0].features.shape if datasets else (0, 0)
-        super().__init__(len(datasets), d, max(m, d))
-        if not alpha >= 0:
-            # A pole at |x_s| = 1/sqrt(-alpha): no gradient bound exists.
-            raise ConfigInvalid("objective.alpha: must be >= 0")
-        if any(ds.m != m for ds in datasets):
-            raise ConfigInvalid("objectives: logistic agents must share one dataset size m")
-        if any(ds.d != d for ds in datasets):
-            raise ConfigInvalid("objectives: logistic agents must share one dimension d")
+    def __init__(self, features, labels, lam: float, alpha: float) -> None:
+        features = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.float64)
+        if features.ndim != 3 or features.shape[1] < 1:
+            raise DimensionMismatch("logistic features must be a nonempty (n, m, d) block")
+        n, m, d = features.shape
+        super().__init__(n, d, max(m, d))
+        if labels.shape != (n, m):
+            raise DimensionMismatch("logistic labels must align with the feature rows")
+        if not np.all(np.abs(labels) == 1.0):
+            raise ConfigInvalid("logistic labels must be exactly +1 or -1")
+        ObjectiveConfig("logistic", d, m, lam, alpha)
         # Rows s_j = -u_j v_j, (n, m, d): the margins are z = S x, with no
         # product by the labels in each call. See _logistic_grad for why
         # the bits are those of the formula on the unsigned features.
-        self.signed = np.stack([-ds.labels[:, None] * ds.features for ds in datasets])
+        self.signed = -labels[..., None] * features
         self.lam, self.alpha = lam, alpha
         self.reg = 2.0 * lam * alpha
 
@@ -556,23 +553,30 @@ def make_objectives(
     lam: float | None = None,
     alpha: float | None = None,
 ) -> AgentObjectives:
-    """Construct the objectives of one run's n agents.
+    """Construct the objectives of one run's n agents, whose parameters
+    ObjectiveConfig checks first.
 
-    Per-agent data comes from the agent's own data stream, drawn through
-    the pooled StreamFactory.rows generators; the shared zero-sum
-    coefficients come from a single stream at round index 1 so they are
-    drawn jointly.
+    Agent i's data is row i of its family's block, drawn from agent i's
+    own data stream through the pooled StreamFactory.rows generators:
+    logistic features (m, d) i.i.d. standard Gaussian, then labels uniform
+    on {-1, +1}; quadratic anchors (d,) standard Gaussian. The shared
+    zero-sum sincos coefficients come from a single stream at round index
+    1, so they are drawn jointly.
     """
-    if kind == "logistic":
-        if m is None or lam is None or alpha is None:
-            raise ConfigInvalid("objective: logistic needs m, lambda, alpha")
-        datasets = [generate_dataset(m, d, g) for g in streams.rows(Tag.DATA, 0, n)]
-        return LogisticObjective(datasets, lam, alpha)
+    ObjectiveConfig(kind, d, m, lam, alpha)
     if kind == "sincos":
         return SinCosObjective(draw_zero_sum_coefficients(n, streams.get(0, Tag.DATA, 1)), d)
+    rows = streams.rows(Tag.DATA, 0, n)
     if kind == "quadratic":
-        return QuadraticObjective([g.standard_normal(d) for g in streams.rows(Tag.DATA, 0, n)])
-    raise ConfigInvalid(f"objective.kind: unknown kind {kind!r}")
+        anchors = np.empty((n, d))
+        for g, row in zip(rows, anchors):
+            g.standard_normal(out=row)
+        return QuadraticObjective(anchors)
+    features, labels = np.empty((n, m, d)), np.empty((n, m))
+    for g, block, row in zip(rows, features, labels):
+        g.standard_normal(out=block)
+        row[:] = 2.0 * g.integers(0, 2, size=m).astype(np.float64) - 1.0
+    return LogisticObjective(features, labels, lam, alpha)
 
 
 def mean_value_grad(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 import dpcopt
-from dpcopt.accountant import budget_for_run, scales_for_epsilon
+from dpcopt.accountant import budget_for_run, geometric_budget_sum, scales_for_epsilon
 from dpcopt.compressors import ContractionReport, validate_contraction
 from dpcopt.config import (
     RunConfig,
@@ -344,10 +344,12 @@ def cmd_privacy(rc: RunConfig, target_epsilon: float | None) -> int:
     if epsilon is None:
         lines.append("epsilon: no privacy guarantee (noise disabled or zero scale)")
     elif math.isinf(epsilon):
-        lines.append(
-            "epsilon: inf (the decaying schedule spends an unbounded budget "
-            "over this horizon)"
-        )
+        # The horizon sum S is to blame only where it is itself inf.
+        if math.isinf(geometric_budget_sum(engine.noise_x.q, engine.iterations)):
+            cause = "the decaying schedule spends an unbounded budget over this horizon"
+        else:
+            cause = "the budget overflows the float range"
+        lines.append(f"epsilon: inf ({cause})")
     else:
         lines.append(f"epsilon: {epsilon:.6g}")
     if target_epsilon is not None:

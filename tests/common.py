@@ -134,6 +134,12 @@ def config_documents(draw) -> dict:
     return draw(st.fixed_dictionaries(required, optional=optional))
 
 
+def family_params(kind: str, m: int = 5, lam: float = 1e-3, alpha: float = 1.0) -> dict:
+    """make_objectives' keyword arguments for kind: m, lambda and alpha for
+    logistic, none for the other kinds."""
+    return {"m": m, "lam": lam, "alpha": alpha} if kind == "logistic" else {}
+
+
 def drawn_run(case):
     """Compressor spec, network, fresh stream factory, objectives and a
     uniform [0,1)^d start for a noisy_runs case."""
@@ -141,7 +147,7 @@ def drawn_run(case):
     params = {"topk": {"k": param}, "bbit": {"b": param}}.get(kind, {})
     net = build_network(build_graph(n, edges))
     streams = StreamFactory(master_seed=seed)
-    objectives = make_objectives(objective, n, d, streams, m=5, lam=1e-3, alpha=1.0)
+    objectives = make_objectives(objective, n, d, streams, **family_params(objective))
     x0 = np.stack([streams.get(i, Tag.INIT, 0).random(d) for i in range(n)])
     return make_spec(kind, d, **params), net, streams, objectives, x0
 

@@ -68,6 +68,13 @@ def test_make_spec_rejects_invalid(kind, kwargs, error):
         make_spec(kind, 10, **kwargs)
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_make_spec_rejects_a_dimension_below_one(d):
+    # A config's objective.d is checked by its own record before this.
+    with pytest.raises(ConfigInvalid, match=f"make_spec: d must be >= 1, got d={d}"):
+        make_spec("identity", d)
+
+
 def test_identity_is_exact():
     spec = make_spec("identity", 4)
     x = np.array([[1.0, -2.5, 0.0, 3.25]])

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from common import (
     exhaustive_quadratic_bound,
+    family_params,
     finite_diff_grad,
     plain_logistic_formulas,
     plain_logistic_grad,
@@ -28,17 +29,15 @@ from dpcopt.objectives import (
     MAX_BOX_RADIUS,
     SATURATED_MARGIN,
     SCREEN_GEMM_MACS,
-    Dataset,
     LogisticObjective,
     QuadraticObjective,
     SinCosObjective,
     draw_zero_sum_coefficients,
     estimate_grad_bound,
-    generate_dataset,
     make_objectives,
     mean_value_grad,
 )
-from dpcopt.rng import StreamFactory
+from dpcopt.rng import StreamFactory, Tag
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -46,48 +45,64 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.linalg.norm(got - want)) / scale
 
 
+def _dataset(m: int, d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One agent's logistic data as (1, m, d) features and (1, m) labels:
+    standard Gaussian features, then labels uniform on {-1, +1}."""
+    features = rng.standard_normal((1, m, d))
+    labels = 2.0 * rng.integers(0, 2, size=(1, m)).astype(np.float64) - 1.0
+    return features, labels
+
+
 def test_dataset_validation():
-    feats = np.zeros((3, 2))
-    Dataset(features=feats, labels=np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ConfigInvalid):
-        Dataset(features=feats, labels=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        Dataset(features=np.zeros((0, 2)), labels=np.zeros(0))
+    # LogisticObjective checks the blocks it is given.
+    feats = np.zeros((1, 3, 2))
+    LogisticObjective(feats, np.array([[1.0, -1.0, 1.0]]), 0.0, 1.0)
+    with pytest.raises(ConfigInvalid, match="exactly"):
+        LogisticObjective(feats, np.array([[1.0, 0.0, 1.0]]), 0.0, 1.0)
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        LogisticObjective(np.zeros((1, 0, 2)), np.zeros((1, 0)), 0.0, 1.0)
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        LogisticObjective(np.zeros((3, 2)), np.ones(3), 0.0, 1.0)
+    with pytest.raises(DimensionMismatch, match="align"):
+        LogisticObjective(feats, np.ones((1, 2)), 0.0, 1.0)
+    with pytest.raises(ConfigInvalid, match="objective.alpha: must be >= 0"):
+        LogisticObjective(feats, np.ones((1, 3)), 0.0, -1.0)
 
 
 def test_generate_dataset_shapes_and_labels():
-    rng = np.random.default_rng(0)
-    ds = generate_dataset(200, 10, rng)
-    assert ds.features.shape == (200, 10)
-    assert ds.labels.shape == (200,)
-    assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
-    tiny = generate_dataset(1, 1, rng)
-    assert tiny.features.shape == (1, 1)
-    assert tiny.labels[0] in (-1.0, 1.0)
+    # make_objectives draws an agent's features and then its labels from
+    # its data stream; the signed rows -u_j v_j over the features give the
+    # labels back, one per row.
+    for m, d in ((200, 10), (1, 1)):
+        objs = make_objectives("logistic", 1, d, StreamFactory(0), m=m, lam=1e-3, alpha=1.0)
+        assert objs.signed.shape == (1, m, d)
+        features = StreamFactory(0).get(0, Tag.DATA, 0).standard_normal((m, d))
+        labels = -objs.signed[0] / features
+        assert set(np.unique(labels)) <= {-1.0, 1.0}
+        assert np.array_equal(labels, np.broadcast_to(labels[:, :1], (m, d)))
 
 
 def test_generate_dataset_deterministic():
-    a = generate_dataset(50, 4, np.random.default_rng(7))
-    b = generate_dataset(50, 4, np.random.default_rng(7))
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
+    a = make_objectives("logistic", 3, 4, StreamFactory(7), m=50, lam=1e-3, alpha=1.0)
+    b = make_objectives("logistic", 3, 4, StreamFactory(7), m=50, lam=1e-3, alpha=1.0)
+    assert a.signed.tobytes() == b.signed.tobytes()
 
 
 def test_logistic_at_zero():
     rng = np.random.default_rng(1)
-    ds = generate_dataset(20, 5, rng)
-    value, grad = LogisticObjective([ds], 0.001, 1.0).value_grad(np.zeros(5))
+    features, labels = _dataset(20, 5, rng)
+    value, grad = LogisticObjective(features, labels, 0.001, 1.0).value_grad(np.zeros(5))
     assert value == pytest.approx(np.log(2.0), rel=1e-12)
-    expected = -np.mean(ds.labels[:, None] * ds.features, axis=0) / 2.0
+    expected = -np.mean(labels[0, :, None] * features[0], axis=0) / 2.0
     assert np.allclose(grad, expected, atol=1e-12)
 
 
 def test_logistic_lambda_zero_drops_regularizer():
     rng = np.random.default_rng(2)
-    ds = generate_dataset(10, 3, rng)
+    data = _dataset(10, 3, rng)
     x = rng.standard_normal(3)
-    v0, g0 = LogisticObjective([ds], 0.0, 1.0).value_grad(x)
-    v1, g1 = LogisticObjective([ds], 0.001, 1.0).value_grad(x)
+    v0, g0 = LogisticObjective(*data, 0.0, 1.0).value_grad(x)
+    v1, g1 = LogisticObjective(*data, 0.001, 1.0).value_grad(x)
     reg = np.sum(0.001 * x**2 / (1.0 + x**2))
     assert v1 - v0 == pytest.approx(reg, rel=1e-12)
     assert not np.array_equal(g0, g1)
@@ -95,22 +110,22 @@ def test_logistic_lambda_zero_drops_regularizer():
 
 def test_logistic_stable_at_large_arguments():
     rng = np.random.default_rng(3)
-    ds = generate_dataset(10, 3, rng)
     x = 1e3 * np.ones(3)
-    value, grad = LogisticObjective([ds], 0.001, 1.0).value_grad(x)
+    value, grad = LogisticObjective(*_dataset(10, 3, rng), 0.001, 1.0).value_grad(x)
     assert np.isfinite(value)
     assert np.all(np.isfinite(grad))
     assert value >= 0.0
 
 
 def _logaddexp_mean_grad(
-    ds: Dataset, lam: float, alpha: float, x: np.ndarray
+    features: np.ndarray, labels: np.ndarray, lam: float, alpha: float, x: np.ndarray
 ) -> np.ndarray:
-    """The logistic gradient as first written: sigma as exp(-logaddexp)
-    and the data term as a mean over the samples."""
-    z = -ds.labels * np.matmul(ds.features, x[:, None])[:, 0]
+    """The logistic gradient of one agent's (m, d) features and (m,)
+    labels as first written: sigma as exp(-logaddexp) and the data term as
+    a mean over the samples."""
+    z = -labels * np.matmul(features, x[:, None])[:, 0]
     sigma = np.exp(-np.logaddexp(0.0, -z))
-    grad = -(ds.features * (ds.labels * sigma)[:, None]).mean(axis=0)
+    grad = -(features * (labels * sigma)[:, None]).mean(axis=0)
     denom = 1.0 + alpha * (x * x)
     return grad + 2.0 * lam * alpha * x / (denom * denom)
 
@@ -126,18 +141,18 @@ def test_logistic_grad_matches_the_logaddexp_mean_formula(m, d):
     rng = np.random.default_rng(10 * m + d)
     for trial in range(2 * len(EDGE_MARGINS)):
         x = rng.standard_normal(d)
-        ds = generate_dataset(m, d, rng)
+        features, labels = _dataset(m, d, rng)
         margins = rng.uniform(-800.0, 800.0, size=m)
         if m == 1:
             margins[0] = EDGE_MARGINS[trial % len(EDGE_MARGINS)]
         else:
             margins[: len(EDGE_MARGINS)] = EDGE_MARGINS
         # Rescale each feature row so that its margin -u_j x^T v_j is the target.
-        raw = -ds.labels * (ds.features @ x)
-        scaled = Dataset(ds.features * (margins / raw)[:, None], ds.labels)
-        obj = LogisticObjective([scaled], 1e-3, 1.0)
+        raw = -labels[0] * (features[0] @ x)
+        scaled = features * (margins / raw)[:, None]
+        obj = LogisticObjective(scaled, labels, 1e-3, 1.0)
         got = obj.grad(x[None])[0]
-        want = _logaddexp_mean_grad(scaled, 1e-3, 1.0, x)
+        want = _logaddexp_mean_grad(scaled[0], labels[0], 1e-3, 1.0, x)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
         assert obj._term(0, x)[1].tobytes() == got.tobytes()
 
@@ -155,16 +170,11 @@ def _unsigned_logistic_grad(features, labels, lam, alpha, x):
     return grad + 2.0 * lam * alpha * x / (denom * denom)
 
 
-def _logistic(features, labels, lam, alpha) -> LogisticObjective:
-    """Logistic agents on the datasets (features[i], labels[i])."""
-    return LogisticObjective([Dataset(f, u) for f, u in zip(features, labels)], lam, alpha)
-
-
 def _assert_kernel_keeps_its_bits(features, labels, lam, alpha, x):
     """The stacked grad, each of its rows with every agent at that row's
     point, and each agent's term of value_grad all equal the unsigned
     formula byte for byte; features (n, m, d), labels (n, m), x (n, d)."""
-    objs = _logistic(features, labels, lam, alpha)
+    objs = LogisticObjective(features, labels, lam, alpha)
     n, d = x.shape
     want = _unsigned_logistic_grad(features, labels, lam, alpha, x)
     assert objs.grad(x).tobytes() == want.tobytes()
@@ -260,12 +270,9 @@ def _stacked_points(draw):
     values = st.floats(-1e3, 1e3)
     if kind == "logistic":
         m = draw(st.integers(1, 24))
-        labels = hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0]))
         objs = LogisticObjective(
-            [
-                Dataset(draw(hnp.arrays(np.float64, (m, d), elements=values)), draw(labels))
-                for _ in range(n)
-            ],
+            draw(hnp.arrays(np.float64, (n, m, d), elements=values)),
+            draw(hnp.arrays(np.float64, (n, m), elements=st.sampled_from([-1.0, 1.0]))),
             lam=draw(st.floats(0.0, 1.0)),
             alpha=draw(st.floats(0.0, 10.0)),
         )
@@ -289,7 +296,7 @@ def test_logistic_stack_keeps_its_bits_at_the_edges(name):
     # holds every agent's point.
     features, labels, lam, alphas, x = _edge_case(name)
     for alpha in alphas:
-        _assert_stack_equals_single_points(_logistic(features, labels, lam, alpha), x)
+        _assert_stack_equals_single_points(LogisticObjective(features, labels, lam, alpha), x)
 
 
 @pytest.mark.parametrize("name", ["z=0", "|z|>745", "m=1", "signed zeros"])
@@ -337,7 +344,7 @@ def test_kernel_writes_no_input_and_keeps_the_out_of_place_bits(name):
     signed = -labels[..., None] * features
     n, d = x.shape
     for alpha in alphas:
-        objs = _logistic(features, labels, lam, alpha)
+        objs = LogisticObjective(features, labels, lam, alpha)
         reg = 2.0 * lam * alpha
         with np.errstate(over="ignore", invalid="ignore"):
             # Read-only inputs, as an engine's state views and the bound's
@@ -440,18 +447,17 @@ def _saturating_agents(draw):
     # x0 and the raw features are positive, so no raw margin is zero.
     positive = st.floats(0.5, 2.0)
     x0 = draw(hnp.arrays(np.float64, d, elements=positive))
-    datasets = []
-    for _ in range(n):
-        features = draw(hnp.arrays(np.float64, (m, d), elements=positive))
-        labels = draw(hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
+    features, labels = np.empty((n, m, d)), np.empty((n, m))
+    for i in range(n):
+        features[i] = draw(hnp.arrays(np.float64, (m, d), elements=positive))
+        labels[i] = draw(hnp.arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
         target = draw(hnp.arrays(np.float64, m, elements=_cut_margins(False)))
         if draw(st.booleans()):
             target = -np.abs(target)
         # Row j scaled so that its margin -u_j v_j^T x0 is about target_j.
-        features *= (target / (-labels * (features @ x0)))[:, None]
-        datasets.append(Dataset(features, labels))
+        features[i] *= (target / (-labels[i] * (features[i] @ x0)))[:, None]
     objs = LogisticObjective(
-        datasets, lam=draw(st.sampled_from([0.0, 1e-3])), alpha=draw(st.floats(0.0, 10.0))
+        features, labels, lam=draw(st.sampled_from([0.0, 1e-3])), alpha=draw(st.floats(0.0, 10.0))
     )
     factors = st.one_of(
         st.floats(0.999, 1.001), st.floats(-1e3, 1e3),
@@ -493,15 +499,14 @@ def test_saturation_cut_keeps_every_logistic_entry_point_bytewise(case):
 
 
 def test_logistic_dimension_mismatch():
-    ds = generate_dataset(5, 3, np.random.default_rng(4))
+    data = _dataset(5, 3, np.random.default_rng(4))
     with pytest.raises(DimensionMismatch):
-        LogisticObjective([ds], 0.0, 1.0).value_grad(np.zeros(4))
+        LogisticObjective(*data, 0.0, 1.0).value_grad(np.zeros(4))
 
 
 def test_logistic_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    ds = generate_dataset(5, 3, rng)
-    obj = LogisticObjective([ds], 0.001, 1.0)
+    obj = LogisticObjective(*_dataset(5, 3, rng), 0.001, 1.0)
     for _ in range(10):
         x = rng.standard_normal(3)
         _, grad = obj.value_grad(x)
@@ -593,10 +598,10 @@ def test_estimate_grad_bound_quadratic_box():
 
 def test_estimate_grad_bound_logistic_analytic_cap():
     rng = np.random.default_rng(11)
-    ds = generate_dataset(30, 4, rng)
-    objs = LogisticObjective([ds], lam=0.0, alpha=1.0)
+    features, labels = _dataset(30, 4, rng)
+    objs = LogisticObjective(features, labels, lam=0.0, alpha=1.0)
     bound = estimate_grad_bound(objs, radius=2.0, trials=500, rng=rng)
-    cap = 1.1 * float(np.max(np.linalg.norm(ds.features, axis=1)))
+    cap = 1.1 * float(np.max(np.linalg.norm(features[0], axis=1)))
     assert bound <= cap + 1e-12
 
 
@@ -724,9 +729,7 @@ def test_grad_bound_is_finite_where_the_squared_norms_overflow(d):
 @pytest.mark.parametrize(
     "objective",
     [
-        LogisticObjective(
-            [generate_dataset(5, 3, np.random.default_rng(14))], lam=1e308, alpha=1.0
-        ),
+        LogisticObjective(*_dataset(5, 3, np.random.default_rng(14)), lam=1e308, alpha=1.0),
         # Every gradient x - anchor is NaN.
         QuadraticObjective(np.full((1, 3), np.nan)),
     ],
@@ -751,6 +754,32 @@ def test_make_objectives_logistic():
     assert np.array_equal(objs.signed[2], again.signed[2])
     with pytest.raises(ConfigInvalid):
         make_objectives("logistic", 3, 4, streams)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_agent_data_is_drawn_from_each_agents_own_data_stream(data):
+    # Row i of a family's block holds what a fresh generator on agent i's
+    # data stream draws; the shared sincos coefficients come from one
+    # stream at round index 1.
+    kind = data.draw(st.sampled_from(["logistic", "sincos", "quadratic"]))
+    n = data.draw(st.integers(2 if kind == "sincos" else 1, 8))
+    d, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    objs = make_objectives(kind, n, d, StreamFactory(seed), **family_params(kind, m=m))
+    fresh = StreamFactory(seed)
+    if kind == "sincos":
+        head = fresh.get(0, Tag.DATA, 1).uniform(-1.0, 1.0, size=n - 1)
+        assert objs.coeffs.tobytes() == np.append(head, -float(head.sum())).tobytes()
+        return
+    for i in range(n):
+        g = fresh.get(i, Tag.DATA, 0)
+        if kind == "quadratic":
+            assert objs.anchors[i].tobytes() == g.standard_normal(d).tobytes()
+        else:
+            features = g.standard_normal((m, d))
+            labels = 2.0 * g.integers(0, 2, size=m).astype(np.float64) - 1.0
+            assert objs.signed[i].tobytes() == (-labels[:, None] * features).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -4.0, -1e-300, math.nan])
@@ -792,9 +821,7 @@ def test_grad_matches_value_grad_bytewise(kind):
     # grad() skips the loss values but shares the gradient arithmetic with
     # value_grad(), so each agent's gradient has the same bits in both, and
     # value_grad's is their in-order mean, large arguments included.
-    objs = make_objectives(
-        kind, 3, 6, StreamFactory(master_seed=21), m=40, lam=1e-3, alpha=1.0
-    )
+    objs = make_objectives(kind, 3, 6, StreamFactory(master_seed=21), **family_params(kind, m=40))
     rng = np.random.default_rng(22)
     for scale in (1.0, 1e3):
         for _ in range(5):
@@ -812,9 +839,7 @@ def test_grad_matches_value_grad_bytewise(kind):
 @pytest.mark.parametrize("kind", ["logistic", "sincos", "quadratic"])
 def test_grad_and_value_grad_do_not_call_each_other(kind, monkeypatch):
     # The benchmark's tracer counts the two as separate calls.
-    obj = make_objectives(
-        kind, 2, 3, StreamFactory(master_seed=23), m=10, lam=1e-3, alpha=1.0
-    )
+    obj = make_objectives(kind, 2, 3, StreamFactory(master_seed=23), **family_params(kind, m=10))
 
     def forbidden(self, x):
         raise AssertionError("called through the other method")
@@ -831,7 +856,7 @@ def test_grad_and_value_grad_do_not_call_each_other(kind, monkeypatch):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: LogisticObjective([], lam=1e-3, alpha=1.0),
+        lambda: LogisticObjective(np.zeros((0, 5, 3)), np.zeros((0, 5)), lam=1e-3, alpha=1.0),
         lambda: SinCosObjective([], 3),
         lambda: QuadraticObjective(np.zeros((0, 3))),
     ],

@@ -16,6 +16,7 @@ from common import (
     connected_graphs,
     csv_columns,
     drawn_run,
+    family_params,
     noisy_runs,
     pgtc_step_two_calls,
     state_rows,
@@ -374,7 +375,7 @@ def test_stacked_step_equals_the_two_variable_round_bytewise(case):
     )
     net = build_network(build_graph(n, edges))
     streams = StreamFactory(master_seed=seed)
-    objectives = make_objectives(objective, n, d, streams, m=5, lam=1e-3, alpha=1.0)
+    objectives = make_objectives(objective, n, d, streams, **family_params(objective))
     x0 = np.stack([streams.get(i, Tag.INIT, 0).random(d) for i in range(n)])
     state = pgtc_init(cfg, objectives, net, x0, streams)
     for _ in range(warm):

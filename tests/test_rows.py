@@ -31,9 +31,7 @@ from dpcopt.noise import sample_laplace
 from dpcopt.objectives import (
     BOUND_CHUNK_ELEMENTS,
     AgentObjectives,
-    LogisticObjective,
     estimate_grad_bound,
-    generate_dataset,
     make_objectives,
 )
 from dpcopt.rng import StreamFactory, Tag
@@ -193,30 +191,6 @@ def test_stacked_gradient_equals_per_agent_grad(kind, n, d, params):
         assert objs.grad(x).tobytes() == want.tobytes()
     with pytest.raises(DimensionMismatch):
         objs.grad(np.zeros(d))
-
-
-@pytest.mark.parametrize(
-    "agents",
-    [
-        pytest.param(
-            lambda: LogisticObjective(
-                [generate_dataset(m, 3, np.random.default_rng(m)) for m in (5, 7)],
-                lam=1e-3, alpha=1.0,
-            ),
-            id="logistic-unequal-m",
-        ),
-        pytest.param(
-            lambda: LogisticObjective(
-                [generate_dataset(5, d, np.random.default_rng(d)) for d in (3, 4)],
-                lam=1e-3, alpha=1.0,
-            ),
-            id="unequal-d",
-        ),
-    ],
-)
-def test_agent_objectives_reject_agents_without_one_stacked_formula(agents):
-    with pytest.raises(ConfigInvalid):
-        agents()
 
 
 def _grad_contract_cases():

@@ -497,6 +497,57 @@ def test_privacy_reports_unbounded_budget_for_long_horizons(tmp_path, capsys):
     assert report["required_s_x"] == "inf" and report["required_s_y"] == "inf"
 
 
+def _ring_doc(outputs, **overrides):
+    """ppdc on quadratic agents (d = 1) over a 6-ring, sending uncompressed
+    rows; make_doc's schedules decay at q = 0.5."""
+    return make_doc(
+        outputs, algorithm="ppdc",
+        graph={"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]},
+        objective={"kind": "quadratic", "d": 1}, compressor={"kind": "identity"},
+        **overrides,
+    )
+
+
+def _divisor_underflows(outputs):
+    doc = _ring_doc(outputs, iterations=10)
+    doc["gains"]["omega"] = doc["noise"]["v"]["s"] = 1e-300
+    return doc
+
+
+# Infinite budgets by their cause. The horizon sum S is finite but the
+# budget overflows: through the gradient bound M = 8.8e307 with S =
+# 2^601 - 1, or through omega s_v = 1e-600 with S = 2047. S itself is
+# inf: q = 0.1 over 1000 rounds.
+INFINITE_BUDGETS = {
+    "bound-overflows": (
+        lambda out: _ring_doc(out, iterations=600, privacy={"box_radius": 8e307}),
+        "the budget overflows the float range",
+    ),
+    "divisor-underflows": (
+        _divisor_underflows,
+        "the budget overflows the float range",
+    ),
+    "horizon-sum-overflows": (
+        lambda out: _ring_doc(
+            out, iterations=1000,
+            noise={"x": {"s": 0.1, "q": 0.1}, "v": {"s": 0.1, "q": 0.1}},
+        ),
+        "the decaying schedule spends an unbounded budget over this horizon",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_BUDGETS))
+def test_privacy_names_the_cause_of_an_infinite_budget(tmp_path, capsys, case):
+    build, cause = INFINITE_BUDGETS[case]
+    doc = build(tmp_path / "out")
+    assert main(["privacy", str(write_doc(tmp_path, doc))]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"epsilon: inf ({cause})"
+    report = json.loads((tmp_path / "out" / "privacy_report.json").read_text(encoding="utf-8"))
+    assert report["epsilon"] == "inf"
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -534,13 +585,8 @@ def test_overflowing_scale_intermediates_report_the_finite_scale(tmp_path, capsy
     # S = 2^601 - 1 is finite, yet M S overflows and so does omega (1 -
     # split) target: the plain quotient for s_v reads inf / inf = nan, while
     # its exact value is about 3.04e22.
-    doc = make_doc(
-        tmp_path / "out", algorithm="ppdc", iterations=600,
-        graph={"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]},
-        objective={"kind": "quadratic", "d": 1}, compressor={"kind": "identity"},
-        privacy={"box_radius": 1e150},
-    )
-    doc["gains"]["omega"] = 1e308  # make_doc's schedules decay at q = 0.5
+    doc = _ring_doc(tmp_path / "out", iterations=600, privacy={"box_radius": 1e150})
+    doc["gains"]["omega"] = 1e308
     assert main(["privacy", str(write_doc(tmp_path, doc)), "--target-epsilon", "24"]) == EXIT_OK
     assert "nan" not in capsys.readouterr().out
     text = (tmp_path / "out" / "privacy_report.json").read_text(encoding="utf-8")
