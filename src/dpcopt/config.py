@@ -5,9 +5,11 @@ document.
 The config is a single UTF-8 JSON object. Unknown keys anywhere are
 errors (catches typos before they silently change an experiment), and
 every validation failure names the offending field with a dotted path.
-The objective (objectives.ObjectiveConfig), compressor, noise and engine
-records check their own fields, as does the record a sweep value lands
-in; the graph, privacy, reference and sweep sections rely on the parser.
+The parser checks JSON types (an integer, a finite number, a string, a
+list, an object), and each record its own value ranges: the objective
+(objectives.ObjectiveConfig), compressor, noise, engine, sweep,
+reference, privacy and run records. So a RunConfig built or replaced in
+code holds only a run the parser accepts, and it replays.
 """
 
 from __future__ import annotations
@@ -45,38 +47,25 @@ ENGINES = {engine.NAME: engine for engine in (PgtcConfig, PpdcConfig)}
 
 SWEEP_PARAMETERS = ("q", "s", "eta")
 
-DEFAULT_BOX_RADIUS = 1.0
-DEFAULT_PRIVACY_TRIALS = 2000
-DEFAULT_SPLIT = 0.5
-DEFAULT_CONTRACTION_TRIALS = 2000
 
-_MAX_SEED = 2**63 - 1
-
-
-def _where(path: str, key: str) -> str:
-    """The dotted path of key under path ("" at the top level)."""
-    return f"{path}.{key}" if path else key
-
-
-REQUIRED = object()  # the default of a key that must be given
-
-
-def _read(doc, path: str, fields: dict) -> dict:
-    """The object doc at path, read through fields: each allowed key maps
-    to (reader, default), and a reader takes the value and its dotted path.
-    An absent key takes its default unless that is REQUIRED."""
+def _read(doc, path: str, required: dict, optional: dict | None = None) -> dict:
+    """The object doc at path, read through required and optional, which
+    map each allowed key to its reader; a reader takes the value and its
+    dotted path and checks its JSON type. An absent optional key is left
+    out, so the record built from the result applies its own default."""
     if not isinstance(doc, dict):
-        raise ConfigInvalid(f"{path}: expected an object")
-    unknown = sorted(set(doc) - set(fields))
+        raise ConfigInvalid(
+            f"{path}: expected an object" if path else "config: expected a JSON object"
+        )
+    readers = {**required, **(optional or {})}
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(doc) - set(readers))
     if unknown:
-        raise ConfigInvalid(f"{_where(path, unknown[0])}: unknown key")
-    for key, (_, default) in fields.items():
-        if default is REQUIRED and key not in doc:
-            raise ConfigInvalid(f"{_where(path, key)}: required")
-    return {
-        key: reader(doc[key], _where(path, key)) if key in doc else default
-        for key, (reader, default) in fields.items()
-    }
+        raise ConfigInvalid(f"{prefix}{unknown[0]}: unknown key")
+    for key in required:
+        if key not in doc:
+            raise ConfigInvalid(f"{prefix}{key}: required")
+    return {key: reader(doc[key], prefix + key) for key, reader in readers.items() if key in doc}
 
 
 def _int(value, where: str) -> int:
@@ -107,12 +96,12 @@ def _of_type(json_type: type, name: str):
 _bool = _of_type(bool, "a boolean")
 _str = _of_type(str, "a string")
 _list = _of_type(list, "a list")
+_object = _of_type(dict, "an object")  # its keys are read once the engine is known
 
 
-def _object(value, where: str):
-    """A section whose keys depend on another field: its own _read checks
-    it once that field is known."""
-    return value
+def _check_parameter(parameter: str) -> None:
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
 
 
 @dataclass(frozen=True)
@@ -121,17 +110,38 @@ class SweepConfig:
     values: tuple[float, ...]
     repeats: int
 
+    def __post_init__(self) -> None:
+        _check_parameter(self.parameter)
+        if not self.values:
+            raise ConfigInvalid("sweep.values: expected a nonempty list of numbers")
+        if self.repeats < 1:
+            raise ConfigInvalid("sweep.repeats: must be >= 1")
+
 
 @dataclass(frozen=True)
 class ReferenceConfig:
     horizon_multiplier: int
 
+    def __post_init__(self) -> None:
+        if self.horizon_multiplier < 10:
+            raise ConfigInvalid("reference.horizon_multiplier: must be >= 10")
+
 
 @dataclass(frozen=True)
 class PrivacyConfig:
-    box_radius: float = DEFAULT_BOX_RADIUS
-    trials: int = DEFAULT_PRIVACY_TRIALS
-    split: float = DEFAULT_SPLIT
+    box_radius: float = 1.0
+    trials: int = 2000
+    split: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not self.box_radius > 0:
+            raise ConfigInvalid("privacy.box_radius: must be positive")
+        if self.box_radius > MAX_BOX_RADIUS:
+            raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
+        if self.trials < 1:
+            raise ConfigInvalid("privacy.trials: must be >= 1")
+        if not (0.0 < self.split < 1.0):
+            raise ConfigInvalid("privacy.split: must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,7 @@ class RunConfig:
     reference: ReferenceConfig | None = None
     sweep: SweepConfig | None = None
     privacy: PrivacyConfig = PrivacyConfig()
-    contraction_trials: int = DEFAULT_CONTRACTION_TRIALS
+    contraction_trials: int = 2000
 
     # The engine record names its algorithm; bench/setup_probe.py reads it
     # and the next two.
@@ -152,9 +162,24 @@ class RunConfig:
     compressor = property(lambda self: self.engine.compressor)
     iterations = property(lambda self: self.engine.iterations)
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.seed < 2**63):
+            raise ConfigInvalid("seed: must fit in an unsigned 63-bit integer")
+        if not self.outputs:
+            raise ConfigInvalid("outputs: must be a nonempty path")
+        if "\0" in self.outputs:
+            raise ConfigInvalid("outputs: must not contain a NUL character")
+        if self.contraction_trials < 1000:
+            raise ConfigInvalid("contraction_trials: must be >= 1000")
+        for index, value in enumerate(self.sweep.values if self.sweep else ()):
+            try:
+                _swept_engine(self.engine, self.sweep.parameter, value)
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"sweep.values[{index}]: {exc}") from None
+
 
 def _parse_graph(doc, path: str) -> Graph:
-    fields = _read(doc, path, {"n": (_int, REQUIRED), "edges": (_list, REQUIRED)})
+    fields = _read(doc, path, {"n": _int, "edges": _list})
     n = fields["n"]
     pairs = []
     for index, pair in enumerate(fields["edges"]):
@@ -172,18 +197,16 @@ def _parse_graph(doc, path: str) -> Graph:
 
 
 def _parse_objective(doc, path: str) -> ObjectiveConfig:
-    fields = _read(doc, path, {
-        "kind": (_str, REQUIRED), "d": (_int, REQUIRED),
-        "m": (_int, None), "lambda": (_float, None), "alpha": (_float, None),
+    fields = _read(doc, path, {"kind": _str, "d": _int}, {
+        "m": _int, "lambda": _float, "alpha": _float,
     })
-    fields["lam"] = fields.pop("lambda")
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
     return ObjectiveConfig(**fields)
 
 
 def _parse_schedule(doc, path: str) -> NoiseSchedule:
-    fields = _read(doc, path, {
-        "s": (_float, REQUIRED), "q": (_float, REQUIRED), "enabled": (_bool, True),
-    })
+    fields = _read(doc, path, {"s": _float, "q": _float}, {"enabled": _bool})
     try:
         return NoiseSchedule(**fields)
     except ConfigInvalid as exc:
@@ -192,85 +215,54 @@ def _parse_schedule(doc, path: str) -> NoiseSchedule:
 
 def _parse_sweep(doc, path: str) -> SweepConfig:
     fields = _read(doc, path, {
-        "parameter": (_str, REQUIRED),
-        "values": (_list, REQUIRED),
-        "repeats": (_int, REQUIRED),
+        "parameter": _str,
+        "values": _list,
+        "repeats": _int,
     })
-    parameter = fields["parameter"]
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
-    if not fields["values"]:
-        raise ConfigInvalid("sweep.values: expected a nonempty list of numbers")
-    values = tuple(_float(v, f"sweep.values[{i}]") for i, v in enumerate(fields["values"]))
-    if fields["repeats"] < 1:
-        raise ConfigInvalid("sweep.repeats: must be >= 1")
-    return SweepConfig(parameter=parameter, values=values, repeats=fields["repeats"])
+    values = tuple(_float(v, f"{path}.values[{i}]") for i, v in enumerate(fields.pop("values")))
+    return SweepConfig(values=values, **fields)
 
 
 def _parse_reference(doc, path: str) -> ReferenceConfig:
-    fields = _read(doc, path, {"horizon_multiplier": (_int, REQUIRED)})
-    if fields["horizon_multiplier"] < 10:
-        raise ConfigInvalid("reference.horizon_multiplier: must be >= 10")
-    return ReferenceConfig(**fields)
+    return ReferenceConfig(**_read(doc, path, {"horizon_multiplier": _int}))
 
 
 def _parse_privacy(doc, path: str) -> PrivacyConfig:
-    fields = _read(doc, path, {
-        "box_radius": (_float, DEFAULT_BOX_RADIUS),
-        "trials": (_int, DEFAULT_PRIVACY_TRIALS),
-        "split": (_float, DEFAULT_SPLIT),
-    })
-    if fields["box_radius"] <= 0:
-        raise ConfigInvalid("privacy.box_radius: must be positive")
-    if fields["box_radius"] > MAX_BOX_RADIUS:
-        raise ConfigInvalid(f"privacy.box_radius: must be at most {MAX_BOX_RADIUS!r}")
-    if fields["trials"] < 1:
-        raise ConfigInvalid("privacy.trials: must be >= 1")
-    if not (0.0 < fields["split"] < 1.0):
-        raise ConfigInvalid("privacy.split: must lie in (0, 1)")
-    return PrivacyConfig(**fields)
+    return PrivacyConfig(**_read(doc, path, {}, {
+        "box_radius": _float,
+        "trials": _int,
+        "split": _float,
+    }))
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("config: expected a JSON object")
     top = _read(doc, "", {
-        "algorithm": (_str, REQUIRED),
-        "graph": (_parse_graph, REQUIRED),
-        "objective": (_parse_objective, REQUIRED),
-        "compressor": (_object, REQUIRED),
-        "noise": (_object, REQUIRED),
-        "gains": (_object, REQUIRED),
-        "iterations": (_int, REQUIRED),
-        "seed": (_int, REQUIRED),
-        "outputs": (_str, REQUIRED),
-        "reference": (_parse_reference, None),
-        "sweep": (_parse_sweep, None),
-        "privacy": (_parse_privacy, PrivacyConfig()),
-        "contraction_trials": (_int, DEFAULT_CONTRACTION_TRIALS),
+        "algorithm": _str,
+        "graph": _parse_graph,
+        "objective": _parse_objective,
+        "compressor": _object,
+        "noise": _object,
+        "gains": _object,
+        "iterations": _int,
+        "seed": _int,
+        "outputs": _str,
+    }, {
+        "reference": _parse_reference,
+        "sweep": _parse_sweep,
+        "privacy": _parse_privacy,
+        "contraction_trials": _int,
     })
     algorithm = top.pop("algorithm")
     if algorithm not in ENGINES:
         raise ConfigInvalid(f"algorithm: must be one of {tuple(ENGINES)}")
     engine_class = ENGINES[algorithm]
-    compressor = _read(top.pop("compressor"), "compressor", {
-        "kind": (_str, REQUIRED), "k": (_int, None), "b": (_int, None),
-        "r": (_float, None), "phi": (_float, None),
+    compressor = _read(top.pop("compressor"), "compressor", {"kind": _str}, {
+        "k": _int, "b": _int, "r": _float, "phi": _float,
     })
     second = engine_class.SECOND
-    noise = _read(top.pop("noise"), "noise", {
-        "x": (_parse_schedule, REQUIRED), second: (_parse_schedule, REQUIRED),
-    })
-    gains = _read(top.pop("gains"), "gains", {k: (_float, REQUIRED) for k in engine_class.GAINS})
-    if not (0 <= top["seed"] <= _MAX_SEED):
-        raise ConfigInvalid("seed: must fit in an unsigned 63-bit integer")
-    if not top["outputs"]:
-        raise ConfigInvalid("outputs: must be a nonempty path")
-    if "\0" in top["outputs"]:
-        raise ConfigInvalid("outputs: must not contain a NUL character")
-    if top["contraction_trials"] < 1000:
-        raise ConfigInvalid("contraction_trials: must be >= 1000")
+    noise = _read(top.pop("noise"), "noise", {"x": _parse_schedule, second: _parse_schedule})
+    gains = _read(top.pop("gains"), "gains", {k: _float for k in engine_class.GAINS})
     engine = engine_class(
         compressor=make_spec(d=top["objective"].d, **compressor),
         noise_x=noise["x"],
@@ -278,13 +270,7 @@ def parse_config(doc: dict) -> RunConfig:
         iterations=top.pop("iterations"),
         **gains,
     )
-    rc = RunConfig(engine=engine, **top)
-    for index, value in enumerate(rc.sweep.values if rc.sweep else ()):
-        try:
-            apply_sweep_value(rc, rc.sweep.parameter, value)
-        except ConfigInvalid as exc:
-            raise ConfigInvalid(f"sweep.values[{index}]: {exc}") from None
-    return rc
+    return RunConfig(engine=engine, **top)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -369,21 +355,19 @@ def config_digest(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def apply_sweep_value(rc: RunConfig, parameter: str, value: float) -> RunConfig:
-    """New RunConfig with one swept parameter substituted; the records it
-    lands in check it.
+def _swept_engine(engine: PgtcConfig | PpdcConfig, parameter: str, value: float):
+    """engine with one swept parameter substituted, which the records it
+    lands in check: q and s set both noise schedules (the experiment
+    protocol shares one noise setting), eta the step size."""
+    _check_parameter(parameter)
+    if parameter == "eta":
+        return replace(engine, eta=value)
+    fields = ("noise_x", f"noise_{engine.SECOND}")
+    return replace(engine, **{
+        field: replace(getattr(engine, field), **{parameter: value}) for field in fields
+    })
 
-    q and s apply to both noise families (the experiment protocol uses a
-    single shared noise setting); eta replaces the step size.
-    """
-    engine = rc.engine
-    if parameter in ("q", "s"):
-        fields = ("noise_x", f"noise_{engine.SECOND}")
-        engine = replace(engine, **{
-            field: replace(getattr(engine, field), **{parameter: value}) for field in fields
-        })
-    elif parameter == "eta":
-        engine = replace(engine, eta=value)
-    else:
-        raise ConfigInvalid(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}")
-    return replace(rc, engine=engine)
+
+def apply_sweep_value(rc: RunConfig, parameter: str, value: float) -> RunConfig:
+    """New RunConfig with one swept parameter substituted (see _swept_engine)."""
+    return replace(rc, engine=_swept_engine(rc.engine, parameter, value))

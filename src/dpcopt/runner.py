@@ -61,6 +61,8 @@ EXIT_CONFIG_ERROR = 2
 
 OUTPUT_ROOT_ENV = "DPCOPT_OUTPUT_ROOT"
 
+NUMPY_TOO_BIG = ("Maximum allowed dimension exceeded", "array is too big")
+
 # The pre-run contraction check draws from its own run id so it can
 # never collide with simulation streams (which use run id 0).
 VALIDATION_RUN_ID = 1
@@ -427,8 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DpcoptError, OSError, MemoryError) as exc:
-        # numpy's MemoryError names the array it could not allocate.
+    except (DpcoptError, OSError, MemoryError, ValueError) as exc:
+        # numpy's MemoryError names the array it could not allocate, as its
+        # ValueError does a shape past its index range; another is a bug.
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_TOO_BIG):
+            raise
         print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

@@ -15,6 +15,7 @@ from common import config_documents
 from dpcopt.config import (
     ENGINES,
     PrivacyConfig,
+    ReferenceConfig,
     RunConfig,
     apply_sweep_value,
     build_engine_config,
@@ -250,6 +251,61 @@ def test_every_valid_document_round_trips(doc):
     assert again == rc
     assert to_document(again) == materialized
     assert config_digest(to_document(again)) == config_digest(materialized)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# The fields the sweep, reference, privacy and run records check, each with
+# values of its JSON type: integers, finite numbers or text.
+RECORD_FIELDS = {
+    "seed": st.integers(),
+    "outputs": st.text(),
+    "contraction_trials": st.integers(),
+    "privacy.box_radius": FINITE,
+    "privacy.trials": st.integers(),
+    "privacy.split": FINITE,
+    "reference.horizon_multiplier": st.integers(),
+    "sweep.parameter": st.one_of(st.sampled_from(["q", "s", "eta"]), st.text()),
+    "sweep.values": st.lists(FINITE, max_size=3),
+    "sweep.repeats": st.integers(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_documents(), st.data())
+def test_a_config_built_in_code_checks_itself_or_replays(doc, data):
+    # One field replaced in code: the record either raises the parser's
+    # message for the same document, or holds a run whose document replays.
+    rc = parse_config(doc)
+    # A section the document leaves out (reference, sweep) has no record.
+    paths = [p for p in RECORD_FIELDS if "." not in p or getattr(rc, p.split(".")[0])]
+    path = data.draw(st.sampled_from(paths), label="field")
+    value = data.draw(RECORD_FIELDS[path], label="value")
+    section, _, key = path.rpartition(".")
+    changed = copy.deepcopy(doc)
+    (changed.setdefault(section, {}) if section else changed)[key] = value
+    if key == "values":
+        value = tuple(value)
+    try:
+        if section:
+            record = dataclasses.replace(getattr(rc, section), **{key: value})
+            rc2 = dataclasses.replace(rc, **{section: record})
+        else:
+            rc2 = dataclasses.replace(rc, **{key: value})
+    except ConfigInvalid as exc:
+        with pytest.raises(ConfigInvalid) as parsed:
+            parse_config(changed)
+        assert str(parsed.value) == str(exc)
+    else:
+        assert parse_config(to_document(rc2)) == rc2
+        assert parse_config(changed) == rc2
+
+
+def test_a_reference_record_checks_itself_before_any_round(monkeypatch):
+    monkeypatch.setattr("dpcopt.runner.pgtc_run", lambda *args, **kw: pytest.fail("a round ran"))
+    rc = parse_config(base_doc())
+    with pytest.raises(ConfigInvalid, match=r"^reference\.horizon_multiplier: must be >= 10$"):
+        execute_run(dataclasses.replace(rc, reference=ReferenceConfig(3)))
 
 
 # One value of each JSON type. A field is given one of another type, so a

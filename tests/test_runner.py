@@ -619,6 +619,58 @@ def test_an_allocation_failure_exits_1_with_one_line(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+@pytest.mark.parametrize(
+    "command, overrides, line",
+    [
+        (
+            "run",
+            {"objective": {"kind": "quadratic", "d": 10**19}},
+            "run failed: Maximum allowed dimension exceeded",
+        ),
+        (
+            "privacy",
+            {"objective": {"kind": "quadratic", "d": 10**19}},
+            "run failed: Maximum allowed dimension exceeded",
+        ),
+        (
+            "run",
+            {"iterations": 2**62},
+            "run failed: array is too big; `arr.size * arr.dtype.itemsize` is larger "
+            "than the maximum possible size.",
+        ),
+    ],
+    ids=["run-d", "privacy-d", "run-iterations"],
+)
+def test_a_shape_numpy_cannot_index_exits_1_with_one_line(
+    tmp_path, capsys, command, overrides, line
+):
+    # The parser accepts these sizes; numpy refuses each array's shape with
+    # a ValueError before it allocates anything.
+    cfg = write_doc(tmp_path, make_doc(tmp_path / "out", **overrides))
+    assert main([command, str(cfg)]) == EXIT_RUN_FAILURE
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_any_other_value_error_keeps_its_traceback(tmp_path, monkeypatch):
+    def bug(rc):
+        raise ValueError("not an allocation")
+
+    monkeypatch.setattr(dpcopt.runner, "execute_run", bug)
+    cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
+    with pytest.raises(ValueError, match="not an allocation"):
+        main(["run", str(cfg)])
+
+
+@pytest.mark.parametrize("target", ["0", "-1", "inf", "nan"])
+def test_a_target_epsilon_out_of_range_exits_2(tmp_path, capsys, target):
+    cfg = write_doc(tmp_path, make_doc(tmp_path / "out"))
+    assert main(["privacy", str(cfg), "--target-epsilon", target]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: privacy: target epsilon must be positive and finite"
+    ]
+    assert not (tmp_path / "out" / "privacy_report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "privacy"])
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 def test_outputs_that_cannot_be_a_directory_exit_1(
