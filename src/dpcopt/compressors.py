@@ -92,6 +92,11 @@ class CompressorSpec:
                 if getattr(self, name) != 1.0:
                     raise ConfigInvalid(f"compressor.{name}: identity is fixed at {name}=1")
 
+    def check_dimension(self, d: int) -> None:
+        """Raise SpecDimensionMismatch unless the compressor fits dimension d."""
+        if self.kind == TOPK and self.k > d:
+            raise SpecDimensionMismatch(f"compressor.k: top-k with k={self.k} exceeds d={d}")
+
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -125,9 +130,8 @@ def make_spec(
     if d < 1:
         raise ConfigInvalid(f"make_spec: d must be >= 1, got d={d}")
     spec = CompressorSpec(kind=kind, k=k, b=b)
+    spec.check_dimension(d)
     if kind == TOPK:
-        if k > d:
-            raise SpecDimensionMismatch(f"compressor.k: top-k with k={k} exceeds d={d}")
         default_phi = k / d
     elif kind == BBIT:
         # Once d/4^(b-1) is at most half an ulp of 1 (b >= 29 at d = 4),
@@ -173,9 +177,10 @@ def compress(
     senders; bit_cost(spec, d) gives the payload bits of one row.
 
     Rows are independent: row i of the result depends on x[i] alone. Only
-    the bbit kind consumes rngs, a sequence of n generators of which row i
-    draws its d dither uniforms from rngs[i]; a row that is exactly zero
-    draws nothing.
+    the bbit kind consumes rngs, a sequence of n generators (another count
+    raises DimensionMismatch) of which row i draws its d dither uniforms
+    from rngs[i]; a row of zero norm draws nothing and decodes to +0.0, so
+    rngs may be None when every row is zero.
 
     The result is written into out, a C-contiguous (n, d) block, and the
     kinds' temporaries (magnitudes, dither uniforms) into scratch, an
@@ -186,8 +191,7 @@ def compress(
     if x.ndim != 2:
         raise DimensionMismatch(f"x has shape {x.shape}, expected (n, d)")
     d = x.shape[1]
-    if spec.kind == TOPK and spec.k is not None and spec.k > d:
-        raise SpecDimensionMismatch(f"top-k with k={spec.k} exceeds d={d}")
+    spec.check_dimension(d)
     if out is None:
         out = np.empty(x.shape)
 
@@ -213,43 +217,42 @@ def compress(
         return out
 
     # bbit
-    norms = row_norms(x)
-    live = np.flatnonzero(norms)
-    if live.size < len(x):
-        # Zero rows draw nothing and stay zero; the live rows are gathered.
-        out.fill(0.0)
-        if live.size:
-            live_rngs = None if rngs is None else [rngs[i] for i in live.tolist()]
-            out[live] = compress(spec, x[live], live_rngs)
-        return out
-    if rngs is None:
+    sq = row_dots(x)
+    if rngs is None and sq.any():
         raise ConfigInvalid("compressor.bbit: dithering requires a random stream")
+    if rngs is not None and len(rngs) != len(x):
+        raise DimensionMismatch(f"compressor.bbit: {len(rngs)} generators for {len(x)} rows")
     u = np.empty(x.shape) if scratch is None else scratch
-    for g, row in zip(rngs, u):
-        g.random(out=row)
-    return _dither(spec, x, norms[:, None], u, out)
+    for g, row, s in zip(rngs or (), u, sq.tolist()):
+        if s:
+            g.random(out=row)
+    return _dither(spec, x, sq, u, out)
 
 
 def _dither(
-    spec: CompressorSpec, x: np.ndarray, norms, u: np.ndarray, out: np.ndarray | None = None
+    spec: CompressorSpec, x: np.ndarray, sq, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """bbit levels of rows (n, d) with their norms as an (n, 1) column and
-    their dither uniforms u (n, d); every norm is nonzero.
+    """bbit levels of rows (n, d) with their squared norms sq (n,) and
+    their dither uniforms u (n, d), which a zero row leaves unfilled.
 
     Computes (norms / xi) * sign(x) * (floor(2^(b-1) |x| / norms + u) / 2^(b-1))
     factor by factor into out (a fresh block when None), overwriting u;
-    products are taken in either operand order, which keeps every bit."""
-    assert spec.b is not None
+    products are taken in either operand order, which keeps every bit. A
+    row of zero norm (not a NaN one) is then overwritten with +0.0."""
     half_levels = 2.0 ** (spec.b - 1)
-    levels = np.abs(x, out=out)
-    levels *= half_levels
-    levels /= norms
-    levels += u
-    np.floor(levels, out=levels)
-    levels /= half_levels
-    sign = np.sign(x, out=u)
-    sign *= norms / xi_factor(x.shape[-1], spec.b)
-    levels *= sign
+    norms = np.sqrt(sq)[:, None]
+    # A zero row's 0/0 and whatever u holds there are discarded below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = np.abs(x, out=out)
+        levels *= half_levels
+        levels /= norms
+        levels += u
+        np.floor(levels, out=levels)
+        levels /= half_levels
+        sign = np.sign(x, out=u)
+        sign *= norms / xi_factor(x.shape[-1], spec.b)
+        levels *= sign
+    levels[sq == 0.0] = 0.0
     return levels
 
 
@@ -290,12 +293,10 @@ def bit_cost(spec: CompressorSpec, d: int) -> int:
     """
     if d < 1:
         raise ConfigInvalid("bit_cost: dimension must be >= 1")
+    spec.check_dimension(d)
     if spec.kind == IDENTITY:
         return FLOAT_BITS * d
     if spec.kind == TOPK:
-        assert spec.k is not None
-        if spec.k > d:
-            raise SpecDimensionMismatch(f"top-k with k={spec.k} exceeds d={d}")
         index_bits = (d - 1).bit_length()  # exact ceil(log2 d)
         return spec.k * (FLOAT_BITS + index_bits)
     if spec.kind == BBIT:
@@ -356,7 +357,7 @@ def _bbit_trials(
     and decoded outputs, drawn in the order of count compress calls.
 
     Each vector's dither follows it on rng, and a zero vector draws none,
-    as compress does; the levels of the live rows come from one _dither.
+    as compress does; one _dither gives the levels of the whole chunk.
     """
     x = np.empty((count, d))
     u = np.empty((count, d))
@@ -366,7 +367,4 @@ def _bbit_trials(
         sq[t] = s = x[t] @ x[t]
         if s:
             rng.random(out=u[t])
-    live = sq != 0.0
-    decoded = np.zeros_like(x)
-    decoded[live] = _dither(spec, x[live], np.sqrt(sq[live])[:, None], u[live])
-    return x, sq, decoded
+    return x, sq, _dither(spec, x, sq, u)

@@ -171,6 +171,7 @@ class RunConfig:
             raise ConfigInvalid("outputs: must not contain a NUL character")
         if self.contraction_trials < 1000:
             raise ConfigInvalid("contraction_trials: must be >= 1000")
+        self.compressor.check_dimension(self.objective.d)
         for index, value in enumerate(self.sweep.values if self.sweep else ()):
             try:
                 _swept_engine(self.engine, self.sweep.parameter, value)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpcopt.errors import ConfigInvalid
+from dpcopt.errors import ConfigInvalid, DimensionMismatch
 
 __all__ = ["NoiseSchedule", "scale_at", "sample_laplace"]
 
@@ -53,12 +53,15 @@ def sample_laplace(
     into the (n, d) result block, and one inverse-CDF transform maps all
     rows. The result is written into out and the transform's temporary
     into scratch, two distinct (n, d) blocks, when they are given, and
-    into fresh blocks otherwise; the bits are the same either way.
+    into fresh blocks otherwise; the bits are the same either way. A block
+    of another shape raises DimensionMismatch.
     """
     if theta < 0:
         raise ConfigInvalid("noise: scale must be >= 0")
     if d < 1:
         raise ConfigInvalid("noise: dimension must be >= 1")
+    if any(b is not None and b.shape != (len(rngs), d) for b in (out, scratch)):
+        raise DimensionMismatch(f"noise: out and scratch must be ({len(rngs)}, {d}) blocks")
     u = np.empty((len(rngs), d)) if out is None else out
     if theta == 0.0:
         u.fill(0.0)

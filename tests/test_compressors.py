@@ -198,6 +198,21 @@ def test_compress_rejects_a_single_vector(spec):
         compress(spec, np.array([1.0, 2.0, 3.0]), [np.random.default_rng(1)])
 
 
+def test_one_top_k_dimension_rule_for_every_caller():
+    spec = make_spec("topk", 5, k=3)
+    want = "^compressor.k: top-k with k=3 exceeds d=2$"
+    for call in (
+        lambda: make_spec("topk", 2, k=3),
+        lambda: compress(spec, np.ones((1, 2))),
+        lambda: bit_cost(spec, 2),
+        lambda: spec.check_dimension(2),
+    ):
+        with pytest.raises(SpecDimensionMismatch, match=want):
+            call()
+    spec.check_dimension(3)
+    make_spec("bbit", 1, b=2).check_dimension(1)
+
+
 def test_bit_costs():
     assert bit_cost(make_spec("identity", 10), 10) == 640
     assert bit_cost(make_spec("topk", 10, k=2), 10) == 136

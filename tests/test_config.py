@@ -301,6 +301,29 @@ def test_a_config_built_in_code_checks_itself_or_replays(doc, data):
         assert parse_config(changed) == rc2
 
 
+SHIPPED_TOPK = Path(__file__).resolve().parent.parent / "configs" / "pgtc_topk_logistic.json"
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_a_replaced_objective_is_checked_against_the_compressor(d):
+    # The shipped top-k config keeps k = 2: a dimension below it raises the
+    # parser's message for the same document, and any other replays.
+    rc = load_config(SHIPPED_TOPK)
+    changed = to_document(rc)
+    changed["objective"]["d"] = d
+    try:
+        rc2 = dataclasses.replace(rc, objective=dataclasses.replace(rc.objective, d=d))
+    except SpecDimensionMismatch as exc:
+        assert str(exc) == f"compressor.k: top-k with k=2 exceeds d={d}"
+        with pytest.raises(SpecDimensionMismatch) as parsed:
+            parse_config(changed)
+        assert str(parsed.value) == str(exc)
+    else:
+        assert d >= 2
+        assert parse_config(to_document(rc2)) == rc2
+        assert parse_config(changed) == rc2
+
+
 def test_a_reference_record_checks_itself_before_any_round(monkeypatch):
     monkeypatch.setattr("dpcopt.runner.pgtc_run", lambda *args, **kw: pytest.fail("a round ran"))
     rc = parse_config(base_doc())

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcopt.compressors import (
     GATE_CHUNK_ELEMENTS,
@@ -126,6 +128,66 @@ def test_bbit_zero_row_draws_nothing_and_a_second_encode_lines_up():
     fresh = _generators(n, 41)
     assert after[2] == fresh[2].random()
     assert after[0] != fresh[0].random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bbit_batch_with_zero_and_nan_rows_equals_the_row_loop(data):
+    # Zero rows (of +0.0 or -0.0, none, some or all) and an optional NaN
+    # row in one batch: one draw per nonzero row, in row order, and a zero
+    # row decodes to +0.0 and leaves its generator where it was.
+    n, d, b = (
+        data.draw(st.integers(1, top), label=name) for name, top in (("n", 8), ("d", 12), ("b", 6))
+    )
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="zero"))
+    nan_row = data.draw(st.none() | st.integers(0, n - 1), label="nan row")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    x[zero] = data.draw(st.sampled_from([0.0, -0.0]), label="zero sign")
+    if nan_row is not None:
+        x[nan_row, data.draw(st.integers(0, d - 1), label="nan column")] = np.nan
+        zero[nan_row] = False
+    spec = make_spec("bbit", d, b=b)
+
+    gens, loop_gens, fresh = (_generators(n, seed) for _ in range(3))
+    batch = compress(spec, x, gens)
+    loop = np.concatenate([compress(spec, x[i:i + 1], [g]) for i, g in enumerate(loop_gens)])
+    assert batch.tobytes() == loop.tobytes()
+    assert batch[zero].tobytes() == np.zeros((zero.sum(), d)).tobytes()
+    after = [g.random() for g in gens]
+    assert after == [g.random() for g in loop_gens]
+    assert [a == g.random() for a, g in zip(after, fresh)] == zero.tolist()
+
+    if zero.all():
+        assert compress(spec, x).tobytes() == np.zeros((n, d)).tobytes()
+    else:
+        with pytest.raises(ConfigInvalid, match="dithering requires a random stream"):
+            compress(spec, x)
+
+
+def test_a_row_draw_needs_one_generator_per_row():
+    # Without the check, the rows past the generators would be read
+    # unfilled: the stale scratch or out values would pass the transform.
+    spec = make_spec("bbit", 4, b=2)
+    x = np.arange(1.0, 13.0).reshape(3, 4)
+    for block in (x, np.concatenate([np.zeros((1, 4)), x[1:]])):
+        rng = np.random.default_rng(61)
+        with pytest.raises(DimensionMismatch, match="1 generators for 3 rows"):
+            compress(spec, block, [rng], scratch=np.full((3, 4), 1e300))
+        assert rng.bit_generator.state == np.random.default_rng(61).bit_generator.state
+    with pytest.raises(DimensionMismatch, match="1 generators for 2 rows"):
+        compress(spec, np.zeros((2, 4)), [np.random.default_rng(61)])
+
+    gens = [np.random.default_rng(62 + i) for i in range(3)]
+    for d, out, scratch in [
+        (4, None, np.empty((2, 4))),
+        (5, np.empty((3, 4)), None),
+        (4, np.empty((3, 5)), np.empty((3, 5))),
+    ]:
+        with pytest.raises(DimensionMismatch, match=r"must be \(3, %d\) blocks" % d):
+            sample_laplace(1.0, d, gens, out=out, scratch=scratch)
+    with pytest.raises(DimensionMismatch, match=r"must be \(1, 4\) blocks"):
+        sample_laplace(1.0, 4, gens[:1], out=np.full((3, 4), 0.25))
 
 
 def test_row_norms_equal_linalg_norm_per_row():

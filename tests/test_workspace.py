@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import config_documents
-from dpcopt.compressors import make_spec
+from dpcopt.compressors import encode_decode, make_spec
 from dpcopt.config import parse_config
 from dpcopt.errors import NonFiniteState
 from dpcopt.metrics import RoundWorkspace, Trace
@@ -20,7 +20,7 @@ from dpcopt.noise import NoiseSchedule
 from dpcopt.objectives import make_objectives
 from dpcopt.pgtc import PgtcConfig
 from dpcopt.ppdc import PpdcConfig
-from dpcopt.rng import StreamFactory
+from dpcopt.rng import StreamFactory, Tag
 from dpcopt.runner import _build_problem, _initial_iterate
 from dpcopt.topology import build_graph, build_network
 
@@ -111,6 +111,27 @@ GUARD_CONFIGS = {
         noise_x=NOISE, noise_y=NOISE, iterations=10,
     ),
 }
+
+
+# A bbit encode of the round's shape into given blocks, with a sender whose
+# difference is zero: its row temporaries only, measured at 0.90 blocks
+# with Python 3.11 and numpy 2.4. A gathered copy of the other rows and
+# its fresh output and dither blocks would add about three.
+BBIT_ENCODE_PEAK_BLOCKS = 1.5
+
+
+def test_a_bbit_encode_with_a_zero_row_allocates_no_block():
+    spec = make_spec("bbit", D, b=4)
+    target, reference = np.random.default_rng(5).standard_normal((2, N, D))
+    target[7] = reference[7]
+    out, scratch = np.empty((N, D)), (np.empty((N, D)), np.empty((N, D)))
+    gens = StreamFactory(master_seed=5).rows(Tag.COMPRESS, 1, N)
+
+    def encode():
+        encode_decode(spec, target, reference, gens, out=out, scratch=scratch)
+
+    assert _peak_blocks(encode) < BBIT_ENCODE_PEAK_BLOCKS
+    assert out[7].tobytes() == reference[7].tobytes()
 
 
 # A steady-state _emit_row's peak, in the same blocks: its (d,) means and
